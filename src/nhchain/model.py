@@ -18,7 +18,8 @@ Conventions, fixed once here and relied on everywhere else:
   for g > 0 eigenstates pile up on the left edge under open boundaries.
 * Under periodic boundaries the full twist e^{i*phi} sits on the single
   wrap bond (L-1 <-> 0); distributing it per bond is gauge equivalent
-  for every observable computed in this package.
+  for every observable computed in this package.  `wrap_hops` lists
+  those entries for both builders and for the winding number.
 * Fock states are L-bit integers, bit j = occupation of site j, listed
   in ascending integer order.  With this ascending Jordan-Wigner
   ordering, bulk nearest-neighbor hops carry no fermionic sign; only the
@@ -169,8 +170,8 @@ def build_single_particle(params: ModelParams) -> HamiltonianMatrix:
         H[j, j + 1] = up
         H[j + 1, j] = down
     if params.bc == "pbc":
-        H[L - 1, 0] += up * np.exp(1j * params.phi)
-        H[0, L - 1] += down * np.exp(-1j * params.phi)
+        for rows, cols, amp in wrap_hops(params):
+            H[rows, cols] += amp
     return HamiltonianMatrix(dim=L, entries=H, params=params)
 
 
@@ -197,6 +198,36 @@ def _bond_hops(states: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarr
     return src, targets
 
 
+def wrap_hops(
+    params: ModelParams,
+    basis: Optional[FockBasis] = None,
+    fermionic_wrap: bool = True,
+) -> tuple:
+    """The flux-carrying wrap-bond hops (L-1 <-> 0) of the periodic chain.
+
+    Returns two (rows, cols, amp) triplets, each hop adding amp to
+    H[row, col]: the hops 0 -> L-1 with amp = -e^{+g} e^{+i phi}, then
+    the reverse hops L-1 -> 0 with amp = -e^{-g} e^{-i phi}.  Rows and
+    cols are basis indices; with `basis` None they are the sites of the
+    single-particle chain.  In the Fock basis each direction is a
+    one-to-one map between C(L-2, N-1) states, and amp carries the
+    fermionic sign (-1)^(N-1) when `fermionic_wrap` is on.  Every other
+    matrix entry is independent of phi.
+    """
+    L = params.L
+    up = -np.exp(params.g) * np.exp(1j * params.phi)
+    down = -np.exp(-params.g) * np.exp(-1j * params.phi)
+    if basis is None:
+        first, last = np.array([0]), np.array([L - 1])
+    else:
+        if fermionic_wrap:
+            up, down = up * (-1.0) ** (basis.N - 1), down * (-1.0) ** (basis.N - 1)
+        # states with a particle on site 0 and none on L-1, and their images
+        first, moved = _bond_hops(basis.states, L - 1, 0)
+        last = np.searchsorted(basis.states, moved)
+    return (last, first, up), (first, last, down)
+
+
 def build_many_body(
     params: ModelParams,
     basis: FockBasis,
@@ -212,7 +243,7 @@ def build_many_body(
     """
     if params.N != basis.N or params.L != basis.L:
         raise ValueError("basis does not match params (L, N)")
-    L, N = params.L, params.N
+    L = params.L
     states = basis.states
     dim = basis.dim
     occ = basis.occupations()
@@ -225,26 +256,18 @@ def build_many_body(
 
     rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag.astype(complex)]
     up, down = -np.exp(params.g), -np.exp(-params.g)
-    wrap_sign = (-1.0) ** (N - 1) if fermionic_wrap else 1.0
-
-    n_bonds = L - 1 if params.bc == "obc" else L
-    for j in range(n_bonds):
-        a, b = j, (j + 1) % L
-        on_wrap = b == 0
-        amp_dn = up * (np.exp(1j * params.phi) * wrap_sign if on_wrap else 1.0)
-        amp_up = down * (np.exp(-1j * params.phi) * wrap_sign if on_wrap else 1.0)
-        # b -> a (toward lower index through this bond)
-        src, tgt = _bond_hops(states, a, b)
-        if len(src):
+    for j in range(L - 1):
+        for (a, b), amp in (((j, j + 1), up), ((j + 1, j), down)):
+            # b -> a; the amplified hop `up` moves toward the lower index
+            src, tgt = _bond_hops(states, a, b)
             rows.append(np.searchsorted(states, tgt))
             cols.append(src)
-            vals.append(np.full(len(src), amp_dn, dtype=complex))
-        # a -> b
-        src, tgt = _bond_hops(states, b, a)
-        if len(src):
-            rows.append(np.searchsorted(states, tgt))
-            cols.append(src)
-            vals.append(np.full(len(src), amp_up, dtype=complex))
+            vals.append(np.full(len(src), amp, dtype=complex))
+    if params.bc == "pbc":
+        for r, c, amp in wrap_hops(params, basis, fermionic_wrap):
+            rows.append(r)
+            cols.append(c)
+            vals.append(np.full(len(r), amp, dtype=complex))
 
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)

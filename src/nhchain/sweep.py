@@ -2,15 +2,17 @@
 
 A sweep walks the Cartesian product of g, V and W grids; at each point
 the requested quantities are evaluated for S evenly spaced disorder
-phases theta0 = 2*pi*s/S and then averaged.  Evenly spaced phases stand
+phases theta0 = theta0_base + 2*pi*s/S and then averaged.  Evenly spaced phases stand
 in for random draws so a rerun is bit-identical; output order follows
 grid index, never thread completion order.  Individual point failures
 (an ill-defined winding, a defective decomposition) become NaN rows
 with the message in the warnings column, and the sweep moves on.
 
 Resume: rerunning against an existing output file recomputes only grid
-points with missing rows and appends those rows, keyed by the echoed
-parameters, so an interrupted long sweep loses nothing.
+points with missing rows and appends those rows, keyed by the full
+parameter echo, so an interrupted long sweep loses nothing.  A file
+written by a run with another L, N, boundary condition, base theta0 or
+sample count is refused rather than mixed with the new rows.
 """
 
 from __future__ import annotations
@@ -88,11 +90,23 @@ class ResultRecord:
 
     @property
     def key(self) -> tuple:
-        return (self.quantity, _num(self.g), _num(self.V), _num(self.W), self.sample)
+        """The full parameter echo; rows of one run differ in it."""
+        return _key(self.L, self.N, self.g, self.V, self.W, self.theta0, self.bc,
+                    self.sample, self.quantity)
 
 
 def _num(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _key(L, N, g, V, W, theta0, bc, sample, quantity) -> tuple:
+    return (L, N, _num(g), _num(V), _num(W), "" if theta0 is None else _num(theta0),
+            bc, sample, quantity)
+
+
+def _theta0(spec: SweepSpec, s: int) -> float:
+    """Disorder phase of sample s: the base phase plus s/S of a turn."""
+    return spec.base.theta0 + 2.0 * np.pi * s / spec.theta0_samples
 
 
 def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> dict:
@@ -144,7 +158,7 @@ def _effective_bc(quantity: str, base_bc: str) -> str:
 
 def _sample_rows(spec: SweepSpec, g: float, V: float, W: float, s: int, results: dict) -> list:
     base = spec.base
-    theta0 = 2.0 * np.pi * s / spec.theta0_samples
+    theta0 = _theta0(spec, s)
     rows = []
     for q in spec.quantities:
         value, notes = results[q]
@@ -177,18 +191,52 @@ def _average_rows(spec: SweepSpec, g: float, V: float, W: float, sample_rows: li
 
 def expected_keys(spec: SweepSpec, g: float, V: float, W: float) -> set:
     """Row keys one grid point must contribute (for resume bookkeeping)."""
-    names = []
-    for q in spec.quantities:
-        if q == "density":
-            names.extend(f"density:{j}" for j in range(spec.base.L))
-        else:
-            names.append(q)
+    base = spec.base
     keys = set()
-    for name in names:
-        for s in range(spec.theta0_samples):
-            keys.add((name, _num(g), _num(V), _num(W), str(s)))
-        keys.add((name, _num(g), _num(V), _num(W), "avg"))
+    for q in spec.quantities:
+        names = [f"density:{j}" for j in range(base.L)] if q == "density" else [q]
+        bc = _effective_bc(q, base.bc)
+        for name in names:
+            for s in range(spec.theta0_samples):
+                keys.add(_key(base.L, base.N, g, V, W, _theta0(spec, s), bc, str(s), name))
+            keys.add(_key(base.L, base.N, g, V, W, None, bc, "avg", name))
     return keys
+
+
+def _check_compatible(spec: SweepSpec, records: Sequence[ResultRecord]) -> None:
+    """Raise ValueError unless every record could have come from `spec`.
+
+    Grid points and quantities may differ; L, N, the boundary condition
+    each quantity is computed under, and each sample's theta0 must not.
+    An average row must come with all S of its sample rows, which is
+    what tells a file with fewer samples apart.
+    """
+    base, S = spec.base, spec.theta0_samples
+    keys = {r.key for r in records}
+
+    def mismatch(r: ResultRecord) -> str:
+        if (r.L, r.N) != (base.L, base.N):
+            return f"L={r.L}, N={r.N}"
+        if r.bc != _effective_bc(r.quantity.split(":")[0], base.bc):
+            return f"bc={r.bc}"
+        if r.sample == "avg":
+            missing = [s for s in range(S) if _key(r.L, r.N, r.g, r.V, r.W, _theta0(spec, s),
+                                                   r.bc, str(s), r.quantity) not in keys]
+            return f"an average over other than {S} samples" if missing else ""
+        if not r.sample.isdigit() or int(r.sample) >= S:
+            return f"sample {r.sample}"
+        if r.theta0 is None or _num(r.theta0) != _num(_theta0(spec, int(r.sample))):
+            return f"theta0={r.theta0} for sample {r.sample}"
+        return ""
+
+    for r in records:
+        why = mismatch(r)
+        if why:
+            raise ValueError(
+                f"{spec.out}: row ({r.quantity}, g={_num(r.g)}, V={_num(r.V)}, W={_num(r.W)}, "
+                f"sample {r.sample}) has {why}; this run has L={base.L}, N={base.N}, "
+                f"bc={base.bc}, theta0={_num(base.theta0)}, {S} samples"
+            )
 
 
 def run_sweep(spec: SweepSpec, threads: int = 1, have: Optional[set] = None) -> Iterator[ResultRecord]:
@@ -206,8 +254,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1, have: Optional[set] = None) -> 
 
     def compute(task):
         g, V, W, s = task
-        theta0 = 2.0 * np.pi * s / spec.theta0_samples
-        params = replace(spec.base, g=g, V=V, W=W, theta0=theta0)
+        params = replace(spec.base, g=g, V=V, W=W, theta0=_theta0(spec, s))
         return _evaluate_sample(params, spec.quantities, basis)
 
     tasks = [(g, V, W, s) for (g, V, W) in todo for s in range(spec.theta0_samples)]
@@ -268,12 +315,17 @@ def read_records_json(path: str) -> list:
 
 
 def run_sweep_to_file(spec: SweepSpec, threads: int = 1) -> tuple:
-    """Run (or resume) a sweep into spec.out; returns (written, reused)."""
+    """Run (or resume) a sweep into spec.out; returns (written, reused).
+
+    Raises ValueError when spec.out holds rows of an incompatible run
+    (see _check_compatible); the file is then left untouched.
+    """
     if spec.out is None:
         raise ValueError("spec.out must be set")
     existing = []
     if os.path.exists(spec.out) and os.path.getsize(spec.out) > 0:
         existing = read_records_csv(spec.out) if spec.fmt == "csv" else read_records_json(spec.out)
+    _check_compatible(spec, existing)
     have = {r.key for r in existing}
     fresh = list(run_sweep(spec, threads=threads, have=have))
     if spec.fmt == "csv":

@@ -2,12 +2,28 @@
 
 The winding number counts how often det[H(phi) - E0] encircles zero as
 the boundary twist runs through 2*pi.  Determinant phases are taken from
-an LU factorization (sum of pivot arguments plus the permutation sign)
+LU factorizations (sum of pivot arguments plus the permutation sign)
 so that many-body dimensions never overflow, and the phase differences
 between consecutive flux points are unwrapped assuming each step stays
 below pi.  A grid point whose determinant underflows means E0 collided
 with an eigenvalue there; one retry on a half-step-shifted grid is
 attempted before giving up.
+
+The model's own winding (`winding_result`) factors one matrix per flux
+loop.  Only the wrap bond carries the flux (`model.wrap_hops`), so with
+z = e^{i phi} and z0 the first grid point,
+
+    H(phi) - E0 = A + U D(z) V^T,   A = H(phi0) - E0,
+    D(z) = diag((z - z0) * a_+, (1/z - 1/z0) * a_-),
+
+where U and V select the rows and columns of the 2r wrap hops (r per
+direction: 1 for one particle, C(L-2, N-1) in the Fock basis) and a_+-
+are their amplitudes per unit twist.  The matrix determinant lemma
+gives det[H(phi) - E0] = det A * det(I + D(z) M) with the 2r x 2r
+matrix M = V^T A^{-1} U, so each flux point costs one small determinant
+and the phase of det A cancels in the step differences.
+`winding_from_builder` keeps one dense factorization per flux point
+for an arbitrary flux -> matrix map, and serves as the reference.
 """
 
 from __future__ import annotations
@@ -18,11 +34,16 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, lu_solve
 
-from .model import HamiltonianMatrix, ModelParams, build_fock_basis, build_many_body, build_single_particle
+from .model import (FockBasis, HamiltonianMatrix, ModelParams, build_fock_basis, build_many_body,
+                    build_single_particle, wrap_hops)
 
 DET_FLOOR = 1e-300
+
+# Largest stack of flux-point determinants handed to log_det_phase at
+# once: all 202 points of a single-particle loop, two at dim 924.
+BATCH_BYTES = 8 << 20
 
 
 class SingularBaseEnergyError(RuntimeError):
@@ -58,42 +79,59 @@ class WindingResult:
     warnings: list = field(default_factory=list)
 
 
-def log_det_phase(H_phi, e0: complex = 0.0, det_floor: float = DET_FLOOR):
-    """(log|det|, principal phase) of det[H - e0] via LU pivots.
+def _principal(phase):
+    """Phase reduced to (-pi, pi]."""
+    phase = np.remainder(phase, 2.0 * np.pi)
+    return np.where(phase > np.pi, phase - 2.0 * np.pi, phase)
 
-    Raises SingularBaseEnergyError when any pivot magnitude drops below
-    `det_floor`.
-    """
-    A = H_phi.dense() if isinstance(H_phi, HamiltonianMatrix) else np.asarray(H_phi)
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("need a square matrix")
-    shifted = A - e0 * np.eye(A.shape[0])
+
+def _checked_lu(A: np.ndarray, det_floor: float, e0: complex):
+    """LU factors of A (overwritten when Fortran-ordered), pivots checked."""
     with warnings.catch_warnings():
         # exact singularity is ours to report, not scipy's
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = lu_factor(shifted, check_finite=True)
-    diag = np.diag(lu)
-    mags = np.abs(diag)
+        lu, piv = lu_factor(A, overwrite_a=True, check_finite=True)
+    mags = np.abs(np.diag(lu))
     if np.any(mags < det_floor) or not np.all(np.isfinite(mags)):
         raise SingularBaseEnergyError(f"pivot underflow at e0={e0}")
+    return lu, piv
+
+
+def log_det_phase(H_phi, e0: complex = 0.0, det_floor: float = DET_FLOOR):
+    """(log|det|, principal phase) of det[H - e0].
+
+    One square matrix is factored by LU; the two results are floats and
+    SingularBaseEnergyError is raised when any pivot magnitude drops
+    below `det_floor`.  A stack of shape (..., n, n) goes through one
+    batched determinant call; the results are arrays of shape (...) and
+    the error is raised when any member's |det| drops below `det_floor`.
+    """
+    A = H_phi.dense() if isinstance(H_phi, HamiltonianMatrix) else H_phi
+    # a copy, shifted in place; Fortran order lets the LU overwrite it too
+    A = np.array(A, dtype=complex, order="F" if np.ndim(A) == 2 else "C")
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError("need a square matrix or a stack of them")
+    if e0:
+        idx = np.arange(A.shape[-1])
+        A[..., idx, idx] -= e0
+    if A.ndim > 2:
+        if not np.all(np.isfinite(A)):
+            raise ValueError("array must not contain infs or NaNs")
+        sign, logabs = np.linalg.slogdet(A)
+        if not np.all(np.isfinite(logabs)) or np.any(np.exp(logabs) < det_floor):
+            raise SingularBaseEnergyError(f"determinant underflow at e0={e0}")
+        return logabs, _principal(np.angle(sign))
+    lu, piv = _checked_lu(A, det_floor, e0)
+    diag = np.diag(lu)
     # Row swaps flip the determinant sign; fold that into the phase.
     n_swaps = int(np.sum(piv != np.arange(len(piv))))
     phase = float(np.sum(np.angle(diag))) + (np.pi if n_swaps % 2 else 0.0)
-    phase = float(np.remainder(phase, 2.0 * np.pi))
-    if phase > np.pi:
-        phase -= 2.0 * np.pi
-    return float(np.sum(np.log(mags))), phase
+    return float(np.sum(np.log(np.abs(diag)))), float(_principal(phase))
 
 
-def _accumulate(builder: Callable[[float], object], cfg: WindingConfig, offset: float) -> WindingResult:
-    n = cfg.n_points
-    phases = np.empty(n + 1)
-    for s in range(n + 1):
-        phi = 2.0 * np.pi * s / n + offset
-        _, phases[s] = log_det_phase(builder(phi), cfg.e0, cfg.det_floor)
-    steps = np.diff(phases)
-    steps = np.remainder(steps, 2.0 * np.pi)
+def _from_phases(phases: np.ndarray) -> WindingResult:
+    """Unwrapped phase steps around the loop, summed into the winding."""
+    steps = np.remainder(np.diff(phases), 2.0 * np.pi)
     steps[steps > np.pi] -= 2.0 * np.pi
     raw = float(steps.sum() / (2.0 * np.pi))
     nu = int(np.rint(raw))
@@ -105,29 +143,79 @@ def _accumulate(builder: Callable[[float], object], cfg: WindingConfig, offset: 
     if abs(raw - nu) > 0.05:
         notes.append(f"raw winding {raw:.4f} deviates from integer by {abs(raw - nu):.4f}")
     for msg in notes:
-        warnings.warn(msg, WindingWarning, stacklevel=3)
+        warnings.warn(msg, WindingWarning, stacklevel=4)
     return WindingResult(nu=nu, raw=raw, steps=steps, warnings=notes)
 
 
-def winding_from_builder(builder: Callable[[float], object], cfg: Optional[WindingConfig] = None) -> WindingResult:
-    """Winding of det[H(phi) - E0] for an arbitrary flux -> matrix map.
+def _winding(phases_on: Callable[[np.ndarray], np.ndarray], cfg: WindingConfig) -> WindingResult:
+    """Winding from det phases on the n_points + 1 flux grid [phi0, phi0 + 2*pi].
 
     Retries once on a grid shifted by half a step if any point is
     singular; a second singular pass means E0 sits on the spectral curve
     and the winding is reported ill-defined.
     """
+    n = cfg.n_points
+    for offset in (0.0, np.pi / n):
+        try:
+            phases = phases_on(2.0 * np.pi * np.arange(n + 1) / n + offset)
+        except SingularBaseEnergyError as exc:
+            error = exc
+            continue
+        return _from_phases(phases)
+    raise WindingIllDefinedError(
+        f"E0={cfg.e0} lies on the spectral curve (singular on two flux grids)"
+    ) from error
+
+
+def winding_from_builder(builder: Callable[[float], object], cfg: Optional[WindingConfig] = None) -> WindingResult:
+    """Winding of det[H(phi) - E0] for an arbitrary flux -> matrix map.
+
+    Factors the full matrix at every flux point.
+    """
     cfg = cfg or WindingConfig()
-    try:
-        return _accumulate(builder, cfg, offset=0.0)
-    except SingularBaseEnergyError:
-        pass
-    half_step = np.pi / cfg.n_points
-    try:
-        return _accumulate(builder, cfg, offset=half_step)
-    except SingularBaseEnergyError as exc:
-        raise WindingIllDefinedError(
-            f"E0={cfg.e0} lies on the spectral curve (singular on two flux grids)"
-        ) from exc
+
+    def phases_on(grid: np.ndarray) -> np.ndarray:
+        return np.array([log_det_phase(builder(phi), cfg.e0, cfg.det_floor)[1] for phi in grid])
+
+    return _winding(phases_on, cfg)
+
+
+def _low_rank_phases(
+    params: ModelParams,
+    basis: Optional[FockBasis],
+    fermionic_wrap: bool,
+    cfg: WindingConfig,
+    grid: np.ndarray,
+) -> np.ndarray:
+    """Phases of det[H(phi) - E0] / det[H(grid[0]) - E0] over the grid."""
+    ref = params.with_flux(grid[0])
+    H = build_single_particle(ref) if basis is None else build_many_body(ref, basis, fermionic_wrap)
+    A = np.asarray(H.dense(), dtype=complex)     # freshly built, so ours to overwrite
+    A[np.diag_indices_from(A)] -= cfg.e0
+    # A.T is Fortran-ordered, so it is factored in place; trans=1 below
+    # then solves with A itself.
+    lu_piv = _checked_lu(A.T, cfg.det_floor, cfg.e0)
+
+    # at phi = 0 the amplitudes are the coefficients of z and 1/z
+    (rows_p, cols_p, amp_p), (rows_m, cols_m, amp_m) = wrap_hops(params.with_flux(0.0), basis, fermionic_wrap)
+    rows, cols = np.concatenate([rows_p, rows_m]), np.concatenate([cols_p, cols_m])
+    k = np.arange(len(rows))
+    U = np.zeros((H.dim, len(rows)), dtype=complex, order="F")
+    U[rows, k] = 1.0
+    M = lu_solve(lu_piv, U, trans=1, overwrite_b=True)[cols]     # V^T A^{-1} U
+    del A, H, lu_piv, U          # free the full-dimension arrays before the batches
+
+    z = np.exp(1j * np.remainder(grid, 2.0 * np.pi))   # the flux as ModelParams reduces it
+    d = np.empty((len(grid), len(rows)), dtype=complex)
+    d[:, :len(rows_p)] = ((z - z[0]) * amp_p)[:, None]
+    d[:, len(rows_p):] = ((1.0 / z - 1.0 / z[0]) * amp_m)[:, None]
+    phases = np.empty(len(grid))
+    batch = max(1, BATCH_BYTES // M.nbytes)
+    for start in range(0, len(grid), batch):
+        stack = d[start:start + batch, :, None] * M          # D(z) M, one per flux point
+        stack[:, k, k] += 1.0
+        phases[start:start + batch] = log_det_phase(stack, 0.0, cfg.det_floor)[1]
+    return phases
 
 
 def winding_number(
@@ -146,20 +234,19 @@ def winding_result(
     many_body: bool = False,
     fermionic_wrap: bool = True,
 ) -> WindingResult:
-    """As winding_number, but returning diagnostics alongside the integer."""
+    """As winding_number, but returning diagnostics alongside the integer.
+
+    Factors H(phi0) - E0 once per flux grid and takes every flux point's
+    determinant phase from the low-rank wrap-bond update (module
+    docstring); the grid, the retry and the diagnostics are those of
+    winding_from_builder.
+    """
     if params.bc != "pbc":
         raise ValueError("winding requires periodic boundaries")
+    basis = None
     if many_body or params.many_body:
         if params.N is None:
             raise ValueError("many-body winding requires N")
         basis = build_fock_basis(params.L, params.N)
-
-        def builder(phi: float):
-            return build_many_body(params.with_flux(phi), basis, fermionic_wrap)
-
-    else:
-
-        def builder(phi: float):
-            return build_single_particle(params.with_flux(phi))
-
-    return winding_from_builder(builder, cfg)
+    cfg = cfg or WindingConfig()
+    return _winding(lambda grid: _low_rank_phases(params, basis, fermionic_wrap, cfg, grid), cfg)

@@ -12,6 +12,8 @@ from nhchain import (
     WindingIllDefinedError,
     build_single_particle,
     decompose,
+    ipr_per_state,
+    winding_result,
 )
 
 
@@ -131,6 +133,38 @@ def test_phase_diagram_with_resume(tmp_path, capsys):
     second = capsys.readouterr().out
     assert "(0 rows written, 9 reused)" in second
     assert len(read_csv(str(out))) == n_rows    # nothing re-appended
+
+
+def test_phase_diagram_honours_theta0(tmp_path):
+    out = tmp_path / "pd.csv"
+    rc = cli.main(["phase-diagram", "--L", "13", "--g", "0.5", "--W", "2.0", "--bc", "pbc",
+                   "--theta0", "0.3", "--samples", "1", "--quantities", "ipr_obc,winding",
+                   "--out", str(out)])
+    assert rc == 0
+    rows = {r["quantity"]: r for r in read_csv(str(out)) if r["sample"] == "0"}
+    assert {float(r["theta0"]) for r in rows.values()} == {0.3}
+
+    def mean_ipr(theta0):
+        p = ModelParams(L=13, g=0.5, W=2.0, theta0=theta0, bc="obc")
+        return float(np.mean(ipr_per_state(decompose(build_single_particle(p)))))
+
+    assert float(rows["ipr_obc"]["value"]) == pytest.approx(mean_ipr(0.3), abs=1e-12)
+    assert abs(mean_ipr(0.3) - mean_ipr(0.0)) > 1e-3     # an ignored flag would show
+    p = ModelParams(L=13, g=0.5, W=2.0, theta0=0.3, bc="pbc")
+    assert float(rows["winding"]["value"]) == winding_result(p).nu
+
+
+def test_phase_diagram_refuses_resume_from_other_length(tmp_path, capsys):
+    out = tmp_path / "pd.csv"
+    argv = ["phase-diagram", "--L", "21", "--g", "0.5", "--W", "0:2:1", "--bc", "pbc",
+            "--samples", "2", "--quantities", "f_im", "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = out.read_text()
+    capsys.readouterr()
+    assert cli.main(argv[:2] + ["34"] + argv[3:]) == 1
+    _, err = capsys.readouterr()
+    assert "L=21" in err and "L=34" in err
+    assert out.read_text() == before              # nothing appended
 
 
 def test_preset_fig3_single_panel(tmp_path):

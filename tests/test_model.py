@@ -1,5 +1,7 @@
 """Hamiltonian construction: conventions, enumeration, validation."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from nhchain import (
     decompose,
     potential,
 )
+from nhchain.model import wrap_hops
 
 
 def loop_built_many_body(params, basis, fermionic_wrap=True):
@@ -143,6 +146,21 @@ def test_many_body_wrap_sign_toggles():
     # bulk hop identical under both flags
     bulk_tgt = basis.index_of[0b0101]     # site 1 -> 2
     assert H_on[bulk_tgt, src] == H_off[bulk_tgt, src] == -np.exp(-0.4)
+
+
+@pytest.mark.parametrize("L, N", [(2, None), (7, None), (2, 1), (6, 1), (6, 3), (7, 5)])
+def test_wrap_hops_are_the_only_flux_dependence(L, N):
+    p = ModelParams(L=L, N=N, g=0.3, V=1.2, W=0.9, theta0=0.2, bc="pbc", phi=1.1)
+    basis = build_fock_basis(L, N) if N else None
+
+    def build(q):
+        return (build_many_body(q, basis) if N else build_single_particle(q)).dense()
+
+    expected = build(p.with_flux(0.0))
+    for (rows, cols, amp), (_, _, amp0) in zip(wrap_hops(p, basis), wrap_hops(p.with_flux(0.0), basis)):
+        assert len(rows) == len(set(rows)) == len(set(cols)) == (comb(L - 2, N - 1) if N else 1)
+        expected[rows, cols] += amp - amp0
+    assert np.abs(build(p) - expected).max() < 1e-14
 
 
 def test_interaction_diagonal():

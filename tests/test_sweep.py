@@ -91,6 +91,39 @@ def test_resume_skips_finished_points(tmp_path):
     assert before < after and len(after) == 12
 
 
+@pytest.mark.parametrize("first, second", [
+    (dict(), dict(L=15)),
+    (dict(), dict(bc="obc")),
+    (dict(), dict(theta0=0.3)),
+    (dict(), dict(S=1)),            # the file has a sample this run lacks
+    (dict(), dict(S=3)),            # sample 1 sits at another theta0
+    (dict(S=1), dict()),            # the file's averages cover one sample only
+])
+def test_resume_refuses_incompatible_file(tmp_path, first, second):
+    out = str(tmp_path / "sweep.csv")
+
+    def spec(L=13, bc="pbc", theta0=0.0, S=2):
+        return SweepSpec(base=ModelParams(L=L, g=0.5, theta0=theta0, bc=bc), w_grid=(0.0, 1.0),
+                         theta0_samples=S, quantities=("f_im",), out=out)
+
+    run_sweep_to_file(spec(**first))
+    before = open(out).read()
+    with pytest.raises(ValueError, match="this run has"):
+        run_sweep_to_file(spec(**second))
+    assert open(out).read() == before
+
+
+def test_resume_accepts_other_grid_and_quantities(tmp_path):
+    out = str(tmp_path / "sweep.csv")
+    base = ModelParams(L=13, g=0.5, theta0=0.2, bc="pbc")
+    run_sweep_to_file(SweepSpec(base=base, w_grid=(0.0, 1.0), theta0_samples=2,
+                                quantities=("f_im",), out=out))
+    # a quantity forced to open boundaries is compatible with either base bc
+    written, reused = run_sweep_to_file(SweepSpec(base=base, w_grid=(1.0,), theta0_samples=2,
+                                                  quantities=("f_im", "ipr_obc"), out=out))
+    assert (written, reused) == (3, 6)
+
+
 def test_failed_point_becomes_nan_row_with_warning(tmp_path, monkeypatch):
     def boom(params, many_body=False):
         raise sweep_mod.WindingIllDefinedError("forced failure for test")

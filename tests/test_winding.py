@@ -11,6 +11,8 @@ from nhchain import (
     WindingConfig,
     WindingIllDefinedError,
     WindingWarning,
+    build_fock_basis,
+    build_many_body,
     build_single_particle,
     log_det_phase,
     winding_from_builder,
@@ -44,6 +46,71 @@ def test_log_det_phase_matches_eigenvalue_product():
 def test_log_det_phase_singular_rejected():
     with pytest.raises(SingularBaseEnergyError):
         log_det_phase(np.zeros((3, 3), dtype=complex))
+
+
+def test_log_det_phase_stack_matches_loop():
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(3, 4, 6, 6)) + 1j * rng.normal(size=(3, 4, 6, 6))
+    e0 = 0.4 - 0.1j
+    mags, phases = log_det_phase(stack, e0=e0)
+    assert mags.shape == phases.shape == (3, 4)
+    for i, j in np.ndindex(3, 4):
+        mag, phase = log_det_phase(stack[i, j], e0=e0)
+        assert mags[i, j] == pytest.approx(mag, abs=1e-12)
+        assert abs(np.angle(np.exp(1j * (phases[i, j] - phase)))) < 1e-12
+        assert -np.pi < phases[i, j] <= np.pi
+    assert isinstance(mag, float) and isinstance(phase, float)
+
+
+def test_log_det_phase_stack_singular_member_rejected():
+    stack = np.stack([np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)])
+    with pytest.raises(SingularBaseEnergyError):
+        log_det_phase(stack)
+
+
+# Small chains on which the low-rank route of winding_result must agree
+# with one dense factorization per flux point: one particle for every L
+# (at L=2 the wrap and bulk bonds join the same two sites), Fock sectors
+# up to N=5 with both wrap signs, both signs of g, real and complex E0,
+# and two chains singular at phi = 0 that need the half-step retry.
+SMALL_CASES = (
+    [dict(L=L, g=g, W=1.1, e0=e0) for L in range(2, 22)
+     for g, e0 in ((0.5, 0.0), (-0.3, 0.3 - 0.2j))]
+    + [dict(L=L, N=N, g=g, V=1.5, W=0.7, e0=e0, fermionic_wrap=fw)
+       for L in range(2, 9) for N in range(1, min(L, 6))
+       for (g, e0), fw in (((0.5, 0.0), True), ((-0.4, -1.0 + 0.3j), False))]
+    + [dict(L=4, g=0.0, W=0.0, e0=0.0), dict(L=2, g=0.0, W=0.0, e0=2.0)]
+)
+
+
+def _outcome(compute):
+    try:
+        res = compute()
+    except Exception as exc:
+        return type(exc), None, None
+    return None, res.nu, res.raw
+
+
+def test_low_rank_winding_matches_flux_grid():
+    mismatches = []
+    for case in SMALL_CASES:
+        case = dict(case)
+        e0, fw = case.pop("e0"), case.pop("fermionic_wrap", True)
+        p = ModelParams(theta0=0.4, bc="pbc", **case)
+        cfg = WindingConfig(e0=e0)
+        if p.many_body:
+            basis = build_fock_basis(p.L, p.N)
+            builder = lambda phi: build_many_body(p.with_flux(phi), basis, fw)
+        else:
+            builder = lambda phi: build_single_particle(p.with_flux(phi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WindingWarning)
+            fast = _outcome(lambda: winding_result(p, cfg, fermionic_wrap=fw))
+            grid = _outcome(lambda: winding_from_builder(builder, cfg))
+        same = fast[:2] == grid[:2] and (fast[2] is None or abs(fast[2] - grid[2]) <= 1e-9)
+        if not same:
+            mismatches.append((case, e0, fw, fast, grid))
+    assert mismatches == []
 
 
 def test_winding_transition_single_particle():
