@@ -25,7 +25,6 @@ from .spectral import (
     cdw_order,
     decompose,
     density_profile,
-    fock_ipr,
     imag_fraction,
     ipr,
     ipr_per_state,
@@ -44,7 +43,6 @@ from .winding import (
 )
 from .dynamics import (
     EvolverConfig,
-    EvolverState,
     ObservableSeries,
     arnoldi_step,
     entanglement_entropy,
@@ -58,11 +56,9 @@ from .sweep import (
     SweepSpec,
     inclusive_range,
     read_records_csv,
-    read_records_json,
     run_sweep,
     run_sweep_to_file,
     write_records_csv,
-    write_records_json,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation error (bad flags, inconsistent
 combinations), 2 numerical failure (defective decomposition, ill-defined
-winding).  Results go to --out as CSV/JSON; without --out, row data is
+winding).  Results go to --out as CSV; without --out, row data is
 printed to stdout and the one-line summary moves to stderr.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import EvolverConfig, initial_domain_wall, initial_localized, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import BiorthogonalizationError, decompose, density_profile, cdw_order, ipr
-from .sweep import SweepSpec, inclusive_range, run_sweep_to_file, write_records_csv, write_records_json, run_sweep
+from .sweep import SweepSpec, _effective_bc, inclusive_range, run_sweep_to_file
 from .winding import SingularBaseEnergyError, WindingConfig, WindingIllDefinedError, winding_result
 
 
@@ -59,7 +59,6 @@ def _add_model_flags(p: _Parser, grid: bool = False) -> None:
 
 def _add_io_flags(p: _Parser) -> None:
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _model_params(args, default_bc=None, scalar=True) -> ModelParams:
@@ -153,7 +152,7 @@ def cmd_winding(args) -> int:
     results = []
     for s in range(S):
         p = replace(params, theta0=args.theta0 + 2.0 * np.pi * s / S)
-        res = winding_result(p, cfg=cfg, many_body=params.many_body)
+        res = winding_result(p, cfg=cfg)
         results.append((s, p.theta0, res))
         if S > 1:
             print(f"sample {s}: theta0={p.theta0:.6f} nu={res.nu} raw={res.raw:.6f}")
@@ -178,8 +177,7 @@ def cmd_phase_diagram(args) -> int:
         w_grid=args.W if isinstance(args.W, tuple) else (),
         theta0_samples=args.samples,
         quantities=quantities,
-        out=args.out or "phase_diagram." + args.format,
-        fmt=args.format,
+        out=args.out or "phase_diagram.csv",
     )
     written, reused = run_sweep_to_file(spec, threads=args.threads)
     grid = f"{len(spec.g_grid)}x{len(spec.v_grid)}x{len(spec.w_grid)}"
@@ -240,96 +238,88 @@ def cmd_ground_state(args) -> int:
 
 # -------------------------------------------------------------------- presets
 
+def _describe(spec: SweepSpec) -> dict:
+    """Panel metadata read off a sweep spec: each quantity with the bc it
+    is computed under, the grids, and the disorder sampling."""
+    base = spec.base
+    meta = {"quantities": {q: _effective_bc(q, base.bc) for q in spec.quantities},
+            "L": base.L, "N": base.N, "g_grid": list(spec.g_grid), "v_grid": list(spec.v_grid),
+            "w_grid": list(spec.w_grid), "theta0": base.theta0,
+            "theta0_samples": spec.theta0_samples}
+    if "winding" in spec.quantities:
+        cfg = WindingConfig()      # the sweep's winding runs with the defaults
+        meta.update(e0=cfg.e0, flux_points=cfg.n_points)
+    return meta
+
+
+def _run_sweeps(args, out_dir: str, sweeps: list) -> tuple:
+    """Run the declared (panel, file, spec) sweeps of the selected panels.
+
+    Returns the files written and each panel's metadata.  A key on which
+    a panel's specs disagree (fig2 a: the boundary condition) lists one
+    value per spec.
+    """
+    files, panels = [], {}
+    for panel in args.which or "abcd":
+        described = []
+        for p, name, spec in sweeps:
+            if p == panel:
+                spec = replace(spec, out=os.path.join(out_dir, name))
+                run_sweep_to_file(spec, threads=args.threads)
+                files.append(spec.out)
+                described.append(_describe(spec))
+        panels[panel] = {k: v if all(d[k] == v for d in described) else [d[k] for d in described]
+                         for k, v in described[0].items()}
+    return files, panels
+
+
 def _preset_fig1(args, out_dir: str) -> tuple:
     """Single-particle (W, g) phase-diagram quartet."""
-    L = args.L or 89
-    S = args.samples or 10
-    panels = {"a": "ipr_obc", "b": "winding", "c": "ipr_pbc", "d": "f_im"}
-    which = args.which or "abcd"
-    files, meta_panels = [], {}
-    for panel in which:
-        quantity = panels[panel]
-        base = ModelParams(L=L, bc="pbc")
-        spec = SweepSpec(
-            base=base,
-            g_grid=inclusive_range(0.0, 1.0, 0.1),
-            w_grid=inclusive_range(0.0, 8.0, 0.25),
-            theta0_samples=S,
-            quantities=(quantity,),
-            out=os.path.join(out_dir, f"fig1_{panel}.csv"),
-            fmt="csv",
-        )
-        run_sweep_to_file(spec, threads=args.threads)
-        files.append(spec.out)
-        meta_panels[panel] = {
-            "quantity": quantity, "L": L, "bc": "pbc (obc where the quantity says so)",
-            "g_grid": "0:1:0.1", "w_grid": "0:8:0.25", "theta0_samples": S,
-        }
-    notes = ["phase boundary expected along W = 2*exp(g)"]
-    return files, {"panels": meta_panels, "notes": notes}
+    base = ModelParams(L=args.L or 89, bc="pbc")
+    grids = dict(g_grid=inclusive_range(0.0, 1.0, 0.1), w_grid=inclusive_range(0.0, 8.0, 0.25),
+                 theta0_samples=args.samples or 10)
+    sweeps = [(panel, f"fig1_{panel}.csv", SweepSpec(base=base, quantities=(q,), **grids))
+              for panel, q in zip("abcd", ("ipr_obc", "winding", "ipr_pbc", "f_im"))]
+    files, panels = _run_sweeps(args, out_dir, sweeps)
+    return files, {"panels": panels, "notes": ["phase boundary expected along W = 2*exp(g)"]}
 
 
 def _preset_fig2(args, out_dir: str) -> tuple:
     """Many-body statics at half filling: density, Fock IPR, winding, CDW order."""
-    L, N, V = args.L or 12, 6, 2.0
-    if args.L:
-        N = L // 2
+    L = args.L or 12
+    N = L // 2
     S = args.samples or 3
-    which = args.which or "abcd"
-    files, meta_panels = [], {}
-    if "a" in which:
-        for bc in ("obc", "pbc"):
-            base = ModelParams(L=L, N=N, g=0.5, V=V, W=0.5, bc=bc)
-            spec = SweepSpec(base=base, theta0_samples=S, quantities=("density",),
-                             out=os.path.join(out_dir, f"fig2_a_{bc}.csv"), fmt="csv")
-            run_sweep_to_file(spec, threads=args.threads)
-            files.append(spec.out)
-        meta_panels["a"] = {"quantity": "density", "L": L, "N": N, "g": 0.5, "V": V,
-                            "W": 0.5, "bc": "obc and pbc", "theta0_samples": S}
-    if "b" in which:
-        base = ModelParams(L=L, N=N, g=0.5, V=V, bc="obc")
-        spec = SweepSpec(base=base, w_grid=inclusive_range(0.0, 8.0, 0.5),
-                         theta0_samples=S, quantities=("fock_ipr",),
-                         out=os.path.join(out_dir, "fig2_b.csv"), fmt="csv")
-        run_sweep_to_file(spec, threads=args.threads)
-        files.append(spec.out)
-        meta_panels["b"] = {"quantity": "fock_ipr", "L": L, "N": N, "g": 0.5, "V": V,
-                            "w_grid": "0:8:0.5", "bc": "obc", "theta0_samples": S}
-    if "c" in which:
-        base = ModelParams(L=L, N=N, g=0.5, V=V, bc="pbc")
-        spec = SweepSpec(base=base, w_grid=inclusive_range(0.0, 8.0, 0.5),
-                         theta0_samples=1, quantities=("winding",),
-                         out=os.path.join(out_dir, "fig2_c.csv"), fmt="csv")
-        run_sweep_to_file(spec, threads=args.threads)
-        files.append(spec.out)
-        meta_panels["c"] = {"quantity": "winding", "L": L, "N": N, "g": 0.5, "V": V,
-                            "w_grid": "0:8:0.5", "bc": "pbc", "theta0_samples": 1,
-                            "e0": 0.0, "flux_points": 201}
-    if "d" in which:
-        base = ModelParams(L=L, N=N, g=0.5, W=0.0, bc="obc")
-        spec = SweepSpec(base=base, v_grid=inclusive_range(0.0, 5.0, 0.25),
-                         theta0_samples=1, quantities=("o_dw",),
-                         out=os.path.join(out_dir, "fig2_d.csv"), fmt="csv")
-        run_sweep_to_file(spec, threads=args.threads)
-        files.append(spec.out)
+    w_grid = inclusive_range(0.0, 8.0, 0.5)
+    sweeps = [
+        *[("a", f"fig2_a_{bc}.csv",
+           SweepSpec(base=ModelParams(L=L, N=N, g=0.5, V=2.0, W=0.5, bc=bc),
+                     theta0_samples=S, quantities=("density",)))
+          for bc in ("obc", "pbc")],
+        ("b", "fig2_b.csv", SweepSpec(base=ModelParams(L=L, N=N, g=0.5, V=2.0, bc="obc"),
+                                      w_grid=w_grid, theta0_samples=S, quantities=("fock_ipr",))),
+        ("c", "fig2_c.csv", SweepSpec(base=ModelParams(L=L, N=N, g=0.5, V=2.0, bc="pbc"),
+                                      w_grid=w_grid, quantities=("winding",))),
+        ("d", "fig2_d.csv", SweepSpec(base=ModelParams(L=L, N=N, g=0.5, W=0.0, bc="obc"),
+                                      v_grid=inclusive_range(0.0, 5.0, 0.25), quantities=("o_dw",))),
+    ]
+    files, panels = _run_sweeps(args, out_dir, sweeps)
+    if "d" in panels:
         inset = os.path.join(out_dir, "fig2_d_inset.csv")
+        cfg = WindingConfig(e0=-4.0)
         with open(inset, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["V", "e0", "nu", "raw"])
             for V_inset in (0.5, 5.0):
                 p = ModelParams(L=L, N=N, g=0.5, V=V_inset, W=0.0, bc="pbc")
-                res = winding_result(p, cfg=WindingConfig(e0=-4.0), many_body=True)
-                writer.writerow([V_inset, -4.0, res.nu, format(res.raw, ".17g")])
+                res = winding_result(p, cfg=cfg)
+                writer.writerow([V_inset, cfg.e0, res.nu, format(res.raw, ".17g")])
         files.append(inset)
-        meta_panels["d"] = {
-            "quantity": "o_dw", "L": L, "N": N, "g": 0.5, "W": 0.0, "bc": "obc",
-            "v_grid": "0:5:0.25",
-            "inset": {"V": [0.5, 5.0], "e0": -4.0, "flux_points": 201,
-                      "note": "base energy -4 sits inside the weak-coupling point-gap "
-                              "loops and below the V=5 spectrum, so nu drops 16 -> 0"},
-        }
+        panels["d"]["inset"] = {
+            "V": [0.5, 5.0], "e0": cfg.e0, "flux_points": cfg.n_points,
+            "note": "base energy -4 sits inside the weak-coupling point-gap "
+                    "loops and below the V=5 spectrum, so nu drops 16 -> 0"}
     notes = [f"desk-scale run at L={L}, N={N}; steep CDW rise expected near V=2"]
-    return files, {"panels": meta_panels, "notes": notes}
+    return files, {"panels": panels, "notes": notes}
 
 
 def _preset_fig3(args, out_dir: str) -> tuple:
@@ -402,11 +392,9 @@ _PRESETS = {"fig1": _preset_fig1, "fig2": _preset_fig2, "fig3": _preset_fig3, "f
 
 
 def cmd_preset(args) -> int:
-    name = args.name or args.preset
+    name = args.name
     if name is None:
         raise CLIError("preset name required (fig1|fig2|fig3|fig4)")
-    if name not in _PRESETS:
-        raise CLIError(f"unknown preset {name!r}")
     if args.which and (set(args.which) - set("abcd")):
         raise CLIError("--which takes a subset of 'abcd'")
     out_dir = args.out_dir or "."
@@ -469,7 +457,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("preset", help="canned study reproductions (fig1..fig4)")
     p.add_argument("name", nargs="?", choices=tuple(_PRESETS), default=None)
-    p.add_argument("--preset", choices=tuple(_PRESETS), default=None)
     p.add_argument("--which", default=None, help="panel subset, e.g. 'a' or 'bd'")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--L", type=int, default=None)

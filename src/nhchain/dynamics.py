@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import FockBasis, HamiltonianMatrix, ModelParams, build_fock_basis, build_many_body, build_single_particle
-from .spectral import SpectralDecomposition, decompose, density_profile, fock_ipr, ipr
+from .spectral import SpectralDecomposition, decompose, density_profile, ipr
 
 EXPM_COND_CAP = 1e8
 BREAKDOWN_TOL = 1e-14
@@ -84,13 +84,6 @@ class ObservableSeries:
             writer.writerow(["t", "observable", "index", "value"])
             for row in self.records:
                 writer.writerow(row)
-
-
-@dataclass
-class EvolverState:
-    psi: np.ndarray
-    t: float
-    history: ObservableSeries
 
 
 def initial_localized(L: int, j0: int) -> np.ndarray:
@@ -275,7 +268,7 @@ def run(
             elif name == "ipr":
                 series.append(t, "ipr", 0, ipr(psi))
             elif name == "fock_ipr":
-                series.append(t, "fock_ipr", 0, fock_ipr(psi))
+                series.append(t, "fock_ipr", 0, ipr(psi))
             elif name == "s_ee":
                 series.append(t, "s_ee", 0, entanglement_entropy(psi, basis))
             elif name == "rmax_overlap":

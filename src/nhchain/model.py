@@ -134,9 +134,6 @@ class HamiltonianMatrix:
             return self.entries.toarray()
         return self.entries
 
-    def matvec(self, psi: np.ndarray) -> np.ndarray:
-        return self.entries @ psi
-
 
 def potential(params: ModelParams, j=None) -> np.ndarray:
     """Onsite quasi-periodic potential W*cos(2*pi*theta*j + theta0).

@@ -90,16 +90,32 @@ def _decompose_similarity(H: np.ndarray, g: float, S: np.ndarray) -> SpectralDec
     return SpectralDecomposition(eigenvalues=w.astype(complex), right=right, left=left)
 
 
+def _min_gap(w: np.ndarray) -> float:
+    """Smallest |w_i - w_j| among pairs closer than COLLISION_GAP in Re (inf if none).
+
+    Every pair closer than COLLISION_GAP is such a pair, whatever the
+    order of the eigenvalues.
+    """
+    z = w[np.argsort(w.real, kind="stable")]
+    # z[i + k] is within COLLISION_GAP of z[i] in Re for 0 < k < reach[i]
+    reach = np.searchsorted(z.real, z.real + COLLISION_GAP, side="right") - np.arange(len(z))
+    gap = np.inf
+    for k in range(1, reach.max(initial=1)):
+        near = reach[:-k] > k
+        gap = min(gap, np.abs(z[k:] - z[:-k])[near].min(initial=np.inf))
+    return gap
+
+
 def _decompose_general(H: np.ndarray) -> SpectralDecomposition:
     w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
-    order = np.lexsort((w.imag, w.real))
-    w, vl, vr = w[order], vl[:, order], vr[:, order]
-    gaps = np.abs(w[1:] - w[:-1])
-    if len(gaps) and gaps.min() < COLLISION_GAP:
+    gap = _min_gap(w)
+    if gap < COLLISION_GAP:
         raise BiorthogonalizationError(
-            f"eigenvalue gap {gaps.min():.3e} below {COLLISION_GAP:.0e}; "
+            f"eigenvalue gap {gap:.3e} below {COLLISION_GAP:.0e}; "
             "pairing ambiguous (near an exceptional point)"
         )
+    order = np.lexsort((w.imag, w.real))
+    w, vl, vr = w[order], vl[:, order], vr[:, order]
     overlap = np.sum(vl.conj() * vr, axis=0)
     if np.abs(overlap).min() < COLLISION_GAP:
         raise BiorthogonalizationError(
@@ -135,11 +151,6 @@ def ipr(state: np.ndarray) -> float:
         raise ValueError("zero vector has no participation ratio")
     p = p / total
     return float(np.sum(p * p))
-
-
-def fock_ipr(state: np.ndarray) -> float:
-    """IPR of many-body amplitudes over occupation basis states."""
-    return ipr(state)
 
 
 def ipr_per_state(decomp: SpectralDecomposition) -> np.ndarray:

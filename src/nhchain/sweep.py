@@ -8,21 +8,21 @@ grid index, never thread completion order.  Individual point failures
 (an ill-defined winding, a defective decomposition) become NaN rows
 with the message in the warnings column, and the sweep moves on.
 
-Resume: rerunning against an existing output file recomputes only grid
-points with missing rows and appends those rows, keyed by the full
-parameter echo, so an interrupted long sweep loses nothing.  A file
-written by a run with another L, N, boundary condition, base theta0 or
-sample count is refused rather than mixed with the new rows.
+Output: `run_sweep_to_file` appends each grid point's rows to the CSV
+as soon as that point finishes, so an interrupted sweep keeps every
+finished point.  Resume: rerunning against an existing output file
+recomputes only grid points with missing rows and appends those rows,
+keyed by the full parameter echo.  A file written by a run with another
+L, N, boundary condition, base theta0 or sample count is refused rather
+than mixed with the new rows.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -55,7 +55,6 @@ class SweepSpec:
     theta0_samples: int = 1
     quantities: Sequence[str] = ("f_im",)
     out: Optional[str] = None
-    fmt: str = "csv"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g_grid", tuple(self.g_grid) or (self.base.g,))
@@ -70,8 +69,6 @@ class SweepSpec:
         needs_filling = {"fock_ipr", "o_dw"} & set(self.quantities)
         if needs_filling and not self.base.many_body:
             raise ValueError(f"{sorted(needs_filling)} require a particle number N")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
 
 
 @dataclass
@@ -110,7 +107,11 @@ def _theta0(spec: SweepSpec, s: int) -> float:
 
 
 def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> dict:
-    """All requested quantities at one (grid point, theta0); never raises."""
+    """All requested quantities at one (grid point, theta0); never raises.
+
+    Each value comes with its notes: the winding's own diagnostics
+    (WindingResult.warnings) and the error that replaced a failed value.
+    """
     out = {}
     decomps = {}
 
@@ -122,31 +123,28 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
         return decomps[bc]
 
     for q in quantities:
-        error = ""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                if q == "ipr_obc":
-                    value = float(np.mean(ipr_per_state(get_decomp("obc"))))
-                elif q == "ipr_pbc":
-                    value = float(np.mean(ipr_per_state(get_decomp("pbc"))))
-                elif q == "f_im":
-                    value = imag_fraction(get_decomp(params.bc))
-                elif q == "fock_ipr":
-                    value = float(np.mean(ipr_per_state(get_decomp(params.bc))))
-                elif q == "winding":
-                    res = winding_result(replace(params, bc="pbc", phi=0.0),
-                                         many_body=params.many_body)
-                    value = float(res.nu)
-                elif q == "o_dw":
-                    value = static_observables(get_decomp(params.bc), basis).o_dw
-                elif q == "density":
-                    value = static_observables(get_decomp(params.bc), basis).density
-            except Exception as exc:   # keep sweeping; the row carries the reason
-                error = f"{type(exc).__name__}: {exc}"
-                value = np.full(params.L, np.nan) if q == "density" else float("nan")
-        notes = "; ".join([str(w.message) for w in caught] + ([error] if error else []))
-        out[q] = (value, notes)
+        notes = []
+        try:
+            if q == "ipr_obc":
+                value = float(np.mean(ipr_per_state(get_decomp("obc"))))
+            elif q == "ipr_pbc":
+                value = float(np.mean(ipr_per_state(get_decomp("pbc"))))
+            elif q == "f_im":
+                value = imag_fraction(get_decomp(params.bc))
+            elif q == "fock_ipr":
+                value = float(np.mean(ipr_per_state(get_decomp(params.bc))))
+            elif q == "winding":
+                res = winding_result(replace(params, bc="pbc", phi=0.0))
+                value = float(res.nu)
+                notes = list(res.warnings)
+            elif q == "o_dw":
+                value = static_observables(get_decomp(params.bc), basis).o_dw
+            elif q == "density":
+                value = static_observables(get_decomp(params.bc), basis).density
+        except Exception as exc:   # keep sweeping; the row carries the reason
+            notes.append(f"{type(exc).__name__}: {exc}")
+            value = np.full(params.L, np.nan) if q == "density" else float("nan")
+        out[q] = (value, "; ".join(notes))
     return out
 
 
@@ -239,14 +237,12 @@ def _check_compatible(spec: SweepSpec, records: Sequence[ResultRecord]) -> None:
             )
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1, have: Optional[set] = None) -> Iterator[ResultRecord]:
-    """Yield records grid point by grid point, in grid order.
+def _point_rows(spec: SweepSpec, threads: int, have: set) -> Iterator[list]:
+    """Each grid point's rows not already in `have`, one list per point, in grid order.
 
-    `have` is the set of row keys already on disk; points fully covered
-    are skipped, partially covered points are recomputed and only the
-    missing rows are yielded.
+    Points whose rows are all in `have` are skipped; partially covered
+    points are recomputed and only their missing rows are returned.
     """
-    have = have or set()
     points = [(g, V, W) for g in spec.g_grid for V in spec.v_grid for W in spec.w_grid]
     todo = [pt for pt in points if not expected_keys(spec, *pt) <= have]
 
@@ -261,14 +257,18 @@ def run_sweep(spec: SweepSpec, threads: int = 1, have: Optional[set] = None) -> 
     S = spec.theta0_samples
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         results = pool.map(compute, tasks)   # map preserves task order
-        for i, (g, V, W) in enumerate(todo):
+        for g, V, W in todo:
             point_rows = []
             for s in range(S):
                 point_rows.extend(_sample_rows(spec, g, V, W, s, next(results)))
             rows = point_rows + _average_rows(spec, g, V, W, point_rows)
-            for r in rows:
-                if r.key not in have:
-                    yield r
+            yield [r for r in rows if r.key not in have]
+
+
+def run_sweep(spec: SweepSpec, threads: int = 1) -> Iterator[ResultRecord]:
+    """Yield records grid point by grid point, in grid order."""
+    for rows in _point_rows(spec, threads, set()):
+        yield from rows
 
 
 def write_records_csv(records: Iterable[ResultRecord], path: str, append: bool = False) -> int:
@@ -302,21 +302,10 @@ def read_records_csv(path: str) -> list:
     return records
 
 
-def write_records_json(records: Iterable[ResultRecord], path: str) -> int:
-    payload = [r.__dict__ for r in records]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-    return len(payload)
-
-
-def read_records_json(path: str) -> list:
-    with open(path) as fh:
-        return [ResultRecord(**row) for row in json.load(fh)]
-
-
 def run_sweep_to_file(spec: SweepSpec, threads: int = 1) -> tuple:
-    """Run (or resume) a sweep into spec.out; returns (written, reused).
+    """Run (or resume) a sweep into the CSV file spec.out; returns (written, reused).
 
+    Each grid point's rows are appended as soon as the point finishes.
     Raises ValueError when spec.out holds rows of an incompatible run
     (see _check_compatible); the file is then left untouched.
     """
@@ -324,12 +313,9 @@ def run_sweep_to_file(spec: SweepSpec, threads: int = 1) -> tuple:
         raise ValueError("spec.out must be set")
     existing = []
     if os.path.exists(spec.out) and os.path.getsize(spec.out) > 0:
-        existing = read_records_csv(spec.out) if spec.fmt == "csv" else read_records_json(spec.out)
+        existing = read_records_csv(spec.out)
     _check_compatible(spec, existing)
-    have = {r.key for r in existing}
-    fresh = list(run_sweep(spec, threads=threads, have=have))
-    if spec.fmt == "csv":
-        write_records_csv(fresh, spec.out, append=bool(existing))
-    else:
-        write_records_json(existing + fresh, spec.out)
-    return len(fresh), len(existing)
+    written = 0
+    for rows in _point_rows(spec, threads, {r.key for r in existing}):
+        written += write_records_csv(rows, spec.out, append=True)
+    return written, len(existing)

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from .model import (FockBasis, HamiltonianMatrix, ModelParams, build_fock_basis, build_many_body,
                     build_single_particle, wrap_hops)
@@ -87,10 +87,11 @@ def _principal(phase):
 
 def _checked_lu(A: np.ndarray, det_floor: float, e0: complex):
     """LU factors of A (overwritten when Fortran-ordered), pivots checked."""
-    with warnings.catch_warnings():
-        # exact singularity is ours to report, not scipy's
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = lu_factor(A, overwrite_a=True, check_finite=True)
+    # LAPACK's getrf as lu_factor calls it, minus lu_factor's warning on an
+    # exactly singular A: that is ours to report, and silencing it would
+    # swap process-wide warning state inside the sweep's worker threads.
+    getrf = scipy.linalg.get_lapack_funcs("getrf", (A,))
+    lu, piv, _ = getrf(np.asarray_chkfinite(A), overwrite_a=True)
     mags = np.abs(np.diag(lu))
     if np.any(mags < det_floor) or not np.all(np.isfinite(mags)):
         raise SingularBaseEnergyError(f"pivot underflow at e0={e0}")
@@ -221,32 +222,27 @@ def _low_rank_phases(
 def winding_number(
     params: ModelParams,
     cfg: Optional[WindingConfig] = None,
-    many_body: bool = False,
     fermionic_wrap: bool = True,
 ) -> int:
     """Integer winding number of the model at base energy cfg.e0."""
-    return winding_result(params, cfg, many_body, fermionic_wrap).nu
+    return winding_result(params, cfg, fermionic_wrap).nu
 
 
 def winding_result(
     params: ModelParams,
     cfg: Optional[WindingConfig] = None,
-    many_body: bool = False,
     fermionic_wrap: bool = True,
 ) -> WindingResult:
     """As winding_number, but returning diagnostics alongside the integer.
 
-    Factors H(phi0) - E0 once per flux grid and takes every flux point's
-    determinant phase from the low-rank wrap-bond update (module
-    docstring); the grid, the retry and the diagnostics are those of
-    winding_from_builder.
+    The sector follows params.N: one particle when it is None, the
+    N-particle Fock space otherwise.  Factors H(phi0) - E0 once per flux
+    grid and takes every flux point's determinant phase from the
+    low-rank wrap-bond update (module docstring); the grid, the retry
+    and the diagnostics are those of winding_from_builder.
     """
     if params.bc != "pbc":
         raise ValueError("winding requires periodic boundaries")
-    basis = None
-    if many_body or params.many_body:
-        if params.N is None:
-            raise ValueError("many-body winding requires N")
-        basis = build_fock_basis(params.L, params.N)
+    basis = build_fock_basis(params.L, params.N) if params.many_body else None
     cfg = cfg or WindingConfig()
     return _winding(lambda grid: _low_rank_phases(params, basis, fermionic_wrap, cfg, grid), cfg)

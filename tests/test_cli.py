@@ -180,6 +180,33 @@ def test_preset_fig3_single_panel(tmp_path):
     assert not (tmp_path / "fig3_b.csv").exists()
 
 
+def test_preset_metadata_is_read_off_the_sweeps(tmp_path):
+    rc = cli.main(["preset", "fig1", "--which", "ab", "--L", "5", "--samples", "1",
+                   "--threads", "1", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    panels = json.loads((tmp_path / "fig1_metadata.json").read_text())["panels"]
+    assert panels["a"]["quantities"] == {"ipr_obc": "obc"}
+    assert panels["b"]["quantities"] == {"winding": "pbc"}
+    assert panels["b"]["e0"] == 0.0 and panels["b"]["flux_points"] == 201
+    assert len(panels["a"]["g_grid"]) == 11 and len(panels["a"]["w_grid"]) == 33
+    assert panels["a"]["theta0_samples"] == 1
+
+    rc = cli.main(["preset", "fig2", "--which", "a", "--L", "6", "--samples", "1",
+                   "--threads", "1", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "fig2_metadata.json").read_text())
+    assert set(meta) == {"preset", "which", "files", "panels", "notes"}
+    a = meta["panels"]["a"]
+    assert a["quantities"] == [{"density": "obc"}, {"density": "pbc"}]   # one per spec
+    assert (a["L"], a["N"], a["g_grid"], a["w_grid"]) == (6, 3, [0.5], [0.5])
+
+
+def test_removed_flags_are_rejected(tmp_path):
+    for command in ("spectrum", "winding", "phase-diagram", "evolve", "ground-state"):
+        assert cli.main([command, "--L", "8", "--format", "json"]) == 1
+    assert cli.main(["preset", "--preset", "fig3", "--out-dir", str(tmp_path)]) == 1
+
+
 def test_preset_rejects_bad_panel(tmp_path):
     assert cli.main(["preset", "fig3", "--which", "xz",
                      "--out-dir", str(tmp_path)]) == 1

@@ -14,9 +14,9 @@ from nhchain import (
     decompose,
     entanglement_entropy,
     evolve_exact,
-    fock_ipr,
     initial_domain_wall,
     initial_localized,
+    ipr,
     run,
 )
 
@@ -194,9 +194,9 @@ def test_run_fock_ipr_converges_to_dominant_mode():
     p = ModelParams(L=12, N=6, g=0.5, V=2.0, W=0.5, bc="pbc")
     d = decompose(build_many_body(p, basis))
     r_max = d.right[:, int(np.argmax(d.eigenvalues.imag))]
-    target = fock_ipr(r_max)
+    target = ipr(r_max)
     psi = evolve_exact(d, initial_domain_wall(basis), 40.0)
-    assert abs(fock_ipr(psi) - target) < 1e-4
+    assert abs(ipr(psi) - target) < 1e-4
 
 
 def test_disorder_enhances_spreading_width():

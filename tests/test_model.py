@@ -182,7 +182,7 @@ def test_storage_switches_to_sparse():
     assert big.entries.nnz <= big.dim * (16 + 1)
     psi = np.zeros(big.dim, dtype=complex)
     psi[0] = 1.0
-    assert np.abs(big.matvec(psi)).sum() > 0.0
+    assert np.abs(big.entries @ psi).sum() > 0.0
 
 
 def test_params_validation():

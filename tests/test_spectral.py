@@ -13,7 +13,6 @@ from nhchain import (
     cdw_order,
     decompose,
     density_profile,
-    fock_ipr,
     imag_fraction,
     ipr,
     ipr_per_state,
@@ -71,6 +70,15 @@ def test_eigenvalue_collision_raises():
     p = ModelParams(L=2, g=0.5, bc="pbc")
     H = HamiltonianMatrix(dim=2, entries=np.diag([1.0, 1.0 + 1e-13]).astype(complex), params=p)
     with pytest.raises(BiorthogonalizationError):
+        decompose(H)
+
+
+def test_eigenvalue_collision_found_in_any_order():
+    # 0+1j and 1e-13+1j collide, but 6e-14-5j sits between them in (Re, Im) order
+    p = ModelParams(L=4, g=0.5, bc="pbc")
+    w = np.array([0.0 + 1.0j, 1e-13 + 1.0j, 6e-14 - 5.0j, 2.0])
+    H = HamiltonianMatrix(dim=4, entries=np.diag(w), params=p)
+    with pytest.raises(BiorthogonalizationError, match="gap 1.000e-13"):
         decompose(H)
 
 
@@ -149,7 +157,7 @@ def test_fock_ipr_scale_separation():
     assert mb == pytest.approx(0.1641, abs=2e-3)
     assert sp == pytest.approx(0.4635, abs=2e-3)
     assert mb < sp   # Fock-space spreading dilutes single-state weight
-    assert fock_ipr(np.ones(basis.dim) / np.sqrt(basis.dim)) == pytest.approx(1.0 / basis.dim)
+    assert ipr(np.ones(basis.dim) / np.sqrt(basis.dim)) == pytest.approx(1.0 / basis.dim)
 
 
 def test_cdw_order():

@@ -1,5 +1,8 @@
 """Parameter sweeps: determinism, resume, and record plumbing."""
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from nhchain import (
     run_sweep,
     run_sweep_to_file,
     winding_result,
+    WindingResult,
     write_records_csv,
 )
 from dataclasses import replace
@@ -140,6 +144,49 @@ def test_failed_point_becomes_nan_row_with_warning(tmp_path, monkeypatch):
     assert all(np.isfinite(r.value) for r in f_rows)   # other quantities still run
 
 
+def test_warnings_column_holds_each_samples_own_notes_under_threads(monkeypatch):
+    def noisy_winding(params):
+        note = f"note of theta0={params.theta0:.6f}"
+        time.sleep(0.01)           # let the worker threads interleave
+        warnings.warn(note)        # a process-wide warning must not leak into other rows
+        return WindingResult(nu=0, raw=0.0, steps=np.zeros(3), warnings=[note])
+
+    monkeypatch.setattr(sweep_mod, "winding_result", noisy_winding)
+    base = ModelParams(L=13, g=0.5, bc="pbc")
+    spec = SweepSpec(base=base, w_grid=(0.0, 1.0), theta0_samples=8, quantities=("winding",),
+                     out="unused.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")         # the column must not depend on them
+        rows = [r for r in collect(spec, threads=4) if r.sample != "avg"]
+    assert len(rows) == 16
+    for r in rows:
+        assert r.warnings == f"note of theta0={r.theta0:.6f}"
+
+
+def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):
+    out = str(tmp_path / "sweep.csv")
+    spec = SweepSpec(base=ModelParams(L=13, g=0.5, bc="pbc"), w_grid=(0.0, 1.0, 2.0, 3.0),
+                     theta0_samples=1, quantities=("f_im",), out=out)
+    calls = []
+
+    def interrupt_at_third_point(decomp):
+        calls.append(decomp)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return imag_fraction(decomp)
+
+    monkeypatch.setattr(sweep_mod, "imag_fraction", interrupt_at_third_point)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep_to_file(spec)
+    kept = read_records_csv(out)
+    assert sorted({r.W for r in kept}) == [0.0, 1.0]
+    assert len(kept) == 4                        # 2 points x (1 sample + avg)
+
+    monkeypatch.undo()
+    assert run_sweep_to_file(spec) == (4, 4)
+    assert len(read_records_csv(out)) == 8
+
+
 def test_density_rows_cover_every_site():
     base = ModelParams(L=8, N=4, g=0.5, V=2.0, W=0.5, bc="obc")
     spec = SweepSpec(base=base, theta0_samples=1, quantities=("density",), out="unused.csv")
@@ -180,8 +227,6 @@ def test_spec_validation():
         SweepSpec(base=base, quantities=("nonsense",), out="u.csv")
     with pytest.raises(ValueError):
         SweepSpec(base=base, theta0_samples=0, quantities=("f_im",), out="u.csv")
-    with pytest.raises(ValueError):
-        SweepSpec(base=base, quantities=("f_im",), out="u.csv", fmt="xml")
     mb = ModelParams(L=8, N=4, g=0.5, bc="pbc")
     with pytest.raises(ValueError):
         SweepSpec(base=base, quantities=("fock_ipr",), out="u.csv")   # needs N

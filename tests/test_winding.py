@@ -142,6 +142,18 @@ def test_hermitian_closed_gap_warns():
         winding_result(ModelParams(L=21, g=0.0, W=0.0, bc="pbc"))
 
 
+def test_repeated_warning_is_shown_once_per_location():
+    # the winding itself must not reset Python's once-per-location registry,
+    # or every winding of a sweep repeats the same line on stderr
+    p = ModelParams(L=21, g=0.0, W=0.0, bc="pbc")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(3):
+            winding_result(p)
+    messages = [str(w.message) for w in caught]
+    assert messages and len(messages) == len(set(messages))
+
+
 def test_persistent_singularity_raises():
     with pytest.raises(WindingIllDefinedError):
         winding_from_builder(lambda phi: np.zeros((2, 2), dtype=complex))
@@ -154,15 +166,10 @@ def test_winding_requires_pbc():
 
 def test_many_body_winding_half_filling():
     p = ModelParams(L=10, N=5, g=0.5, V=2.0, W=0.0, bc="pbc")
-    res = winding_result(p, many_body=True)
+    res = winding_result(p)
     assert res.nu == 8
     assert abs(res.raw - res.nu) < 0.05
     assert len(res.steps) == 201
-
-
-def test_many_body_needs_particle_number():
-    with pytest.raises(ValueError):
-        winding_number(ModelParams(L=10, g=0.5, bc="pbc"), many_body=True)
 
 
 def test_config_validation():
