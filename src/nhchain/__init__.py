@@ -8,7 +8,6 @@ and a parameter-sweep engine with a CLI front end.
 
 from .model import (
     BASIS_SIZE_CAP,
-    DENSE_DIM_CAP,
     THETA,
     FockBasis,
     HamiltonianMatrix,

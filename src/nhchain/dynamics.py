@@ -6,8 +6,9 @@ with renormalization on, the exponentials are rescaled by the largest
 imaginary part before resummation so arbitrarily long times never
 overflow (the rescaling is a positive factor and drops out of the
 normalized state).  `arnoldi_step` advances one time step in a Krylov
-subspace: it orthonormalizes {psi, H psi, ..., H^{M-1} psi} by full
-Gram-Schmidt with one reorthogonalization pass, exponentiates the small
+subspace: it orthonormalizes {psi, H psi, ..., H^{M-1} psi} by block
+classical Gram-Schmidt run twice (each pass one projection onto and one
+subtraction of all earlier basis vectors), exponentiates the small
 Hessenberg matrix, and maps back.  Both renormalize after every step,
 mirroring how a non-unitary evolution is turned into a physical state.
 
@@ -23,7 +24,7 @@ rather than recomputed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -42,7 +43,6 @@ class EvolverConfig:
     method: str = "krylov"           # "exact" | "krylov"
     M: int = 15                      # Krylov dimension (25 is the many-body default)
     dt: float = 0.2
-    renormalize: bool = True
     t_max: float = 10.0
     record_stride: int = 1
 
@@ -97,11 +97,8 @@ def initial_localized(L: int, j0: int) -> np.ndarray:
 
 def initial_domain_wall(basis: FockBasis) -> np.ndarray:
     """Product state with the N highest-index sites occupied."""
-    if basis.L % 2 or basis.N != basis.L // 2:
-        raise ValueError(f"domain wall needs half filling, got L={basis.L}, N={basis.N}")
-    word = sum(1 << j for j in range(basis.L // 2, basis.L))
     psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.index_of[word]] = 1.0
+    psi[basis.index_of[((1 << basis.N) - 1) << (basis.L - basis.N)]] = 1.0
     return psi
 
 
@@ -161,7 +158,7 @@ def arnoldi_step(
     if dt == 0:
         return np.array(psi, dtype=complex, copy=True)
     M = min(M, n)
-    V = np.zeros((n, M), dtype=complex)
+    V = np.zeros((n, M), dtype=complex, order="F")   # contiguous Krylov vectors
     h = np.zeros((M + 1, M), dtype=complex)
     norm0 = np.linalg.norm(psi)
     if norm0 < 1e-300:
@@ -170,13 +167,12 @@ def arnoldi_step(
     m_eff = M
     for j in range(M):
         w = op @ V[:, j]
-        for i in range(j + 1):
-            h[i, j] = np.vdot(V[:, i], w)
-            w -= h[i, j] * V[:, i]
-        for i in range(j + 1):   # second pass recovers orthogonality lost to cancellation
-            corr = np.vdot(V[:, i], w)
-            w -= corr * V[:, i]
-            h[i, j] += corr
+        Vj = V[:, :j + 1]
+        for _ in range(2):       # the second pass recovers orthogonality lost to cancellation
+            # (w^H Vj)^* = Vj^H w without an n x (j+1) conjugate copy of Vj
+            coef = (w.conj() @ Vj).conj()
+            w -= Vj @ coef
+            h[:j + 1, j] += coef
         beta = np.linalg.norm(w)
         if j + 1 < M:
             if beta < BREAKDOWN_TOL:
@@ -223,13 +219,11 @@ def run(
     initial: np.ndarray,
     observables: Iterable[str] = ("density",),
     basis: Optional[FockBasis] = None,
-    sink: Optional[Callable] = None,
 ) -> ObservableSeries:
     """Evolve `initial` to t_max, recording observables on a time grid.
 
-    Records are appended (and handed to `sink`, when given) as they are
-    produced, so a partial run still leaves usable output.  The grid is
-    t = k * dt for k = 0, stride, 2*stride, ..., plus the final step.
+    The state is renormalized after every step.  The grid is t = k * dt
+    for k = 0, stride, 2*stride, ..., plus the final step.
     """
     names = list(observables)
     unknown = set(names) - set(OBSERVABLE_NAMES)
@@ -265,16 +259,12 @@ def run(
             if name == "density":
                 for j, value in enumerate(density_profile(psi, basis)):
                     series.append(t, "density", j, float(value))
-            elif name == "ipr":
-                series.append(t, "ipr", 0, ipr(psi))
-            elif name == "fock_ipr":
-                series.append(t, "fock_ipr", 0, ipr(psi))
+            elif name in ("ipr", "fock_ipr"):
+                series.append(t, name, 0, ipr(psi))
             elif name == "s_ee":
                 series.append(t, "s_ee", 0, entanglement_entropy(psi, basis))
             elif name == "rmax_overlap":
                 series.append(t, "rmax_overlap", 0, float(abs(np.vdot(r_max, psi))))
-        if sink is not None:
-            sink(series.records[-1])
 
     psi0 = np.asarray(initial, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
@@ -284,13 +274,13 @@ def run(
 
     if config.method == "exact":
         for k in sorted(record_at):
-            psi = evolve_exact(decomp, psi0, k * config.dt, config.renormalize) if k else psi0
+            psi = evolve_exact(decomp, psi0, k * config.dt) if k else psi0
             record(k * config.dt, psi)
     else:
         psi = psi0
         record(0.0, psi)
         for k in range(1, n_steps + 1):
-            psi = arnoldi_step(H, psi, config.M, config.dt, config.renormalize)
+            psi = arnoldi_step(H, psi, config.M, config.dt)
             if k in record_at:
                 record(k * config.dt, psi)
     return series

@@ -40,11 +40,6 @@ import scipy.sparse as sparse
 # quasi-periodic potential.
 THETA = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Dense matrices below this dimension, compressed-sparse-row above:
-# dense eigensolvers need the dense form anyway, while dynamics at large
-# dimension only needs mat-vec.
-DENSE_DIM_CAP = 4096
-
 # Refuse to enumerate Fock bases larger than this.
 BASIS_SIZE_CAP = 10**7
 
@@ -122,7 +117,7 @@ class HamiltonianMatrix:
     """A built Hamiltonian together with the parameters that produced it."""
 
     dim: int
-    entries: object             # ndarray (dense) or scipy CSR (sparse)
+    entries: object             # ndarray (single-particle) or scipy CSR (many-body)
     params: ModelParams
 
     @property
@@ -130,6 +125,7 @@ class HamiltonianMatrix:
         return sparse.issparse(self.entries)
 
     def dense(self) -> np.ndarray:
+        """The entries as an ndarray, for the dense solvers."""
         if self.is_sparse:
             return self.entries.toarray()
         return self.entries
@@ -236,7 +232,8 @@ def build_many_body(
     wraps under periodic boundaries); off-diagonals move one particle
     across a bond with the single-particle amplitudes.  Bulk hops are
     sign-free in the ascending Jordan-Wigner ordering; the periodic wrap
-    hop is multiplied by (-1)^(N-1) when `fermionic_wrap` is on.
+    hop is multiplied by (-1)^(N-1) when `fermionic_wrap` is on.  The
+    entries are CSR at every dimension.
     """
     if params.N != basis.N or params.L != basis.L:
         raise ValueError("basis does not match params (L, N)")
@@ -270,6 +267,4 @@ def build_many_body(
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     H = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    if dim < DENSE_DIM_CAP:
-        return HamiltonianMatrix(dim=dim, entries=H.toarray(), params=params)
     return HamiltonianMatrix(dim=dim, entries=H, params=params)

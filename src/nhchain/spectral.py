@@ -159,9 +159,9 @@ def ipr_per_state(decomp: SpectralDecomposition) -> np.ndarray:
     return np.sum(p * p, axis=0)
 
 
-def imag_fraction(decomp: SpectralDecomposition, threshold: float = IM_THRESHOLD) -> float:
-    """Fraction of eigenvalues with |Im eps| above the threshold."""
-    return float(np.mean(np.abs(decomp.eigenvalues.imag) > threshold))
+def imag_fraction(decomp: SpectralDecomposition) -> float:
+    """Fraction of eigenvalues with |Im eps| above IM_THRESHOLD."""
+    return float(np.mean(np.abs(decomp.eigenvalues.imag) > IM_THRESHOLD))
 
 
 def density_profile(
@@ -202,7 +202,6 @@ def cdw_order(density: np.ndarray) -> float:
 def static_observables(
     decomp: SpectralDecomposition,
     basis: Optional[FockBasis] = None,
-    threshold: float = IM_THRESHOLD,
 ) -> StaticObservables:
     """Eigenstate-averaged diagnostics of one decomposition."""
     per_state = ipr_per_state(decomp)
@@ -217,7 +216,7 @@ def static_observables(
         density = p.mean(axis=1)
     return StaticObservables(
         ipr_per_state=per_state,
-        f_im=imag_fraction(decomp, threshold),
+        f_im=imag_fraction(decomp),
         density=density,
         o_dw=cdw_order(density),
     )

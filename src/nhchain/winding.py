@@ -62,7 +62,6 @@ class WindingWarning(UserWarning):
 class WindingConfig:
     n_points: int = 201
     e0: complex = 0.0
-    det_floor: float = DET_FLOOR
 
     def __post_init__(self) -> None:
         if self.n_points < 3:
@@ -85,7 +84,7 @@ def _principal(phase):
     return np.where(phase > np.pi, phase - 2.0 * np.pi, phase)
 
 
-def _checked_lu(A: np.ndarray, det_floor: float, e0: complex):
+def _checked_lu(A: np.ndarray, e0: complex):
     """LU factors of A (overwritten when Fortran-ordered), pivots checked."""
     # LAPACK's getrf as lu_factor calls it, minus lu_factor's warning on an
     # exactly singular A: that is ours to report, and silencing it would
@@ -93,19 +92,19 @@ def _checked_lu(A: np.ndarray, det_floor: float, e0: complex):
     getrf = scipy.linalg.get_lapack_funcs("getrf", (A,))
     lu, piv, _ = getrf(np.asarray_chkfinite(A), overwrite_a=True)
     mags = np.abs(np.diag(lu))
-    if np.any(mags < det_floor) or not np.all(np.isfinite(mags)):
+    if np.any(mags < DET_FLOOR) or not np.all(np.isfinite(mags)):
         raise SingularBaseEnergyError(f"pivot underflow at e0={e0}")
     return lu, piv
 
 
-def log_det_phase(H_phi, e0: complex = 0.0, det_floor: float = DET_FLOOR):
+def log_det_phase(H_phi, e0: complex = 0.0):
     """(log|det|, principal phase) of det[H - e0].
 
     One square matrix is factored by LU; the two results are floats and
     SingularBaseEnergyError is raised when any pivot magnitude drops
-    below `det_floor`.  A stack of shape (..., n, n) goes through one
+    below DET_FLOOR.  A stack of shape (..., n, n) goes through one
     batched determinant call; the results are arrays of shape (...) and
-    the error is raised when any member's |det| drops below `det_floor`.
+    the error is raised when any member's |det| drops below DET_FLOOR.
     """
     A = H_phi.dense() if isinstance(H_phi, HamiltonianMatrix) else H_phi
     # a copy, shifted in place; Fortran order lets the LU overwrite it too
@@ -119,10 +118,10 @@ def log_det_phase(H_phi, e0: complex = 0.0, det_floor: float = DET_FLOOR):
         if not np.all(np.isfinite(A)):
             raise ValueError("array must not contain infs or NaNs")
         sign, logabs = np.linalg.slogdet(A)
-        if not np.all(np.isfinite(logabs)) or np.any(np.exp(logabs) < det_floor):
+        if not np.all(np.isfinite(logabs)) or np.any(np.exp(logabs) < DET_FLOOR):
             raise SingularBaseEnergyError(f"determinant underflow at e0={e0}")
         return logabs, _principal(np.angle(sign))
-    lu, piv = _checked_lu(A, det_floor, e0)
+    lu, piv = _checked_lu(A, e0)
     diag = np.diag(lu)
     # Row swaps flip the determinant sign; fold that into the phase.
     n_swaps = int(np.sum(piv != np.arange(len(piv))))
@@ -176,7 +175,7 @@ def winding_from_builder(builder: Callable[[float], object], cfg: Optional[Windi
     cfg = cfg or WindingConfig()
 
     def phases_on(grid: np.ndarray) -> np.ndarray:
-        return np.array([log_det_phase(builder(phi), cfg.e0, cfg.det_floor)[1] for phi in grid])
+        return np.array([log_det_phase(builder(phi), cfg.e0)[1] for phi in grid])
 
     return _winding(phases_on, cfg)
 
@@ -195,7 +194,7 @@ def _low_rank_phases(
     A[np.diag_indices_from(A)] -= cfg.e0
     # A.T is Fortran-ordered, so it is factored in place; trans=1 below
     # then solves with A itself.
-    lu_piv = _checked_lu(A.T, cfg.det_floor, cfg.e0)
+    lu_piv = _checked_lu(A.T, cfg.e0)
 
     # at phi = 0 the amplitudes are the coefficients of z and 1/z
     (rows_p, cols_p, amp_p), (rows_m, cols_m, amp_m) = wrap_hops(params.with_flux(0.0), basis, fermionic_wrap)
@@ -215,7 +214,7 @@ def _low_rank_phases(
     for start in range(0, len(grid), batch):
         stack = d[start:start + batch, :, None] * M          # D(z) M, one per flux point
         stack[:, k, k] += 1.0
-        phases[start:start + batch] = log_det_phase(stack, 0.0, cfg.det_floor)[1]
+        phases[start:start + batch] = log_det_phase(stack)[1]
     return phases
 
 

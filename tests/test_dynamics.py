@@ -57,8 +57,10 @@ def test_initial_domain_wall():
     wall8 = initial_domain_wall(basis8)
     assert wall8[basis8.index_of[0b11110000]] == 1.0
     assert entanglement_entropy(wall8, basis8) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        initial_domain_wall(build_fock_basis(6, 2))   # not half filling
+    for (L, N), word in (((6, 2), 0b110000), ((7, 3), 0b1110000)):   # away from half filling
+        basis = build_fock_basis(L, N)
+        psi = initial_domain_wall(basis)
+        assert psi[basis.index_of[word]] == 1.0 and np.count_nonzero(psi) == 1
 
 
 def test_evolve_exact_t_zero_identity():
@@ -118,6 +120,15 @@ def test_arnoldi_happy_breakdown():
     expect = np.exp(-1j * d.eigenvalues[2] * 0.3) * v
     expect = expect / np.linalg.norm(expect)
     assert min(np.abs(out - expect).max(), np.abs(out + expect).max()) < 1e-10
+
+
+def test_arnoldi_step_same_for_every_storage():
+    basis = build_fock_basis(12, 6)          # dim 924
+    H = build_many_body(ModelParams(L=12, N=6, g=0.5, V=2.0, W=1.0, bc="pbc"), basis)
+    psi = initial_domain_wall(basis)
+    ref = arnoldi_step(H, psi, 25, 0.05)
+    for op in (H.entries, H.dense()):
+        assert np.abs(arnoldi_step(op, psi, 25, 0.05) - ref).max() <= 1e-12
 
 
 def test_hermitian_raw_krylov_norm_drift():

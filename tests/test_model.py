@@ -174,15 +174,18 @@ def test_interaction_diagonal():
     assert H_pbc[basis.index_of[0b1001], basis.index_of[0b1001]] == pytest.approx(3.0)
 
 
-def test_storage_switches_to_sparse():
-    dense = build_many_body(ModelParams(L=12, N=6), build_fock_basis(12, 6))
-    assert not dense.is_sparse and isinstance(dense.entries, np.ndarray)
-    big = build_many_body(ModelParams(L=16, N=8), build_fock_basis(16, 8))
-    assert big.is_sparse
-    assert big.entries.nnz <= big.dim * (16 + 1)
-    psi = np.zeros(big.dim, dtype=complex)
-    psi[0] = 1.0
-    assert np.abs(big.entries @ psi).sum() > 0.0
+def test_many_body_storage_is_csr_single_particle_dense():
+    for L, N in ((12, 6), (16, 8)):          # dim 924 and 12870
+        H = build_many_body(ModelParams(L=L, N=N, g=0.5, W=1.0, bc="pbc"), build_fock_basis(L, N))
+        assert H.is_sparse and H.entries.format == "csr"
+        assert H.entries.nnz <= H.dim * (L + 1)
+        psi = np.zeros(H.dim, dtype=complex)
+        psi[0] = 1.0
+        assert np.abs(H.entries @ psi).sum() > 0.0
+        if L == 12:                          # densified at dim 12870 it would take 2.6 GB
+            assert np.array_equal(H.dense(), H.entries.toarray())
+    single = build_single_particle(ModelParams(L=12, g=0.5, bc="pbc"))
+    assert not single.is_sparse and isinstance(single.entries, np.ndarray)
 
 
 def test_params_validation():
