@@ -24,6 +24,7 @@ from .spectral import (
     cdw_order,
     decompose,
     density_profile,
+    eigenvalues,
     imag_fraction,
     ipr,
     ipr_per_state,

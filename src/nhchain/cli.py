@@ -43,7 +43,7 @@ def _parse_grid(text: str) -> tuple:
     raise CLIError(f"grid must be 'value' or 'start:stop:step', got {text!r}")
 
 
-def _add_model_flags(p: _Parser, grid: bool = False) -> None:
+def _add_model_flags(p: _Parser, grid: bool = False, flux: bool = True) -> None:
     num = _parse_grid if grid else float
     p.add_argument("--L", type=int, default=None)
     p.add_argument("--N", type=int, default=None, help="particle number (many-body when set)")
@@ -53,7 +53,10 @@ def _add_model_flags(p: _Parser, grid: bool = False) -> None:
     p.add_argument("--theta0", type=float, default=0.0, help="disorder phase offset")
     p.add_argument("--bc", choices=("obc", "pbc"), default=None,
                    help="boundary condition (default obc; winding defaults to pbc)")
-    p.add_argument("--flux", type=float, default=None, help="boundary twist (PBC only)")
+    if flux:
+        p.add_argument("--flux", type=float, default=None, help="boundary twist (PBC only)")
+    else:   # the command builds at zero flux or runs the whole flux loop
+        p.set_defaults(flux=None)
     p.add_argument("--config", default=None, help="flat key=value file; explicit flags win")
 
 
@@ -421,7 +424,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("winding", help="spectral winding number")
-    _add_model_flags(p)
+    _add_model_flags(p, flux=False)
     _add_io_flags(p)
     p.add_argument("--e0", type=complex, default=0.0, help="base energy")
     p.add_argument("--points", type=int, default=201, help="flux grid points")
@@ -429,7 +432,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_winding)
 
     p = sub.add_parser("phase-diagram", help="sweep grids of (g, V, W)")
-    _add_model_flags(p, grid=True)
+    _add_model_flags(p, grid=True, flux=False)
     _add_io_flags(p)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)

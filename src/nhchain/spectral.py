@@ -9,28 +9,37 @@ parameters:
 * Open boundaries with g != 0: the chain is gauge equivalent to a
   Hermitian one via the diagonal similarity D = diag(e^{-g S}), with S
   the site index (single-particle) or the summed occupied-site index
-  (many-body).  Solving the transformed Hermitian problem gives an
-  exactly real spectrum and an exactly biorthogonal left/right pair,
-  where a general solver would return spurious complex parts.
+  (many-body).  Every open-chain hop changes S by +-1, so D^{-1} H D is
+  exactly the g = 0 chain: the route solves that real symmetric matrix
+  and maps its eigenvectors back with D.  The spectrum is exactly real
+  and the left/right pair exactly biorthogonal, where a general solver
+  would return spurious complex parts.
 * Everything else (periodic, g != 0): a general complex solve with the
   left/right overlap rescaled; eigenvalue collisions below 1e-12 are
   reported instead of silently mispairing.
 
-Observables: IPR, Fock-space IPR, imaginary-eigenvalue fraction f_im,
-per-site density (right-vector expectation by default, biorthogonal
-variant behind a flag), and the staggered charge-density-wave order
-parameter.
+`eigenvalues` takes the same three routes without eigenvectors, in real
+arithmetic wherever the matrix is real (every matrix at zero flux):
+`eigvalsh` of the matrix or of its g = 0 chain, and otherwise `eigvals`
+followed by the same collision check.  A real general solve returns
+real eigenvalues exactly real and complex ones in exact conjugate pairs.
+
+Observables: IPR, Fock-space IPR, imaginary-eigenvalue fraction f_im
+(which needs eigenvalues only), per-site density (right-vector
+expectation by default, biorthogonal variant behind a flag), and the
+staggered charge-density-wave order parameter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .model import FockBasis, HamiltonianMatrix, build_fock_basis
+from .model import (FockBasis, HamiltonianMatrix, ModelParams, build_fock_basis,
+                    build_many_body, build_single_particle)
 
 # Eigenvalue pairs closer than this cannot be reliably biorthogonalized
 # (proximity to an exceptional point).
@@ -77,11 +86,9 @@ def _decompose_hermitian(H: np.ndarray) -> SpectralDecomposition:
     )
 
 
-def _decompose_similarity(H: np.ndarray, g: float, S: np.ndarray) -> SpectralDecomposition:
-    # D^{-1} H D with D = diag(e^{-g S}) is Hermitian for the open chain.
-    H_sym = H * np.exp(g * (S[:, None] - S[None, :]))
-    H_sym = 0.5 * (H_sym + H_sym.conj().T)
-    w, v = scipy.linalg.eigh(H_sym)
+def _decompose_similarity(H0: np.ndarray, S: np.ndarray, g: float) -> SpectralDecomposition:
+    # H0 = D^{-1} H D with D = diag(e^{-g S}): the real symmetric g = 0 chain.
+    w, v = scipy.linalg.eigh(H0)
     d = np.exp(-g * (S - S.min()))       # offset only rescales columns
     right = d[:, None] * v
     norms = np.linalg.norm(right, axis=0)
@@ -106,14 +113,18 @@ def _min_gap(w: np.ndarray) -> float:
     return gap
 
 
-def _decompose_general(H: np.ndarray) -> SpectralDecomposition:
-    w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+def _check_gap(w: np.ndarray) -> None:
     gap = _min_gap(w)
     if gap < COLLISION_GAP:
         raise BiorthogonalizationError(
             f"eigenvalue gap {gap:.3e} below {COLLISION_GAP:.0e}; "
             "pairing ambiguous (near an exceptional point)"
         )
+
+
+def _decompose_general(H: np.ndarray) -> SpectralDecomposition:
+    w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
+    _check_gap(w)
     order = np.lexsort((w.imag, w.real))
     w, vl, vr = w[order], vl[:, order], vr[:, order]
     overlap = np.sum(vl.conj() * vr, axis=0)
@@ -125,22 +136,55 @@ def _decompose_general(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, right=vr, left=left)
 
 
+def _real_if_real(A: np.ndarray) -> np.ndarray:
+    """A as a real array when its imaginary part vanishes, else A."""
+    return A.real if np.iscomplexobj(A) and not np.any(A.imag) else A
+
+
+def _gauge_free(params: ModelParams) -> tuple:
+    """D^{-1} H D of the open chain `params`, which is its g = 0 matrix
+    (dense and real), and the weights S of D = diag(e^{-g S})."""
+    p = replace(params, g=0.0)
+    if p.many_body:
+        basis = build_fock_basis(p.L, p.N)
+        return build_many_body(p, basis).entries.real.toarray(), basis.site_weight()
+    return build_single_particle(p).entries.real, np.arange(p.L, dtype=float)
+
+
 def decompose(H: HamiltonianMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition with biorthogonal left/right pairing."""
+    """Full eigendecomposition with biorthogonal left/right pairing.
+
+    The open-chain route (g != 0) solves the g = 0 chain of H.params,
+    so H must be the model matrix of its params there.
+    """
     if H.dim < 2:
         raise ValueError("need dim >= 2")
-    dense = H.dense()
     p = H.params
     if p.g == 0.0:
         # Hermitian for any W and flux: the twist enters conjugately.
-        return _decompose_hermitian(dense)
+        return _decompose_hermitian(H.dense())
     if p.bc == "obc":
-        if p.many_body:
-            S = build_fock_basis(p.L, p.N).site_weight()
-        else:
-            S = np.arange(p.L, dtype=float)
-        return _decompose_similarity(dense, p.g, S)
-    return _decompose_general(dense)
+        return _decompose_similarity(*_gauge_free(p), p.g)
+    return _decompose_general(H.dense())
+
+
+def eigenvalues(H: HamiltonianMatrix) -> np.ndarray:
+    """The eigenvalues of decompose(H), without eigenvectors, sorted by (Re, Im).
+
+    Same routes as decompose; a real matrix is solved in real
+    arithmetic.  Raises BiorthogonalizationError where decompose's
+    collision check would.
+    """
+    if H.dim < 2:
+        raise ValueError("need dim >= 2")
+    p = H.params
+    if p.g == 0.0:
+        return scipy.linalg.eigvalsh(_real_if_real(H.dense())).astype(complex)
+    if p.bc == "obc":
+        return scipy.linalg.eigvalsh(_gauge_free(p)[0]).astype(complex)
+    w = scipy.linalg.eigvals(_real_if_real(H.dense()))
+    _check_gap(w)
+    return w[np.lexsort((w.imag, w.real))]
 
 
 def ipr(state: np.ndarray) -> float:
@@ -159,9 +203,13 @@ def ipr_per_state(decomp: SpectralDecomposition) -> np.ndarray:
     return np.sum(p * p, axis=0)
 
 
-def imag_fraction(decomp: SpectralDecomposition) -> float:
-    """Fraction of eigenvalues with |Im eps| above IM_THRESHOLD."""
-    return float(np.mean(np.abs(decomp.eigenvalues.imag) > IM_THRESHOLD))
+def imag_fraction(spectrum) -> float:
+    """Fraction of eigenvalues with |Im eps| above IM_THRESHOLD.
+
+    `spectrum` is a SpectralDecomposition or an array of eigenvalues.
+    """
+    w = spectrum.eigenvalues if isinstance(spectrum, SpectralDecomposition) else spectrum
+    return float(np.mean(np.abs(np.imag(w)) > IM_THRESHOLD))
 
 
 def density_profile(

@@ -22,13 +22,14 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
-from .spectral import decompose, imag_fraction, ipr_per_state, static_observables
+from .spectral import decompose, eigenvalues, imag_fraction, ipr_per_state, static_observables
 from .winding import winding_result
 
 QUANTITIES = ("ipr_obc", "ipr_pbc", "f_im", "winding", "fock_ipr", "o_dw", "density")
@@ -114,12 +115,16 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
     """
     out = {}
     decomps = {}
+    # f_im takes its eigenvalues from a decomposition made anyway at its bc
+    vector_bcs = {_effective_bc(q, params.bc) for q in quantities if q not in ("f_im", "winding")}
+
+    def matrix(bc):
+        p = replace(params, bc=bc, phi=0.0)
+        return build_many_body(p, basis) if p.many_body else build_single_particle(p)
 
     def get_decomp(bc):
         if bc not in decomps:
-            p = replace(params, bc=bc, phi=0.0)
-            H = build_many_body(p, basis) if p.many_body else build_single_particle(p)
-            decomps[bc] = decompose(H)
+            decomps[bc] = decompose(matrix(bc))
         return decomps[bc]
 
     for q in quantities:
@@ -130,7 +135,8 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
             elif q == "ipr_pbc":
                 value = float(np.mean(ipr_per_state(get_decomp("pbc"))))
             elif q == "f_im":
-                value = imag_fraction(get_decomp(params.bc))
+                bc = params.bc
+                value = imag_fraction(get_decomp(bc) if bc in vector_bcs else eigenvalues(matrix(bc)))
             elif q == "fock_ipr":
                 value = float(np.mean(ipr_per_state(get_decomp(params.bc))))
             elif q == "winding":
@@ -255,8 +261,11 @@ def _point_rows(spec: SweepSpec, threads: int, have: set) -> Iterator[list]:
 
     tasks = [(g, V, W, s) for (g, V, W) in todo for s in range(spec.theta0_samples)]
     S = spec.theta0_samples
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        results = pool.map(compute, tasks)   # map preserves task order
+    with ExitStack() as stack:
+        # One thread computes each sample in the caller's thread, just before
+        # its point is written.  Both maps preserve task order.
+        mapper = stack.enter_context(ThreadPoolExecutor(threads)).map if threads > 1 else map
+        results = mapper(compute, tasks)
         for g, V, W in todo:
             point_rows = []
             for s in range(S):

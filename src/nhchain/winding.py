@@ -21,7 +21,13 @@ direction: 1 for one particle, C(L-2, N-1) in the Fock basis) and a_+-
 are their amplitudes per unit twist.  The matrix determinant lemma
 gives det[H(phi) - E0] = det A * det(I + D(z) M) with the 2r x 2r
 matrix M = V^T A^{-1} U, so each flux point costs one small determinant
-and the phase of det A cancels in the step differences.
+and the phase of det A cancels in the step differences.  On the
+unshifted grid (phi0 = 0) with real E0, A is real: it is factored in
+real arithmetic and M is real.  H(-phi) is then the conjugate of
+H(phi), so det at 2*pi - phi is the conjugate of det at phi and only
+the half loop 0 <= phi <= pi is evaluated; grid point n - k takes the
+negated phase of point k.  The half-step retry grid and complex E0
+evaluate every point.
 `winding_from_builder` keeps one dense factorization per flux point
 for an arbitrary flux -> matrix map, and serves as the reference.
 """
@@ -106,9 +112,12 @@ def log_det_phase(H_phi, e0: complex = 0.0):
     batched determinant call; the results are arrays of shape (...) and
     the error is raised when any member's |det| drops below DET_FLOOR.
     """
+    # A C-ordered array of our own: shifted in place, and its transpose
+    # (Fortran-ordered, with det A^T = det A) factored in place.  .dense()
+    # of CSR entries is already a fresh C-ordered array.
+    fresh = isinstance(H_phi, HamiltonianMatrix) and H_phi.is_sparse
     A = H_phi.dense() if isinstance(H_phi, HamiltonianMatrix) else H_phi
-    # a copy, shifted in place; Fortran order lets the LU overwrite it too
-    A = np.array(A, dtype=complex, order="F" if np.ndim(A) == 2 else "C")
+    A = np.asarray(A, dtype=complex) if fresh else np.array(A, dtype=complex, order="C")
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("need a square matrix or a stack of them")
     if e0:
@@ -121,7 +130,7 @@ def log_det_phase(H_phi, e0: complex = 0.0):
         if not np.all(np.isfinite(logabs)) or np.any(np.exp(logabs) < DET_FLOOR):
             raise SingularBaseEnergyError(f"determinant underflow at e0={e0}")
         return logabs, _principal(np.angle(sign))
-    lu, piv = _checked_lu(A, e0)
+    lu, piv = _checked_lu(A.T, e0)
     diag = np.diag(lu)
     # Row swaps flip the determinant sign; fold that into the phase.
     n_swaps = int(np.sum(piv != np.arange(len(piv))))
@@ -192,6 +201,8 @@ def _low_rank_phases(
     H = build_single_particle(ref) if basis is None else build_many_body(ref, basis, fermionic_wrap)
     A = np.asarray(H.dense(), dtype=complex)     # freshly built, so ours to overwrite
     A[np.diag_indices_from(A)] -= cfg.e0
+    if not np.any(A.imag):
+        A = np.ascontiguousarray(A.real)         # real LU, real M
     # A.T is Fortran-ordered, so it is factored in place; trans=1 below
     # then solves with A itself.
     lu_piv = _checked_lu(A.T, cfg.e0)
@@ -200,7 +211,7 @@ def _low_rank_phases(
     (rows_p, cols_p, amp_p), (rows_m, cols_m, amp_m) = wrap_hops(params.with_flux(0.0), basis, fermionic_wrap)
     rows, cols = np.concatenate([rows_p, rows_m]), np.concatenate([cols_p, cols_m])
     k = np.arange(len(rows))
-    U = np.zeros((H.dim, len(rows)), dtype=complex, order="F")
+    U = np.zeros((H.dim, len(rows)), dtype=A.dtype, order="F")
     U[rows, k] = 1.0
     M = lu_solve(lu_piv, U, trans=1, overwrite_b=True)[cols]     # V^T A^{-1} U
     del A, H, lu_piv, U          # free the full-dimension arrays before the batches
@@ -210,7 +221,7 @@ def _low_rank_phases(
     d[:, :len(rows_p)] = ((z - z[0]) * amp_p)[:, None]
     d[:, len(rows_p):] = ((1.0 / z - 1.0 / z[0]) * amp_m)[:, None]
     phases = np.empty(len(grid))
-    batch = max(1, BATCH_BYTES // M.nbytes)
+    batch = max(1, BATCH_BYTES // (16 * M.size))       # complex stack members
     for start in range(0, len(grid), batch):
         stack = d[start:start + batch, :, None] * M          # D(z) M, one per flux point
         stack[:, k, k] += 1.0
@@ -244,4 +255,16 @@ def winding_result(
         raise ValueError("winding requires periodic boundaries")
     basis = build_fock_basis(params.L, params.N) if params.many_body else None
     cfg = cfg or WindingConfig()
-    return _winding(lambda grid: _low_rank_phases(params, basis, fermionic_wrap, cfg, grid), cfg)
+
+    def phases_on(grid: np.ndarray) -> np.ndarray:
+        if grid[0] != 0.0 or np.imag(cfg.e0) != 0.0:
+            return _low_rank_phases(params, basis, fermionic_wrap, cfg, grid)
+        # H(0) - E0 is real, so the phase at 2*pi - phi is minus that at phi
+        n = len(grid) - 1
+        half = _low_rank_phases(params, basis, fermionic_wrap, cfg, grid[:n // 2 + 1])
+        phases = np.empty(n + 1)
+        phases[:n // 2 + 1] = half
+        phases[n - np.arange(n // 2 + 1)] = -half
+        return phases
+
+    return _winding(phases_on, cfg)

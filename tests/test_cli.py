@@ -205,6 +205,11 @@ def test_removed_flags_are_rejected(tmp_path):
     for command in ("spectrum", "winding", "phase-diagram", "evolve", "ground-state"):
         assert cli.main([command, "--L", "8", "--format", "json"]) == 1
     assert cli.main(["preset", "--preset", "fig3", "--out-dir", str(tmp_path)]) == 1
+    # a sweep builds at zero flux and a winding runs the whole loop: no --flux
+    assert cli.main(["phase-diagram", "--L", "13", "--g", "0.5", "--bc", "pbc", "--flux", "1.0",
+                     "--out", str(tmp_path / "pd.csv")]) == 1
+    assert cli.main(["winding", "--L", "13", "--g", "0.5", "--flux", "1.0"]) == 1
+    assert not (tmp_path / "pd.csv").exists()
 
 
 def test_preset_rejects_bad_panel(tmp_path):

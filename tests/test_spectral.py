@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from nhchain import (
     BiorthogonalizationError,
@@ -13,6 +14,7 @@ from nhchain import (
     cdw_order,
     decompose,
     density_profile,
+    eigenvalues,
     imag_fraction,
     ipr,
     ipr_per_state,
@@ -49,6 +51,39 @@ def test_similarity_route_biorthogonal_exactly():
     assert completeness_residual(d) < 1e-8
 
 
+@pytest.mark.parametrize("L", [9, 11, 13])
+def test_similarity_route_biorthogonal_fock(L):
+    basis = build_fock_basis(L, (L + 1) // 2)
+    p = ModelParams(L=L, N=basis.N, g=0.5, V=2.0, W=0.5, theta0=0.3, bc="obc")
+    assert biorth_residual(decompose(build_many_body(p, basis))) <= 1e-10
+
+
+def _multiset_distance(a, b):
+    """Largest |a_i - b_pi(i)| under the best one-to-one matching pi."""
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+@pytest.mark.parametrize("L, N", [(13, None), (89, None), (10, 5)])
+@pytest.mark.parametrize("g, bc", [(0.0, "pbc"), (0.5, "obc"), (0.5, "pbc")])
+def test_eigenvalues_match_decompose(L, N, g, bc):
+    # a multiset: conjugate pairs may swap places where their real parts tie
+    p = ModelParams(L=L, N=N, g=g, V=2.0 if N else 0.0, W=1.0, theta0=0.3, bc=bc)
+    H = build_many_body(p, build_fock_basis(L, N)) if N else build_single_particle(p)
+    w = eigenvalues(H)
+    assert len(w) == H.dim
+    assert _multiset_distance(w, decompose(H).eigenvalues) <= 1e-10
+
+
+def test_f_im_from_eigenvalues_equals_decompose():
+    for W in np.arange(0.0, 8.01, 0.5):
+        for s in range(3):
+            H = build_single_particle(ModelParams(L=89, g=0.5, W=W, theta0=2 * np.pi * s / 3,
+                                                  bc="pbc"))
+            assert imag_fraction(eigenvalues(H)) == imag_fraction(decompose(H))
+
+
 @pytest.mark.parametrize("seed", [20250813])
 def test_general_route_residuals_random_points(seed):
     rng = np.random.default_rng(seed)
@@ -78,8 +113,9 @@ def test_eigenvalue_collision_found_in_any_order():
     p = ModelParams(L=4, g=0.5, bc="pbc")
     w = np.array([0.0 + 1.0j, 1e-13 + 1.0j, 6e-14 - 5.0j, 2.0])
     H = HamiltonianMatrix(dim=4, entries=np.diag(w), params=p)
-    with pytest.raises(BiorthogonalizationError, match="gap 1.000e-13"):
-        decompose(H)
+    for solve in (decompose, eigenvalues):
+        with pytest.raises(BiorthogonalizationError, match="gap 1.000e-13"):
+            solve(H)
 
 
 def test_ipr_bounds():

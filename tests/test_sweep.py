@@ -1,5 +1,6 @@
 """Parameter sweeps: determinism, resume, and record plumbing."""
 
+import threading
 import time
 import warnings
 
@@ -73,6 +74,46 @@ def test_thread_count_does_not_change_results():
     serial = [(r.key, r.value) for r in collect(spec, threads=1)]
     pooled = [(r.key, r.value) for r in collect(spec, threads=4)]
     assert serial == pooled
+
+
+def test_one_thread_computes_in_the_calling_thread(monkeypatch):
+    # a trace with one span stack sees each sample inside the sweep that asked for it
+    seen = []
+    evaluate = sweep_mod._evaluate_sample
+
+    def recording(*args):
+        seen.append(threading.current_thread())
+        return evaluate(*args)
+
+    monkeypatch.setattr(sweep_mod, "_evaluate_sample", recording)
+    spec = SweepSpec(base=ModelParams(L=8, g=0.5, bc="pbc"), w_grid=(0.0, 1.0),
+                     theta0_samples=2, quantities=("f_im",), out="unused.csv")
+    points = sweep_mod._point_rows(spec, 1, set())
+    next(points)
+    assert seen == [threading.main_thread()] * 2       # the second point is not computed yet
+    collect(spec, threads=2)
+    assert threading.main_thread() not in seen[2:]
+
+
+@pytest.mark.parametrize("quantities, decompositions, eigenvalue_calls", [
+    (("f_im", "ipr_obc", "winding"), 1, 1),      # no vectors at the base bc: eigenvalues only
+    (("f_im", "ipr_pbc"), 1, 0),                 # reuses the pbc decomposition
+    (("ipr_obc", "f_im", "ipr_pbc"), 2, 0),
+])
+def test_f_im_reuses_a_decomposition_at_its_bc(monkeypatch, quantities, decompositions,
+                                               eigenvalue_calls):
+    calls = {"decompose": 0, "eigenvalues": 0}
+    for name in calls:
+        def counting(H, f=getattr(sweep_mod, name), name=name):
+            calls[name] += 1
+            return f(H)
+        monkeypatch.setattr(sweep_mod, name, counting)
+    spec = SweepSpec(base=ModelParams(L=13, g=0.5, W=1.0, bc="pbc"), theta0_samples=1,
+                     quantities=quantities, out="unused.csv")
+    rows = {r.quantity: r.value for r in collect(spec) if r.sample == "0"}
+    assert calls == {"decompose": decompositions, "eigenvalues": eigenvalue_calls}
+    d = decompose(build_single_particle(spec.base))
+    assert rows["f_im"] == imag_fraction(d)
 
 
 def test_resume_skips_finished_points(tmp_path):

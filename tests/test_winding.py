@@ -1,9 +1,12 @@
 """Point-gap winding numbers from LU log-determinant phases."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+
+import nhchain.winding as winding_mod
 
 from nhchain import (
     ModelParams,
@@ -111,6 +114,63 @@ def test_low_rank_winding_matches_flux_grid():
         if not same:
             mismatches.append((case, e0, fw, fast, grid))
     assert mismatches == []
+
+
+def _counting_log_det_phase(monkeypatch):
+    """Patch log_det_phase to count the stack members it is handed."""
+    members = [0]
+    original = winding_mod.log_det_phase
+
+    def counting(A, e0=0.0):
+        members[0] += int(np.prod(np.shape(A)[:-2]))
+        return original(A, e0)
+
+    monkeypatch.setattr(winding_mod, "log_det_phase", counting)
+    return members
+
+
+@pytest.mark.parametrize("case", [dict(L=13), dict(L=89), dict(L=8, N=4, V=1.5), dict(L=9, N=4, V=1.5)])
+def test_real_base_energy_evaluates_half_the_loop(monkeypatch, case):
+    # det at 2*pi - phi is the conjugate of det at phi: 101 of the 202 points
+    members = _counting_log_det_phase(monkeypatch)
+    phases = []
+    from_phases = winding_mod._from_phases
+
+    def recording(ph):
+        phases.append(ph)
+        return from_phases(ph)
+
+    monkeypatch.setattr(winding_mod, "_from_phases", recording)
+    p = ModelParams(g=0.5, W=1.0, theta0=0.4, bc="pbc", **case)
+    res = winding_result(p, WindingConfig(e0=-0.5))
+    assert members[0] == 101 and len(res.steps) == 201
+
+    basis = build_fock_basis(p.L, p.N) if p.many_body else None
+    grid = 2.0 * np.pi * np.arange(202) / 201
+    full = winding_mod._low_rank_phases(p, basis, True, WindingConfig(e0=-0.5), grid)
+    assert np.abs(np.angle(np.exp(1j * (phases[0] - full)))).max() <= 1e-12
+
+
+def test_complex_base_energy_and_retry_evaluate_every_point(monkeypatch):
+    members = _counting_log_det_phase(monkeypatch)
+    winding_result(ModelParams(L=13, g=0.5, W=1.0, bc="pbc"), WindingConfig(e0=0.3 - 0.2j))
+    assert members[0] == 202
+    members[0] = 0
+    # singular at phi = 0, so only the half-step grid reaches the determinants
+    assert winding_number(ModelParams(L=4, g=0.0, W=0.0, bc="pbc")) == 0
+    assert members[0] == 202
+
+
+def test_log_det_phase_copies_a_sparse_matrix_once():
+    basis = build_fock_basis(12, 6)
+    H = build_many_body(ModelParams(L=12, N=6, g=0.5, V=2.0, W=0.5, bc="pbc"), basis)
+    tracemalloc.start()
+    try:
+        log_det_phase(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * H.dim**2 * 16
 
 
 def test_winding_transition_single_particle():
