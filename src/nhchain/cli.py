@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 
@@ -325,70 +326,88 @@ def _preset_fig2(args, out_dir: str) -> tuple:
     return files, {"panels": panels, "notes": notes}
 
 
+def _run_evolutions(args, out_dir: str, runs: list, observable: str,
+                    j0=None, samples=None) -> tuple:
+    """Run the declared (panel, file, params, config) evolutions of the
+    selected panels, recording one observable.
+
+    A single-particle run starts on site j0 and writes its series.  A
+    many-body run starts from the domain wall, once per disorder phase
+    theta0 = 2*pi*s/S (s < S = samples); its file holds each sample's
+    trace, then their average.  Returns the files written and each
+    panel's metadata, read off its declaration.
+    """
+    files, panels = [], {}
+    for panel in args.which or "abcd":
+        for p, name, params, config in runs:
+            if p != panel:
+                continue
+            out = os.path.join(out_dir, name)
+            if samples is None:
+                run(params, config, initial_localized(params.L, j0), (observable,)).write_csv(out)
+            else:
+                _write_sample_traces(out, observable, params, config, samples)
+            files.append(out)
+            knobs = ("L", "N", "g", "V", "W", "bc") if params.many_body else ("L", "g", "W", "bc")
+            meta = {k: getattr(params, k) for k in knobs}
+            if j0 is not None:
+                meta["j0"] = j0
+            meta.update(M=config.M, dt=config.dt, t_max=config.t_max)
+            if samples is not None:
+                meta["theta0_samples"] = samples
+            panels[panel] = meta
+    return files, panels
+
+
+def _write_sample_traces(path: str, observable: str, params: ModelParams,
+                         config: EvolverConfig, S: int) -> None:
+    """The observable of each of S disorder samples over time, then the sample mean."""
+    basis = build_fock_basis(params.L, params.N)
+    series = [run(replace(params, theta0=2.0 * np.pi * s / S), config, initial_domain_wall(basis),
+                  (observable,), basis=basis) for s in range(S)]
+    # (len(t), S): the mean along each contiguous row adds the samples in order
+    stack = np.column_stack([x.blocks[observable][:, 0] for x in series])
+    columns = [(str(s), stack[:, s]) for s in range(S)] + [("avg", stack.mean(axis=1))]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample", "t", observable])
+        writer.writerows([sample, format(t, ".17g"), format(v, ".17g")]
+                         for sample, values in columns for t, v in zip(series[0].t, values))
+
+
 def _preset_fig3(args, out_dir: str) -> tuple:
     """Single-particle wave-packet propagation with an amplified front."""
     L = args.L or 600
     j0 = min(int(round(L * 580 / 600)), L - 1)
-    tmax = args.tmax if args.tmax is not None else 40.0
-    dt = args.dt if args.dt is not None else 0.2
-    M = args.M if args.M is not None else 15
-    panels = {"a": ("pbc", 0.0), "b": ("obc", 0.0), "c": ("pbc", 5.4), "d": ("obc", 5.4)}
-    which = args.which or "abcd"
-    files, meta_panels = [], {}
-    for panel in which:
-        bc, W = panels[panel]
-        params = ModelParams(L=L, g=1.0, W=W, bc=bc)
-        config = EvolverConfig(method="krylov", M=M, dt=dt, t_max=tmax)
-        series = run(params, config, initial_localized(L, j0), ("density",))
-        out = os.path.join(out_dir, f"fig3_{panel}.csv")
-        series.write_csv(out)
-        files.append(out)
-        meta_panels[panel] = {"L": L, "g": 1.0, "W": W, "bc": bc, "j0": j0,
-                              "M": M, "dt": dt, "t_max": tmax}
+    config = EvolverConfig(method="krylov", M=args.M if args.M is not None else 15,
+                           dt=args.dt if args.dt is not None else 0.2,
+                           t_max=args.tmax if args.tmax is not None else 40.0)
+    runs = [(panel, f"fig3_{panel}.csv", ModelParams(L=L, g=1.0, W=W, bc=bc), config)
+            for panel, (bc, W) in zip("abcd", (("pbc", 0.0), ("obc", 0.0),
+                                                ("pbc", 5.4), ("obc", 5.4)))]
+    files, panels = _run_evolutions(args, out_dir, runs, "density", j0=j0)
     notes = ["W=5.4 sits at the critical strength 2*exp(1) ~ 5.44 where spreading is enhanced"]
-    return files, {"panels": meta_panels, "notes": notes}
+    return files, {"panels": panels, "notes": notes}
 
 
 def _preset_fig4(args, out_dir: str) -> tuple:
     """Entanglement growth from the half-filled domain wall."""
     L = args.L or 12
     N = L // 2
-    S = args.samples or 5
-    tmax = args.tmax if args.tmax is not None else 100.0
-    dt = args.dt if args.dt is not None else 0.05
-    M = args.M if args.M is not None else 25
-    g, V = 0.5, 2.0
+    g = 0.5
     w_crit = 2.0 * 2.0 * np.exp(g)
-    panels = {"a": ("pbc", 0.5), "b": ("obc", 0.5), "c": ("pbc", w_crit), "d": ("obc", w_crit)}
-    which = args.which or "abcd"
-    files, meta_panels = [], {}
-    basis = build_fock_basis(L, N)
-    psi0 = initial_domain_wall(basis)
-    for panel in which:
-        bc, W = panels[panel]
-        rows = []
-        for s in range(S):
-            params = ModelParams(L=L, N=N, g=g, V=V, W=W,
-                                 theta0=2.0 * np.pi * s / S, bc=bc)
-            config = EvolverConfig(method="krylov", M=M, dt=dt, t_max=tmax, record_stride=5)
-            series = run(params, config, psi0, ("s_ee",), basis=basis)
-            rows.extend((str(s), t, v) for t, v in series.values("s_ee"))
-        times = sorted({t for _, t, _ in rows})
-        for t in times:
-            values = [v for s_, tt, v in rows if tt == t]
-            rows.append(("avg", t, float(np.mean(values))))
-        out = os.path.join(out_dir, f"fig4_{panel}.csv")
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "t", "s_ee"])
-            for sample, t, v in rows:
-                writer.writerow([sample, format(t, ".17g"), format(v, ".17g")])
-        files.append(out)
-        meta_panels[panel] = {"L": L, "N": N, "g": g, "V": V, "W": W, "bc": bc,
-                              "M": M, "dt": dt, "t_max": tmax, "theta0_samples": S}
-    notes = [f"desk-scale reduction of the L=18, N=8 setting (dim 43758) to L={L}, N={N}",
+    config = EvolverConfig(method="krylov", M=args.M if args.M is not None else 25,
+                           dt=args.dt if args.dt is not None else 0.05,
+                           t_max=args.tmax if args.tmax is not None else 100.0,
+                           record_stride=5)
+    runs = [(panel, f"fig4_{panel}.csv", ModelParams(L=L, N=N, g=g, V=2.0, W=W, bc=bc), config)
+            for panel, (bc, W) in zip("abcd", (("pbc", 0.5), ("obc", 0.5),
+                                                ("pbc", w_crit), ("obc", w_crit)))]
+    files, panels = _run_evolutions(args, out_dir, runs, "s_ee", samples=args.samples or 5)
+    notes = [f"this run: L={L}, N={N} (dim {comb(L, N)}); published setting: L=18, N=8 "
+             "(dim 43758)",
              "entanglement growth is logarithmic and nearly boundary-independent"]
-    return files, {"panels": meta_panels, "notes": notes}
+    return files, {"panels": panels, "notes": notes}
 
 
 _PRESETS = {"fig1": _preset_fig1, "fig2": _preset_fig2, "fig3": _preset_fig3, "fig4": _preset_fig4}

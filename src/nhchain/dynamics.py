@@ -12,6 +12,11 @@ subtraction of all earlier basis vectors), exponentiates the small
 Hessenberg matrix, and maps back.  Both renormalize after every step,
 mirroring how a non-unitary evolution is turned into a physical state.
 
+`run` records observables on a time grid into an `ObservableSeries`
+held as columns: the record times and one (times x width) array per
+observable (width L for the density, 1 for a scalar).  Its CSV rows
+(t, observable, index, value) are built from those arrays on demand.
+
 The half-chain entanglement entropy of a fixed-N state is computed by
 reshaping amplitudes into a (left pattern) x (right pattern) matrix and
 reading singular values.  Splitting an occupation word at the cut needs
@@ -23,7 +28,8 @@ rather than recomputed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import csv
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -34,8 +40,6 @@ from .spectral import SpectralDecomposition, decompose, density_profile, ipr
 
 EXPM_COND_CAP = 1e8
 BREAKDOWN_TOL = 1e-14
-
-OBSERVABLE_NAMES = ("density", "ipr", "fock_ipr", "s_ee", "rmax_overlap")
 
 
 @dataclass(frozen=True)
@@ -59,31 +63,42 @@ class EvolverConfig:
 
 @dataclass
 class ObservableSeries:
-    """Records (t, name, site_or_scalar_index, value) plus provenance."""
+    """Record times t and, per observable, one (len(t), width) block of values.
 
-    records: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    The width is L for `density` and 1 for the scalar observables; blocks
+    keep the order in which the observables were requested.
+    """
 
-    def append(self, t: float, name: str, index: int, value: float) -> None:
-        self.records.append((t, name, index, value))
+    t: np.ndarray
+    blocks: dict
 
-    def values(self, name: str) -> "np.ndarray":
+    def values(self, name: str) -> np.ndarray:
         """(t, value) pairs of a scalar observable."""
-        return np.array([(t, v) for t, n, _, v in self.records if n == name])
+        return np.column_stack([self.t, self.blocks[name]])
 
-    def profile_at(self, name: str, t: float, atol: float = 1e-9) -> np.ndarray:
-        rows = [(i, v) for tt, n, i, v in self.records if n == name and abs(tt - t) < atol]
-        rows.sort()
-        return np.array([v for _, v in rows])
+    def profile_at(self, name: str, t: float) -> np.ndarray:
+        """The values of `name` recorded at time t (to 1e-9)."""
+        hits = np.flatnonzero(np.abs(self.t - t) < 1e-9)
+        if hits.size == 0:
+            raise ValueError(f"no record at t={t}")
+        return self.blocks[name][hits[0]]
+
+    @property
+    def records(self) -> list:
+        """The CSV data rows (t, observable, index, value): time-major,
+        then observables in requested order, then index."""
+        rows = []
+        blocks = [(name, block.tolist()) for name, block in self.blocks.items()]
+        for k, t in enumerate(self.t.tolist()):
+            for name, block in blocks:
+                rows.extend((t, name, j, v) for j, v in enumerate(block[k]))
+        return rows
 
     def write_csv(self, path: str) -> None:
-        import csv
-
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "observable", "index", "value"])
-            for row in self.records:
-                writer.writerow(row)
+            writer.writerows(self.records)
 
 
 def initial_localized(L: int, j0: int) -> np.ndarray:
@@ -225,8 +240,14 @@ def run(
     The state is renormalized after every step.  The grid is t = k * dt
     for k = 0, stride, 2*stride, ..., plus the final step.
     """
-    names = list(observables)
-    unknown = set(names) - set(OBSERVABLE_NAMES)
+    measure = {   # basis and r_max are bound below, before the first record
+        "density": lambda psi: density_profile(psi, basis),
+        **dict.fromkeys(("ipr", "fock_ipr"), ipr),
+        "s_ee": lambda psi: entanglement_entropy(psi, basis),
+        "rmax_overlap": lambda psi: abs(np.vdot(r_max, psi)),
+    }
+    names = list(dict.fromkeys(observables))
+    unknown = set(names) - set(measure)
     if unknown:
         raise ValueError(f"unknown observables: {sorted(unknown)}")
     if params.many_body and basis is None:
@@ -242,10 +263,6 @@ def run(
         H = build_single_particle(params)
         basis = None
 
-    series = ObservableSeries(metadata={
-        "params": params, "config": config, "observables": names,
-    })
-
     decomp = None
     r_max = None
     if config.method == "exact" or "rmax_overlap" in names:
@@ -254,33 +271,21 @@ def run(
         r_max = decomp.right[:, k_max]
         r_max = r_max / np.linalg.norm(r_max)
 
-    def record(t: float, psi: np.ndarray) -> None:
-        for name in names:
-            if name == "density":
-                for j, value in enumerate(density_profile(psi, basis)):
-                    series.append(t, "density", j, float(value))
-            elif name in ("ipr", "fock_ipr"):
-                series.append(t, name, 0, ipr(psi))
-            elif name == "s_ee":
-                series.append(t, "s_ee", 0, entanglement_entropy(psi, basis))
-            elif name == "rmax_overlap":
-                series.append(t, "rmax_overlap", 0, float(abs(np.vdot(r_max, psi))))
+    n_steps = int(round(config.t_max / config.dt))
+    record_at = sorted({*range(0, n_steps + 1, config.record_stride), n_steps})
+    blocks = {name: np.empty((len(record_at), params.L if name == "density" else 1))
+              for name in names}
 
     psi0 = np.asarray(initial, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
-    n_steps = int(round(config.t_max / config.dt))
-    record_at = {k for k in range(0, n_steps + 1, config.record_stride)}
-    record_at.add(n_steps)
-
-    if config.method == "exact":
-        for k in sorted(record_at):
+    psi, done = psi0, 0
+    for row, k in enumerate(record_at):
+        if config.method == "exact":
             psi = evolve_exact(decomp, psi0, k * config.dt) if k else psi0
-            record(k * config.dt, psi)
-    else:
-        psi = psi0
-        record(0.0, psi)
-        for k in range(1, n_steps + 1):
-            psi = arnoldi_step(H, psi, config.M, config.dt)
-            if k in record_at:
-                record(k * config.dt, psi)
-    return series
+        else:
+            for _ in range(k - done):
+                psi = arnoldi_step(H, psi, config.M, config.dt)
+            done = k
+        for name in names:
+            blocks[name][row] = measure[name](psi)
+    return ObservableSeries(t=np.array(record_at) * config.dt, blocks=blocks)

@@ -131,19 +131,9 @@ class HamiltonianMatrix:
         return self.entries
 
 
-def potential(params: ModelParams, j=None) -> np.ndarray:
-    """Onsite quasi-periodic potential W*cos(2*pi*theta*j + theta0).
-
-    With `j` omitted, returns the full length-L profile; scalar or array
-    `j` evaluates at those sites.
-    """
-    if j is None:
-        j = np.arange(params.L)
-    else:
-        j_arr = np.asarray(j)
-        if np.any(j_arr < 0) or np.any(j_arr >= params.L):
-            raise ValueError(f"site index out of range 0..{params.L - 1}")
-        j = j_arr
+def potential(params: ModelParams) -> np.ndarray:
+    """Onsite quasi-periodic potential W*cos(2*pi*theta*j + theta0), j = 0..L-1."""
+    j = np.arange(params.L)
     return params.W * np.cos(TWO_PI * params.theta * j + params.theta0)
 
 

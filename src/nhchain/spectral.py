@@ -64,10 +64,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    def mode_coefficients(self, psi: np.ndarray) -> np.ndarray:
-        """Expansion coefficients c_n = <<n|psi> of a state over modes."""
-        return self.left @ psi
-
 
 @dataclass(frozen=True)
 class StaticObservables:
@@ -225,19 +221,12 @@ def density_profile(
     Re(sum_s l_s c_s n_j(s)) instead of the right-vector default.
     """
     state = np.asarray(state)
-    if basis is None:
-        if left_state is not None:
-            w = (np.asarray(left_state) * state).real
-        else:
-            w = np.abs(state) ** 2
-            w = w / w.sum()
-        return w
     if left_state is not None:
         weights = (np.asarray(left_state) * state).real
     else:
         weights = np.abs(state) ** 2
         weights = weights / weights.sum()
-    return basis.occupations().T @ weights
+    return weights if basis is None else basis.occupations().T @ weights
 
 
 def cdw_order(density: np.ndarray) -> float:
@@ -253,15 +242,9 @@ def static_observables(
 ) -> StaticObservables:
     """Eigenstate-averaged diagnostics of one decomposition."""
     per_state = ipr_per_state(decomp)
-    if basis is not None:
-        occ = basis.occupations()
-        p = np.abs(decomp.right) ** 2
-        p = p / p.sum(axis=0, keepdims=True)
-        density = (occ.T @ p).mean(axis=1)
-    else:
-        p = np.abs(decomp.right) ** 2
-        p = p / p.sum(axis=0, keepdims=True)
-        density = p.mean(axis=1)
+    p = np.abs(decomp.right) ** 2
+    p = p / p.sum(axis=0, keepdims=True)
+    density = (p if basis is None else basis.occupations().T @ p).mean(axis=1)
     return StaticObservables(
         ipr_per_state=per_state,
         f_im=imag_fraction(decomp),

@@ -167,9 +167,8 @@ def _sample_rows(spec: SweepSpec, g: float, V: float, W: float, s: int, results:
     for q in spec.quantities:
         value, notes = results[q]
         bc = _effective_bc(q, base.bc)
-        if q == "density":
-            profile = value if not np.isscalar(value) else [value]
-            for j, v in enumerate(np.atleast_1d(profile)):
+        if q == "density":   # a length-L profile, NaN-filled on failure
+            for j, v in enumerate(value):
                 rows.append(ResultRecord(base.L, base.N, g, V, W, theta0, bc,
                                          str(s), f"density:{j}", float(v), notes))
         else:

@@ -180,6 +180,31 @@ def test_preset_fig3_single_panel(tmp_path):
     assert not (tmp_path / "fig3_b.csv").exists()
 
 
+def test_preset_fig4_panels(tmp_path):
+    rc = cli.main(["preset", "fig4", "--L", "8", "--samples", "2", "--tmax", "1",
+                   "--which", "ad", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    T = 5   # t = 0, 0.25, ..., 1: every 5th step of dt = 0.05
+    for panel in "ad":
+        rows = read_csv(str(tmp_path / f"fig4_{panel}.csv"))
+        assert list(rows[0]) == ["sample", "t", "s_ee"]
+        assert [r["sample"] for r in rows] == ["0"] * T + ["1"] * T + ["avg"] * T
+        s = np.array([float(r["s_ee"]) for r in rows]).reshape(3, T)
+        t = np.array([float(r["t"]) for r in rows]).reshape(3, T)
+        assert np.all(t == t[0]) and np.allclose(t[0], np.linspace(0.0, 1.0, T))
+        assert np.allclose(s[2], s[:2].mean(axis=0), rtol=0, atol=1e-15)
+        assert s[0, 0] == 0.0 and s[0, -1] > 0.0
+    assert not (tmp_path / "fig4_b.csv").exists()
+    meta = json.loads((tmp_path / "fig4_metadata.json").read_text())
+    assert meta["which"] == "ad" and set(meta["panels"]) == {"a", "d"}
+    common = {"L": 8, "N": 4, "g": 0.5, "V": 2.0, "M": 25, "dt": 0.05, "t_max": 1.0,
+              "theta0_samples": 2}
+    assert meta["panels"]["a"] == {**common, "W": 0.5, "bc": "pbc"}
+    assert meta["panels"]["d"] == {**common, "W": 4.0 * np.exp(0.5), "bc": "obc"}
+    assert list(meta["panels"]["a"]) == ["L", "N", "g", "V", "W", "bc", "M", "dt", "t_max",
+                                         "theta0_samples"]
+
+
 def test_preset_metadata_is_read_off_the_sweeps(tmp_path):
     rc = cli.main(["preset", "fig1", "--which", "ab", "--L", "5", "--samples", "1",
                    "--threads", "1", "--out-dir", str(tmp_path)])

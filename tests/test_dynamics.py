@@ -248,12 +248,27 @@ def test_evolver_config_validation():
 
 
 def test_series_csv_round_trip(tmp_path):
-    series = ObservableSeries()
-    series.append(0.0, "ipr", 0, 0.25)
-    series.append(0.5, "ipr", 0, 0.5)
+    series = ObservableSeries(t=np.array([0.0, 0.5]), blocks={"ipr": np.array([[0.25], [0.5]])})
     path = tmp_path / "series.csv"
     series.write_csv(str(path))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,observable,index,value"
-    assert len(lines) == 3
+    assert len(lines) == 3 == len(series.records) + 1
     assert np.allclose(series.values("ipr"), [[0.0, 0.25], [0.5, 0.5]])
+
+
+def test_series_rows_are_time_major_and_lookups_are_exact():
+    p = ModelParams(L=6, g=0.5, W=1.0, bc="pbc")
+    config = EvolverConfig(method="krylov", M=6, dt=0.1, t_max=0.5, record_stride=2)
+    series = run(p, config, initial_localized(6, 3), ("ipr", "density"))
+    assert np.allclose(series.t, [0.0, 0.2, 0.4, 0.5])
+    assert series.blocks["density"].shape == (4, 6) and series.blocks["ipr"].shape == (4, 1)
+    rows = series.records
+    assert len(rows) == 4 * (1 + 6)
+    assert [r[1:3] for r in rows[:7]] == [("ipr", 0)] + [("density", j) for j in range(6)]
+    assert rows[7][0] == series.t[1]
+    profile = series.profile_at("density", 0.4)
+    assert profile.sum() == pytest.approx(1.0)
+    assert np.array_equal(profile, [r[3] for r in rows[15:21]])
+    with pytest.raises(ValueError):
+        series.profile_at("density", 0.3)

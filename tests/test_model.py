@@ -59,9 +59,6 @@ def test_potential_profile():
     prof = potential(p)
     expect = 0.7 * np.cos(2.0 * np.pi * THETA * np.arange(5) + 0.2)
     assert np.allclose(prof, expect, atol=1e-15)
-    assert potential(p, 3) == pytest.approx(expect[3])
-    with pytest.raises(ValueError):
-        potential(p, 5)
 
 
 def test_two_site_matrix_explicit():

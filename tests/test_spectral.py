@@ -211,9 +211,9 @@ def test_static_observables_shapes():
 
 
 def test_mode_coefficients_invert_expansion():
+    # biorthogonal completeness: right @ left = I, so c = left @ psi resums to psi
     p = ModelParams(L=12, g=0.4, W=0.8, bc="pbc")
     d = decompose(build_single_particle(p))
     rng = np.random.default_rng(3)
     psi = rng.normal(size=12) + 1j * rng.normal(size=12)
-    c = d.mode_coefficients(psi)
-    assert np.allclose(d.right @ c, psi, atol=1e-10)
+    assert np.allclose(d.right @ (d.left @ psi), psi, atol=1e-10)
