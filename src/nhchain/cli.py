@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import EvolverConfig, initial_domain_wall, initial_localized, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
-from .spectral import BiorthogonalizationError, decompose, density_profile, cdw_order, ipr
+from .spectral import BiorthogonalizationError, decompose, density_profile, cdw_order, eigenvalues, ipr
 from .sweep import SweepSpec, _effective_bc, inclusive_range, run_sweep_to_file
 from .winding import SingularBaseEnergyError, WindingConfig, WindingIllDefinedError, winding_result
 
@@ -131,7 +131,7 @@ def cmd_spectrum(args) -> int:
         H = build_many_body(params, basis)
     else:
         H = build_single_particle(params)
-    w = decompose(H).eigenvalues
+    w = eigenvalues(H)
     rows = [(i, z.real, z.imag) for i, z in enumerate(w)]
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -207,8 +207,9 @@ def cmd_evolve(args) -> int:
     series = run(params, config, psi0, observables, basis=basis)
     out = args.out or "evolve.csv"
     series.write_csv(out)
+    rows = len(series.t) * sum(block.shape[1] for block in series.blocks.values())
     _summary(f"evolve: {config.method} M={M} dt={config.dt} t_max={config.t_max} "
-             f"-> {out} ({len(series.records)} records)", to_stderr=False)
+             f"-> {out} ({rows} records)", to_stderr=False)
     return 0
 
 

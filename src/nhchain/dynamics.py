@@ -17,19 +17,19 @@ held as columns: the record times and one (times x width) array per
 observable (width L for the density, 1 for a scalar).  Its CSV rows
 (t, observable, index, value) are built from those arrays on demand.
 
-The half-chain entanglement entropy of a fixed-N state is computed by
-reshaping amplitudes into a (left pattern) x (right pattern) matrix and
-reading singular values.  Splitting an occupation word at the cut needs
-a fermionic reordering sign in general; with the ascending site ordering
-used throughout, left-block operators already precede right-block ones,
-so the sign is +1 for every word (asserted here once in the comment
-rather than recomputed).
+The half-chain entanglement entropy of a fixed-N state reads the
+singular values of the (left pattern) x (right pattern) amplitude
+matrix, one block per particle number left of the cut.  Splitting an
+occupation word at the cut needs a fermionic reordering sign in general;
+with the ascending site ordering used throughout, left-block operators
+already precede right-block ones, so the sign is +1 for every word
+(asserted here once in the comment rather than recomputed).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Optional
 
 import numpy as np
@@ -57,6 +57,8 @@ class EvolverConfig:
             raise ValueError("M must be >= 1")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
+        if self.t_max < 0:
+            raise ValueError("t_max must be >= 0")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
@@ -95,10 +97,17 @@ class ObservableSeries:
         return rows
 
     def write_csv(self, path: str) -> None:
+        """The header and `records` as CSV, byte for byte what csv.writer
+        writes: repr of each value and CRLF line ends (the observable
+        names need no quoting).  Each time and index is formatted once."""
+        fields = [([f",{name},{j}," for j in range(block.shape[1])], block.tolist())
+                  for name, block in self.blocks.items()]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "observable", "index", "value"])
-            writer.writerows(self.records)
+            fh.write("t,observable,index,value\r\n")
+            for k, t in enumerate(self.t.tolist()):
+                t = repr(t)
+                fh.write("".join([f"{t}{head}{v!r}\r\n" for heads, block in fields
+                                  for head, v in zip(heads, block[k])]))
 
 
 def initial_localized(L: int, j0: int) -> np.ndarray:
@@ -205,7 +214,12 @@ def arnoldi_step(
 
 
 def entanglement_entropy(psi: np.ndarray, basis: FockBasis, cut: Optional[int] = None) -> float:
-    """Half-chain (or custom-cut) von Neumann entanglement entropy."""
+    """Half-chain (or custom-cut) von Neumann entanglement entropy.
+
+    The amplitude matrix (left pattern) x (right pattern) is block
+    diagonal in the particle number k left of the cut, so its singular
+    values are those of the C(cut, k) x C(L - cut, N - k) blocks.
+    """
     psi = np.asarray(psi)
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
@@ -214,16 +228,18 @@ def entanglement_entropy(psi: np.ndarray, basis: FockBasis, cut: Optional[int] =
         cut = basis.L // 2
     if not 0 < cut < basis.L:
         raise ValueError(f"cut must be in 1..{basis.L - 1}")
-    left_dim, right_dim = 1 << cut, 1 << (basis.L - cut)
-    mask = (1 << cut) - 1
-    A = np.zeros((left_dim, right_dim), dtype=complex)
     # Ascending Jordan-Wigner ordering: the left-block creation operators
     # already precede the right-block ones in every word, so the split
     # sign is +1 throughout.
-    left_patterns = basis.states & mask
-    right_patterns = basis.states >> cut
-    A[left_patterns, right_patterns] = psi
-    s2 = scipy.linalg.svdvals(A) ** 2
+    # Words ascend as (right pattern, left pattern) and hold every pair of
+    # a k-particle left and an (N - k)-particle right pattern, so the words
+    # with k particles left of the cut, kept in order, are block k row by
+    # row (one row per right pattern).
+    k_of = np.bitwise_count(basis.states & ((1 << cut) - 1))
+    blocks = np.split(psi[np.argsort(k_of, kind="stable")], np.cumsum(np.bincount(k_of))[:-1])
+    s = [scipy.linalg.svdvals(block.reshape(-1, comb(cut, k)))
+         for k, block in enumerate(blocks) if block.size]
+    s2 = np.sort(np.concatenate(s))[::-1] ** 2      # descending, as one dense SVD orders them
     s2 = s2[s2 > 1e-16]
     return float(-np.sum(s2 * np.log(s2)) + 0.0)   # + 0.0 folds -0.0 into 0.0
 
@@ -238,7 +254,9 @@ def run(
     """Evolve `initial` to t_max, recording observables on a time grid.
 
     The state is renormalized after every step.  The grid is t = k * dt
-    for k = 0, stride, 2*stride, ..., plus the final step.
+    for k = 0, stride, 2*stride, ..., plus the final step, which ends at
+    t_max: when t_max is not a multiple of dt (to 1e-9 relative), the
+    last step is shortened to land on it.
     """
     measure = {   # basis and r_max are bound below, before the first record
         "density": lambda psi: density_profile(psi, basis),
@@ -271,8 +289,16 @@ def run(
         r_max = decomp.right[:, k_max]
         r_max = r_max / np.linalg.norm(r_max)
 
-    n_steps = int(round(config.t_max / config.dt))
+    dt = last_dt = config.dt
+    n_steps = int(round(config.t_max / dt))
+    if abs(n_steps * dt - config.t_max) > 1e-9 * config.t_max:
+        # whole steps up to the last multiple of dt below t_max, then a shorter one onto it
+        n_steps = int(config.t_max // dt) + 1
+        last_dt = config.t_max - (n_steps - 1) * dt
     record_at = sorted({*range(0, n_steps + 1, config.record_stride), n_steps})
+    times = np.array(record_at) * dt
+    if last_dt != dt:
+        times[-1] = config.t_max
     blocks = {name: np.empty((len(record_at), params.L if name == "density" else 1))
               for name in names}
 
@@ -281,11 +307,11 @@ def run(
     psi, done = psi0, 0
     for row, k in enumerate(record_at):
         if config.method == "exact":
-            psi = evolve_exact(decomp, psi0, k * config.dt) if k else psi0
+            psi = evolve_exact(decomp, psi0, times[row]) if k else psi0
         else:
-            for _ in range(k - done):
-                psi = arnoldi_step(H, psi, config.M, config.dt)
+            for step in range(done + 1, k + 1):
+                psi = arnoldi_step(H, psi, config.M, last_dt if step == n_steps else dt)
             done = k
         for name in names:
             blocks[name][row] = measure[name](psi)
-    return ObservableSeries(t=np.array(record_at) * config.dt, blocks=blocks)
+    return ObservableSeries(t=times, blocks=blocks)

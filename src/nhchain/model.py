@@ -125,10 +125,15 @@ class HamiltonianMatrix:
         return sparse.issparse(self.entries)
 
     def dense(self) -> np.ndarray:
-        """The entries as an ndarray, for the dense solvers."""
-        if self.is_sparse:
-            return self.entries.toarray()
-        return self.entries
+        """The entries as a new C-ordered ndarray, for the dense solvers.
+
+        The array is real when every stored entry is (decided on the
+        nonzeros of CSR entries), so a real matrix reaches the solvers in
+        real arithmetic without a complex dim x dim intermediate.
+        """
+        real = not np.any((self.entries.data if self.is_sparse else self.entries).imag)
+        entries = self.entries.real if real else self.entries
+        return entries.toarray() if self.is_sparse else np.array(entries, order="C")
 
 
 def potential(params: ModelParams) -> np.ndarray:

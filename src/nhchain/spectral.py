@@ -14,15 +14,21 @@ parameters:
   and maps its eigenvectors back with D.  The spectrum is exactly real
   and the left/right pair exactly biorthogonal, where a general solver
   would return spurious complex parts.
-* Everything else (periodic, g != 0): a general complex solve with the
+* Everything else (periodic, g != 0): a general two-sided solve with the
   left/right overlap rescaled; eigenvalue collisions below 1e-12 are
   reported instead of silently mispairing.
 
-`eigenvalues` takes the same three routes without eigenvectors, in real
-arithmetic wherever the matrix is real (every matrix at zero flux):
+`eigenvalues` takes the same three routes without eigenvectors:
 `eigvalsh` of the matrix or of its g = 0 chain, and otherwise `eigvals`
-followed by the same collision check.  A real general solve returns
-real eigenvalues exactly real and complex ones in exact conjugate pairs.
+followed by the same collision check.
+
+Every dense solve gets `HamiltonianMatrix.dense()`, which is real when
+the stored entries are, so a matrix at zero flux (every sweep matrix) is
+solved in real arithmetic on all three routes.  A real general solve
+returns real eigenvalues exactly real and complex ones in exact
+conjugate pairs.  At dim 924 (L=12, N=6, periodic) the two-sided real
+solve takes 0.8-1.0 s against 2.3-2.9 s for the complex one (1 BLAS
+thread).
 
 Observables: IPR, Fock-space IPR, imaginary-eigenvalue fraction f_im
 (which needs eigenvalues only), per-site density (right-vector
@@ -132,19 +138,14 @@ def _decompose_general(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, right=vr, left=left)
 
 
-def _real_if_real(A: np.ndarray) -> np.ndarray:
-    """A as a real array when its imaginary part vanishes, else A."""
-    return A.real if np.iscomplexobj(A) and not np.any(A.imag) else A
-
-
 def _gauge_free(params: ModelParams) -> tuple:
     """D^{-1} H D of the open chain `params`, which is its g = 0 matrix
     (dense and real), and the weights S of D = diag(e^{-g S})."""
     p = replace(params, g=0.0)
     if p.many_body:
         basis = build_fock_basis(p.L, p.N)
-        return build_many_body(p, basis).entries.real.toarray(), basis.site_weight()
-    return build_single_particle(p).entries.real, np.arange(p.L, dtype=float)
+        return build_many_body(p, basis).dense(), basis.site_weight()
+    return build_single_particle(p).dense(), np.arange(p.L, dtype=float)
 
 
 def decompose(H: HamiltonianMatrix) -> SpectralDecomposition:
@@ -175,10 +176,10 @@ def eigenvalues(H: HamiltonianMatrix) -> np.ndarray:
         raise ValueError("need dim >= 2")
     p = H.params
     if p.g == 0.0:
-        return scipy.linalg.eigvalsh(_real_if_real(H.dense())).astype(complex)
+        return scipy.linalg.eigvalsh(H.dense()).astype(complex)
     if p.bc == "obc":
         return scipy.linalg.eigvalsh(_gauge_free(p)[0]).astype(complex)
-    w = scipy.linalg.eigvals(_real_if_real(H.dense()))
+    w = scipy.linalg.eigvals(H.dense())
     _check_gap(w)
     return w[np.lexsort((w.imag, w.real))]
 

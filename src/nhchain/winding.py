@@ -103,6 +103,18 @@ def _checked_lu(A: np.ndarray, e0: complex):
     return lu, piv
 
 
+def _shifted(A: np.ndarray, e0: complex) -> np.ndarray:
+    """A - e0 on the (last two axes') diagonal, in place; a real A is
+    made complex only when e0 has an imaginary part."""
+    e0 = complex(e0)
+    if e0.imag:
+        A = A.astype(complex, copy=False)
+    if e0:
+        idx = np.arange(A.shape[-1])
+        A[..., idx, idx] -= e0 if e0.imag else e0.real
+    return A
+
+
 def log_det_phase(H_phi, e0: complex = 0.0):
     """(log|det|, principal phase) of det[H - e0].
 
@@ -114,15 +126,14 @@ def log_det_phase(H_phi, e0: complex = 0.0):
     """
     # A C-ordered array of our own: shifted in place, and its transpose
     # (Fortran-ordered, with det A^T = det A) factored in place.  .dense()
-    # of CSR entries is already a fresh C-ordered array.
-    fresh = isinstance(H_phi, HamiltonianMatrix) and H_phi.is_sparse
-    A = H_phi.dense() if isinstance(H_phi, HamiltonianMatrix) else H_phi
-    A = np.asarray(A, dtype=complex) if fresh else np.array(A, dtype=complex, order="C")
+    # is already a new C-ordered array, real when the matrix is.
+    if isinstance(H_phi, HamiltonianMatrix):
+        A = H_phi.dense()
+    else:
+        A = np.array(H_phi, dtype=complex, order="C")
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("need a square matrix or a stack of them")
-    if e0:
-        idx = np.arange(A.shape[-1])
-        A[..., idx, idx] -= e0
+    A = _shifted(A, e0)
     if A.ndim > 2:
         if not np.all(np.isfinite(A)):
             raise ValueError("array must not contain infs or NaNs")
@@ -199,10 +210,7 @@ def _low_rank_phases(
     """Phases of det[H(phi) - E0] / det[H(grid[0]) - E0] over the grid."""
     ref = params.with_flux(grid[0])
     H = build_single_particle(ref) if basis is None else build_many_body(ref, basis, fermionic_wrap)
-    A = np.asarray(H.dense(), dtype=complex)     # freshly built, so ours to overwrite
-    A[np.diag_indices_from(A)] -= cfg.e0
-    if not np.any(A.imag):
-        A = np.ascontiguousarray(A.real)         # real LU, real M
+    A = _shifted(H.dense(), cfg.e0)              # real LU and real M when H and E0 are real
     # A.T is Fortran-ordered, so it is factored in place; trans=1 below
     # then solves with A itself.
     lu_piv = _checked_lu(A.T, cfg.e0)

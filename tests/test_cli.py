@@ -74,6 +74,16 @@ def test_evolve_writes_series(tmp_path):
     assert sum(t0) == pytest.approx(1.0)        # normalized start
 
 
+def test_evolve_ends_at_tmax_and_counts_its_rows(tmp_path, capsys):
+    out = tmp_path / "evolve.csv"
+    rc = cli.main(["evolve", "--L", "8", "--g", "0.5", "--dt", "0.3", "--tmax", "1",
+                   "--observables", "ipr,density", "--out", str(out)])
+    assert rc == 0
+    rows = read_csv(str(out))
+    assert [float(r["t"]) for r in rows[::9]] == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+    assert f"({len(rows)} records)" in capsys.readouterr().out
+
+
 def test_evolve_j0_conflicts_with_filling():
     rc = cli.main(["evolve", "--L", "8", "--N", "4", "--j0", "3", "--tmax", "0.5"])
     assert rc == 1

@@ -1,7 +1,10 @@
 """Propagators, the evolution driver, and entanglement entropy."""
 
+import csv
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nhchain import (
     EvolverConfig,
@@ -245,6 +248,8 @@ def test_evolver_config_validation():
         EvolverConfig(M=0)
     with pytest.raises(ValueError):
         EvolverConfig(record_stride=0)
+    with pytest.raises(ValueError):
+        EvolverConfig(t_max=-1.0)
 
 
 def test_series_csv_round_trip(tmp_path):
@@ -272,3 +277,61 @@ def test_series_rows_are_time_major_and_lookups_are_exact():
     assert np.array_equal(profile, [r[3] for r in rows[15:21]])
     with pytest.raises(ValueError):
         series.profile_at("density", 0.3)
+
+
+def dense_svd_entropy(psi, basis, cut):
+    """Oracle: singular values of the full 2^cut x 2^(L-cut) amplitude matrix."""
+    A = np.zeros((1 << cut, 1 << (basis.L - cut)), dtype=complex)
+    A[basis.states & ((1 << cut) - 1), basis.states >> cut] = psi
+    s2 = scipy.linalg.svdvals(A) ** 2
+    s2 = s2[s2 > 1e-16]
+    return float(-np.sum(s2 * np.log(s2)))
+
+
+@pytest.mark.parametrize("L, N", [(2, 1), (5, 1), (6, 3), (9, 4), (11, 7), (12, 6), (18, 9)])
+def test_entropy_from_number_blocks_matches_dense_svd(L, N):
+    basis = build_fock_basis(L, N)
+    rng = np.random.default_rng(L * 100 + N)
+    psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi = psi / np.linalg.norm(psi)
+    cuts = range(1, L) if basis.dim < 48620 else (1, L // 2, L - 1)
+    for cut in cuts:
+        assert abs(entanglement_entropy(psi, basis, cut) - dense_svd_entropy(psi, basis, cut)) < 1e-12
+    # a product state: every block but one is empty
+    assert entanglement_entropy(initial_domain_wall(basis), basis) == 0.0
+
+
+def test_csv_bytes_match_the_csv_module(tmp_path):
+    density = np.array([[0.5, 0.25, 0.25], [np.nan, -0.0, 1e-300], [np.inf, -np.inf, 1 / 3]])
+    series = ObservableSeries(t=np.array([0.0, 0.1 + 0.2, 40.0]),
+                              blocks={"density": density, "ipr": np.array([[1.0], [-0.0], [np.nan]])})
+    series.write_csv(str(tmp_path / "fast.csv"))
+    with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "observable", "index", "value"])
+        writer.writerows(series.records)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_run_ends_at_t_max_off_the_step_grid():
+    p = ModelParams(L=10, g=0.5, W=1.0, bc="pbc")
+    psi0 = initial_localized(10, 5)
+    series = {method: run(p, EvolverConfig(method=method, M=10, dt=0.3, t_max=1.0),
+                          psi0, ("density",))
+              for method in ("krylov", "exact")}
+    assert series["krylov"].t.tolist() == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+    assert np.array_equal(series["krylov"].t, series["exact"].t)
+    assert np.abs(series["krylov"].profile_at("density", 1.0)
+                  - series["exact"].profile_at("density", 1.0)).max() < 1e-8
+    stride = run(p, EvolverConfig(M=10, dt=0.3, t_max=1.0, record_stride=2), psi0, ("ipr",))
+    assert stride.t.tolist() == [0.0, 0.6, 1.0]
+
+
+@pytest.mark.parametrize("dt, t_max, stride", [(0.2, 40.0, 1), (0.05, 1.0, 5), (0.1, 0.3, 1), (0.3, 0.0, 1)])
+def test_run_on_multiples_of_dt_keeps_the_step_grid(dt, t_max, stride):
+    # float near-multiples (40 / 0.2, 1 / 0.05) take whole steps only
+    p = ModelParams(L=6, g=0.5, W=1.0, bc="pbc")
+    series = run(p, EvolverConfig(M=6, dt=dt, t_max=t_max, record_stride=stride),
+                 initial_localized(6, 3), ("ipr",))
+    n = int(round(t_max / dt))
+    assert np.array_equal(series.t, np.array(sorted({*range(0, n + 1, stride), n})) * dt)

@@ -1,8 +1,12 @@
 """Biorthogonal decompositions and derived static observables."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+
+import nhchain.spectral as spectral
 
 from nhchain import (
     BiorthogonalizationError,
@@ -217,3 +221,74 @@ def test_mode_coefficients_invert_expansion():
     rng = np.random.default_rng(3)
     psi = rng.normal(size=12) + 1j * rng.normal(size=12)
     assert np.allclose(d.right @ (d.left @ psi), psi, atol=1e-10)
+
+
+# ------------------------------------------------ real arithmetic at zero flux
+
+def _pbc_matrix(L, N, fermionic_wrap=True, phi=0.0):
+    p = ModelParams(L=L, N=N, g=0.5, V=2.0 if N else 0.0, W=0.5 if N else 1.0, theta0=0.3,
+                    bc="pbc", phi=phi)
+    if N is None:
+        return build_single_particle(p), None
+    basis = build_fock_basis(L, N)
+    return build_many_body(p, basis, fermionic_wrap=fermionic_wrap), basis
+
+
+@pytest.mark.parametrize("L, N, fermionic_wrap", [
+    (13, None, True), (89, None, True),
+    (10, 4, True), (10, 5, True), (10, 5, False), (12, 6, True), (12, 6, False),
+])
+def test_real_general_route_matches_complex_solve(L, N, fermionic_wrap):
+    # wrap sign (-1)^(N-1): -1 at N = 4 and 6 with the fermionic sign on, +1 otherwise
+    H, basis = _pbc_matrix(L, N, fermionic_wrap)
+    assert H.dense().dtype == np.float64
+    real = decompose(H)
+    ref = spectral._decompose_general(H.dense().astype(complex))
+    assert _multiset_distance(real.eigenvalues, ref.eigenvalues) <= 1e-10
+    assert biorth_residual(real) <= 1e-10
+    assert np.mean(ipr_per_state(real)) == pytest.approx(np.mean(ipr_per_state(ref)), rel=1e-10)
+    assert (static_observables(real, basis).o_dw
+            == pytest.approx(static_observables(ref, basis).o_dw, rel=1e-10))
+    # complex eigenvalues of a real matrix come in exact conjugate pairs
+    w = real.eigenvalues
+    assert np.any(w.imag != 0.0)
+    assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+
+
+def test_real_matrices_reach_the_solvers_real(monkeypatch):
+    seen = []
+    for name in ("_decompose_general", "_decompose_hermitian"):
+        solve = getattr(spectral, name)
+        monkeypatch.setattr(spectral, name,
+                            lambda A, solve=solve: seen.append(A.dtype) or solve(A))
+    for phi, g, dtype in ((0.0, 0.5, np.float64), (0.7, 0.5, np.complex128),
+                          (0.0, 0.0, np.float64), (0.7, 0.0, np.complex128)):
+        for N in (None, 4):
+            seen.clear()
+            p = ModelParams(L=8, N=N, g=g, V=1.0, W=1.0, bc="pbc", phi=phi)
+            decompose(build_many_body(p, build_fock_basis(8, 4)) if N else build_single_particle(p))
+            assert seen == [dtype]
+
+
+def test_dense_of_real_csr_builds_no_complex_array():
+    H, _ = _pbc_matrix(12, 6)
+    assert H.is_sparse and H.entries.dtype == np.complex128
+    tracemalloc.start()
+    try:
+        A = H.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.dtype == np.float64 and A.flags.c_contiguous
+    assert peak < 1.25 * H.dim**2 * 8          # a complex dim x dim array is twice that
+    assert np.array_equal(A, H.entries.toarray())
+
+
+def test_dense_is_a_new_array():
+    H, _ = _pbc_matrix(6, None)
+    A = H.dense()
+    assert A.dtype == np.float64 and not np.shares_memory(A, H.entries)
+    B, _ = _pbc_matrix(6, None, phi=0.7)
+    C = B.dense()
+    assert C.dtype == np.complex128 and not np.shares_memory(C, B.entries)
+    assert np.array_equal(C, B.entries)
