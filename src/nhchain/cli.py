@@ -3,7 +3,17 @@
 Exit codes: 0 success, 1 validation error (bad flags, inconsistent
 combinations), 2 numerical failure (defective decomposition, ill-defined
 winding).  Results go to --out as CSV; without --out, row data is
-printed to stdout and the one-line summary moves to stderr.
+printed to stdout and the one-line summary moves to stderr.  Every
+command but `evolve` and `phase-diagram` (whose series and sweep
+modules write their own files) writes its rows through `_write_rows`.
+
+`--config FILE` reads flat `key = value` lines and turns each into the
+flag `--key=value`, placed right after the command name, so argparse
+checks it like any flag and a flag given on the command line wins.
+
+Each preset is a list of declared (panel, file, job) entries run by one
+runner; `_PRESETS` lists the optional flags each preset reads, and any
+other one is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import numpy as np
 from .dynamics import EvolverConfig, initial_domain_wall, initial_localized, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import BiorthogonalizationError, decompose, density_profile, cdw_order, eigenvalues, ipr
-from .sweep import SweepSpec, _effective_bc, inclusive_range, run_sweep_to_file
+from .sweep import QUANTITIES, SweepSpec, _effective_bc, inclusive_range, run_sweep_to_file
 from .winding import SingularBaseEnergyError, WindingConfig, WindingIllDefinedError, winding_result
 
 
@@ -30,6 +40,10 @@ class CLIError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # a flag, and so a config key, must be named in full: no prefix matching
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):   # argparse would sys.exit(2); we map to exit 1
         raise CLIError(message)
 
@@ -65,18 +79,16 @@ def _add_io_flags(p: _Parser) -> None:
     p.add_argument("--out", default=None)
 
 
-def _model_params(args, default_bc=None, scalar=True) -> ModelParams:
+def _model_params(args, default_bc=None) -> ModelParams:
     if args.L is None:
         raise CLIError("--L is required")
     bc = args.bc or default_bc or "obc"   # explicit flag wins over the command default
     if args.flux is not None and bc == "obc":
         raise CLIError("--flux only applies under --bc pbc")
 
-    def one(x, fallback):
+    def one(x, fallback):   # a grid flag builds the matrix at its first value
         if x is None:
             return fallback
-        if scalar and isinstance(x, tuple):
-            raise CLIError("grid-valued flag not allowed here")
         return x[0] if isinstance(x, tuple) else x
 
     return ModelParams(
@@ -90,8 +102,27 @@ def _summary(line: str, to_stderr: bool) -> None:
     print(line, file=sys.stderr if to_stderr else sys.stdout)
 
 
-def _load_config(path: str) -> dict:
-    values = {}
+def _write_rows(path, header: list, rows) -> None:
+    """Rows as CSV, floats formatted with .17g.
+
+    With a path: a file holding the header and the rows, written by the
+    csv module (CRLF line ends).  Without: the rows alone on stdout, one
+    LF-terminated line each.
+    """
+    rows = [[format(x, ".17g") if isinstance(x, float) else x for x in row] for row in rows]
+    if path:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    else:
+        for row in rows:
+            print(",".join(map(str, row)))
+
+
+def _config_flags(path: str) -> list:
+    """The `key = value` lines of a config file as `--key=value` flags."""
+    flags = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -100,26 +131,8 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise CLIError(f"config line is not key=value: {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
-    return values
-
-
-def _apply_config(parser: _Parser, sub: _Parser, args: argparse.Namespace, argv: list) -> argparse.Namespace:
-    """Turn config file entries into subparser defaults, then re-parse the
-    full command line so explicitly passed flags keep priority."""
-    values = _load_config(args.config)
-    actions = {a.dest: a for a in sub._actions}
-    defaults = {}
-    for key, text in values.items():
-        action = actions.get(key)
-        if action is None:
-            raise CLIError(f"unknown config key: {key}")
-        value = (action.type or str)(text)
-        if action.choices and value not in action.choices:
-            raise CLIError(f"config {key}={text!r} not in {sorted(action.choices)}")
-        defaults[key] = value
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 # ---------------------------------------------------------------- subcommands
@@ -132,15 +145,7 @@ def cmd_spectrum(args) -> int:
     else:
         H = build_single_particle(params)
     w = eigenvalues(H)
-    rows = [(i, z.real, z.imag) for i, z in enumerate(w)]
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "re", "im"])
-            writer.writerows(rows)
-    else:
-        for row in rows:
-            print(f"{row[0]},{row[1]:.17g},{row[2]:.17g}")
+    _write_rows(args.out, ["index", "re", "im"], [(i, z.real, z.imag) for i, z in enumerate(w)])
     _summary(f"spectrum: dim={len(w)} bc={params.bc} "
              f"max|Im|={np.abs(w.imag).max():.3e}"
              + (f" -> {args.out}" if args.out else ""), to_stderr=not args.out)
@@ -153,26 +158,21 @@ def cmd_winding(args) -> int:
         raise CLIError("winding needs --bc pbc")
     cfg = WindingConfig(n_points=args.points, e0=args.e0)
     S = args.samples
-    results = []
+    rows = []
     for s in range(S):
         p = replace(params, theta0=args.theta0 + 2.0 * np.pi * s / S)
         res = winding_result(p, cfg=cfg)
-        results.append((s, p.theta0, res))
+        rows.append((s, p.theta0, res.nu, res.raw))
         if S > 1:
             print(f"sample {s}: theta0={p.theta0:.6f} nu={res.nu} raw={res.raw:.6f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "theta0", "nu", "raw"])
-            for s, theta0, res in results:
-                writer.writerow([s, format(theta0, ".17g"), res.nu, format(res.raw, ".17g")])
-    mean = np.mean([res.nu for _, _, res in results])
-    print(f"nu = {mean:g}")
+        _write_rows(args.out, ["sample", "theta0", "nu", "raw"], rows)
+    print(f"nu = {np.mean([nu for _, _, nu, _ in rows]):g}")
     return 0
 
 
 def cmd_phase_diagram(args) -> int:
-    params = _model_params(args, scalar=False)
+    params = _model_params(args)
     quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
     spec = SweepSpec(
         base=params,
@@ -226,15 +226,7 @@ def cmd_ground_state(args) -> int:
     e0 = decomp.eigenvalues[k]
     state = decomp.right[:, k]
     dens = density_profile(state, basis)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["site", "density"])
-            for j, v in enumerate(dens):
-                writer.writerow([j, format(v, ".17g")])
-    else:
-        for j, v in enumerate(dens):
-            print(f"{j},{v:.17g}")
+    _write_rows(args.out, ["site", "density"], enumerate(dens))
     _summary(f"ground-state: E0={e0.real:.8g}{e0.imag:+.2e}j ipr={ipr(state):.4f} "
              f"o_dw={cdw_order(dens):.4f}" + (f" -> {args.out}" if args.out else ""),
              to_stderr=not args.out)
@@ -242,10 +234,14 @@ def cmd_ground_state(args) -> int:
 
 
 # -------------------------------------------------------------------- presets
+#
+# A preset declares its panels as (panel, file, job) entries.  A job is
+# the pair (write, meta): the function that writes the panel's file to
+# a given path, and the metadata read off the declaration.
 
-def _describe(spec: SweepSpec) -> dict:
-    """Panel metadata read off a sweep spec: each quantity with the bc it
-    is computed under, the grids, and the disorder sampling."""
+def _sweep(spec: SweepSpec, threads: int) -> tuple:
+    """Job: run the sweep into the file.  Metadata: each quantity with
+    the bc it is computed under, the grids, and the disorder sampling."""
     base = spec.base
     meta = {"quantities": {q: _effective_bc(q, base.bc) for q in spec.quantities},
             "L": base.L, "N": base.N, "g_grid": list(spec.g_grid), "v_grid": list(spec.v_grid),
@@ -254,48 +250,103 @@ def _describe(spec: SweepSpec) -> dict:
     if "winding" in spec.quantities:
         cfg = WindingConfig()      # the sweep's winding runs with the defaults
         meta.update(e0=cfg.e0, flux_points=cfg.n_points)
-    return meta
+    return (lambda path: run_sweep_to_file(replace(spec, out=path), threads=threads)), meta
 
 
-def _run_sweeps(args, out_dir: str, sweeps: list) -> tuple:
-    """Run the declared (panel, file, spec) sweeps of the selected panels.
+def _wave_packet(params: ModelParams, config: EvolverConfig, j0: int) -> tuple:
+    """Job: the density series of a particle started on site j0."""
+    def write(path):
+        run(params, config, initial_localized(params.L, j0), ("density",)).write_csv(path)
 
-    Returns the files written and each panel's metadata.  A key on which
-    a panel's specs disagree (fig2 a: the boundary condition) lists one
-    value per spec.
+    meta = {"L": params.L, "g": params.g, "W": params.W, "bc": params.bc, "j0": j0,
+            "M": config.M, "dt": config.dt, "t_max": config.t_max}
+    return write, meta
+
+
+def _entanglement_traces(params: ModelParams, config: EvolverConfig, S: int) -> tuple:
+    """Job: the entanglement entropy after a domain-wall start, for each
+    disorder phase theta0 = 2*pi*s/S (s < S) over time, then the sample mean."""
+    def write(path):
+        basis = build_fock_basis(params.L, params.N)
+        series = [run(replace(params, theta0=2.0 * np.pi * s / S), config,
+                      initial_domain_wall(basis), ("s_ee",), basis=basis) for s in range(S)]
+        # (len(t), S): the mean along each contiguous row adds the samples in order
+        stack = np.column_stack([x.blocks["s_ee"][:, 0] for x in series])
+        columns = [(str(s), stack[:, s]) for s in range(S)] + [("avg", stack.mean(axis=1))]
+        _write_rows(path, ["sample", "t", "s_ee"],
+                    [(sample, t, v) for sample, values in columns
+                     for t, v in zip(series[0].t, values)])
+
+    meta = {k: getattr(params, k) for k in ("L", "N", "g", "V", "W", "bc")}
+    meta.update(M=config.M, dt=config.dt, t_max=config.t_max, theta0_samples=S)
+    return write, meta
+
+
+def _winding_inset(L: int, N: int) -> tuple:
+    """Job: the winding at base energy -4 on both sides of the CDW onset."""
+    cfg = WindingConfig(e0=-4.0)
+    V_inset = (0.5, 5.0)
+
+    def write(path):
+        rows = []
+        for V in V_inset:
+            res = winding_result(ModelParams(L=L, N=N, g=0.5, V=V, W=0.0, bc="pbc"), cfg=cfg)
+            rows.append((V, cfg.e0, res.nu, res.raw))
+        _write_rows(path, ["V", "e0", "nu", "raw"], rows)
+
+    meta = {"inset": {"V": list(V_inset), "e0": cfg.e0, "flux_points": cfg.n_points,
+                      "note": "base energy -4 sits inside the weak-coupling point-gap "
+                              "loops and below the V=5 spectrum, so nu drops 16 -> 0"}}
+    return write, meta
+
+
+def _given(value, default):
+    """A preset flag's value, or the preset's default where it is not given."""
+    return default if value is None else value
+
+
+def _run_panels(which: str, out_dir: str, panels: list) -> tuple:
+    """Run the declared jobs of the selected panels, in panel order.
+
+    Returns the files written and each panel's metadata: the union of
+    its jobs' metadata, where a key on which the jobs disagree (fig2 a:
+    the boundary condition) lists one value per job.
     """
-    files, panels = [], {}
-    for panel in args.which or "abcd":
+    files, meta = [], {}
+    for panel in which:
         described = []
-        for p, name, spec in sweeps:
+        for p, name, (write, job_meta) in panels:
             if p == panel:
-                spec = replace(spec, out=os.path.join(out_dir, name))
-                run_sweep_to_file(spec, threads=args.threads)
-                files.append(spec.out)
-                described.append(_describe(spec))
-        panels[panel] = {k: v if all(d[k] == v for d in described) else [d[k] for d in described]
-                         for k, v in described[0].items()}
-    return files, panels
+                path = os.path.join(out_dir, name)
+                write(path)
+                files.append(path)
+                described.append(job_meta)
+        merged = {}
+        for key in dict.fromkeys(k for d in described for k in d):
+            values = [d[key] for d in described if key in d]
+            merged[key] = values[0] if all(v == values[0] for v in values) else values
+        meta[panel] = merged
+    return files, meta
 
 
-def _preset_fig1(args, out_dir: str) -> tuple:
+def _preset_fig1(args) -> tuple:
     """Single-particle (W, g) phase-diagram quartet."""
-    base = ModelParams(L=args.L or 89, bc="pbc")
+    base = ModelParams(L=_given(args.L, 89), bc="pbc")
     grids = dict(g_grid=inclusive_range(0.0, 1.0, 0.1), w_grid=inclusive_range(0.0, 8.0, 0.25),
-                 theta0_samples=args.samples or 10)
-    sweeps = [(panel, f"fig1_{panel}.csv", SweepSpec(base=base, quantities=(q,), **grids))
+                 theta0_samples=_given(args.samples, 10))
+    panels = [(panel, f"fig1_{panel}.csv",
+               _sweep(SweepSpec(base=base, quantities=(q,), **grids), args.threads))
               for panel, q in zip("abcd", ("ipr_obc", "winding", "ipr_pbc", "f_im"))]
-    files, panels = _run_sweeps(args, out_dir, sweeps)
-    return files, {"panels": panels, "notes": ["phase boundary expected along W = 2*exp(g)"]}
+    return panels, ["phase boundary expected along W = 2*exp(g)"]
 
 
-def _preset_fig2(args, out_dir: str) -> tuple:
+def _preset_fig2(args) -> tuple:
     """Many-body statics at half filling: density, Fock IPR, winding, CDW order."""
-    L = args.L or 12
+    L = _given(args.L, 12)
     N = L // 2
-    S = args.samples or 3
+    S = _given(args.samples, 3)
     w_grid = inclusive_range(0.0, 8.0, 0.5)
-    sweeps = [
+    specs = [
         *[("a", f"fig2_a_{bc}.csv",
            SweepSpec(base=ModelParams(L=L, N=N, g=0.5, V=2.0, W=0.5, bc=bc),
                      theta0_samples=S, quantities=("density",)))
@@ -307,123 +358,72 @@ def _preset_fig2(args, out_dir: str) -> tuple:
         ("d", "fig2_d.csv", SweepSpec(base=ModelParams(L=L, N=N, g=0.5, W=0.0, bc="obc"),
                                       v_grid=inclusive_range(0.0, 5.0, 0.25), quantities=("o_dw",))),
     ]
-    files, panels = _run_sweeps(args, out_dir, sweeps)
-    if "d" in panels:
-        inset = os.path.join(out_dir, "fig2_d_inset.csv")
-        cfg = WindingConfig(e0=-4.0)
-        with open(inset, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["V", "e0", "nu", "raw"])
-            for V_inset in (0.5, 5.0):
-                p = ModelParams(L=L, N=N, g=0.5, V=V_inset, W=0.0, bc="pbc")
-                res = winding_result(p, cfg=cfg)
-                writer.writerow([V_inset, cfg.e0, res.nu, format(res.raw, ".17g")])
-        files.append(inset)
-        panels["d"]["inset"] = {
-            "V": [0.5, 5.0], "e0": cfg.e0, "flux_points": cfg.n_points,
-            "note": "base energy -4 sits inside the weak-coupling point-gap "
-                    "loops and below the V=5 spectrum, so nu drops 16 -> 0"}
-    notes = [f"desk-scale run at L={L}, N={N}; steep CDW rise expected near V=2"]
-    return files, {"panels": panels, "notes": notes}
+    panels = [(p, name, _sweep(spec, args.threads)) for p, name, spec in specs]
+    panels.append(("d", "fig2_d_inset.csv", _winding_inset(L, N)))
+    return panels, [f"desk-scale run at L={L}, N={N}; steep CDW rise expected near V=2"]
 
 
-def _run_evolutions(args, out_dir: str, runs: list, observable: str,
-                    j0=None, samples=None) -> tuple:
-    """Run the declared (panel, file, params, config) evolutions of the
-    selected panels, recording one observable.
-
-    A single-particle run starts on site j0 and writes its series.  A
-    many-body run starts from the domain wall, once per disorder phase
-    theta0 = 2*pi*s/S (s < S = samples); its file holds each sample's
-    trace, then their average.  Returns the files written and each
-    panel's metadata, read off its declaration.
-    """
-    files, panels = [], {}
-    for panel in args.which or "abcd":
-        for p, name, params, config in runs:
-            if p != panel:
-                continue
-            out = os.path.join(out_dir, name)
-            if samples is None:
-                run(params, config, initial_localized(params.L, j0), (observable,)).write_csv(out)
-            else:
-                _write_sample_traces(out, observable, params, config, samples)
-            files.append(out)
-            knobs = ("L", "N", "g", "V", "W", "bc") if params.many_body else ("L", "g", "W", "bc")
-            meta = {k: getattr(params, k) for k in knobs}
-            if j0 is not None:
-                meta["j0"] = j0
-            meta.update(M=config.M, dt=config.dt, t_max=config.t_max)
-            if samples is not None:
-                meta["theta0_samples"] = samples
-            panels[panel] = meta
-    return files, panels
-
-
-def _write_sample_traces(path: str, observable: str, params: ModelParams,
-                         config: EvolverConfig, S: int) -> None:
-    """The observable of each of S disorder samples over time, then the sample mean."""
-    basis = build_fock_basis(params.L, params.N)
-    series = [run(replace(params, theta0=2.0 * np.pi * s / S), config, initial_domain_wall(basis),
-                  (observable,), basis=basis) for s in range(S)]
-    # (len(t), S): the mean along each contiguous row adds the samples in order
-    stack = np.column_stack([x.blocks[observable][:, 0] for x in series])
-    columns = [(str(s), stack[:, s]) for s in range(S)] + [("avg", stack.mean(axis=1))]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "t", observable])
-        writer.writerows([sample, format(t, ".17g"), format(v, ".17g")]
-                         for sample, values in columns for t, v in zip(series[0].t, values))
-
-
-def _preset_fig3(args, out_dir: str) -> tuple:
+def _preset_fig3(args) -> tuple:
     """Single-particle wave-packet propagation with an amplified front."""
-    L = args.L or 600
+    L = _given(args.L, 600)
     j0 = min(int(round(L * 580 / 600)), L - 1)
-    config = EvolverConfig(method="krylov", M=args.M if args.M is not None else 15,
-                           dt=args.dt if args.dt is not None else 0.2,
-                           t_max=args.tmax if args.tmax is not None else 40.0)
-    runs = [(panel, f"fig3_{panel}.csv", ModelParams(L=L, g=1.0, W=W, bc=bc), config)
-            for panel, (bc, W) in zip("abcd", (("pbc", 0.0), ("obc", 0.0),
-                                                ("pbc", 5.4), ("obc", 5.4)))]
-    files, panels = _run_evolutions(args, out_dir, runs, "density", j0=j0)
+    config = EvolverConfig(method="krylov", M=_given(args.M, 15), dt=_given(args.dt, 0.2),
+                           t_max=_given(args.tmax, 40.0))
+    panels = [(panel, f"fig3_{panel}.csv",
+               _wave_packet(ModelParams(L=L, g=1.0, W=W, bc=bc), config, j0))
+              for panel, (bc, W) in zip("abcd", (("pbc", 0.0), ("obc", 0.0),
+                                                  ("pbc", 5.4), ("obc", 5.4)))]
     notes = ["W=5.4 sits at the critical strength 2*exp(1) ~ 5.44 where spreading is enhanced"]
-    return files, {"panels": panels, "notes": notes}
+    return panels, notes
 
 
-def _preset_fig4(args, out_dir: str) -> tuple:
+def _preset_fig4(args) -> tuple:
     """Entanglement growth from the half-filled domain wall."""
-    L = args.L or 12
+    L = _given(args.L, 12)
     N = L // 2
     g = 0.5
     w_crit = 2.0 * 2.0 * np.exp(g)
-    config = EvolverConfig(method="krylov", M=args.M if args.M is not None else 25,
-                           dt=args.dt if args.dt is not None else 0.05,
-                           t_max=args.tmax if args.tmax is not None else 100.0,
-                           record_stride=5)
-    runs = [(panel, f"fig4_{panel}.csv", ModelParams(L=L, N=N, g=g, V=2.0, W=W, bc=bc), config)
-            for panel, (bc, W) in zip("abcd", (("pbc", 0.5), ("obc", 0.5),
-                                                ("pbc", w_crit), ("obc", w_crit)))]
-    files, panels = _run_evolutions(args, out_dir, runs, "s_ee", samples=args.samples or 5)
+    config = EvolverConfig(method="krylov", M=_given(args.M, 25), dt=_given(args.dt, 0.05),
+                           t_max=_given(args.tmax, 100.0), record_stride=5)
+    panels = [(panel, f"fig4_{panel}.csv",
+               _entanglement_traces(ModelParams(L=L, N=N, g=g, V=2.0, W=W, bc=bc), config,
+                                    _given(args.samples, 5)))
+              for panel, (bc, W) in zip("abcd", (("pbc", 0.5), ("obc", 0.5),
+                                                  ("pbc", w_crit), ("obc", w_crit)))]
     notes = [f"this run: L={L}, N={N} (dim {comb(L, N)}); published setting: L=18, N=8 "
              "(dim 43758)",
              "entanglement growth is logarithmic and nearly boundary-independent"]
-    return files, {"panels": panels, "notes": notes}
+    return panels, notes
 
 
-_PRESETS = {"fig1": _preset_fig1, "fig2": _preset_fig2, "fig3": _preset_fig3, "fig4": _preset_fig4}
+# name -> (declaration, the optional flags it reads besides --L, --which, --out-dir)
+_PRESETS = {
+    "fig1": (_preset_fig1, ("samples", "threads")),
+    "fig2": (_preset_fig2, ("samples", "threads")),
+    "fig3": (_preset_fig3, ("M", "dt", "tmax")),
+    "fig4": (_preset_fig4, ("M", "dt", "tmax", "samples")),
+}
 
 
 def cmd_preset(args) -> int:
     name = args.name
     if name is None:
         raise CLIError("preset name required (fig1|fig2|fig3|fig4)")
+    declare, reads = _PRESETS[name]
+    flags = dict.fromkeys(flag for _, takes in _PRESETS.values() for flag in takes)
+    ignored = [f"--{f}" for f in flags if f not in reads and getattr(args, f) is not None]
+    if ignored:
+        raise CLIError(f"preset {name} does not take {', '.join(ignored)}")
     if args.which and (set(args.which) - set("abcd")):
         raise CLIError("--which takes a subset of 'abcd'")
+    if args.threads is None:
+        args.threads = os.cpu_count() or 1
+    panels, notes = declare(args)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    files, meta = _PRESETS[name](args, out_dir)
-    meta = {"preset": name, "which": args.which or "abcd", "files": files, **meta}
+    files, panel_meta = _run_panels(args.which or "abcd", out_dir, panels)
+    meta = {"preset": name, "which": args.which or "abcd", "files": files,
+            "panels": panel_meta, "notes": notes}
     meta_path = os.path.join(out_dir, f"{name}_metadata.json")
     with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=1)
@@ -456,9 +456,7 @@ def build_parser() -> _Parser:
     _add_io_flags(p)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--quantities", default="f_im",
-                   help="comma list of " + ",".join(
-                       ("ipr_obc", "ipr_pbc", "f_im", "winding", "fock_ipr", "o_dw", "density")))
+    p.add_argument("--quantities", default="f_im", help="comma list of " + ",".join(QUANTITIES))
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("evolve", help="time evolution with observable recording")
@@ -483,11 +481,11 @@ def build_parser() -> _Parser:
     p.add_argument("--which", default=None, help="panel subset, e.g. 'a' or 'bd'")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--L", type=int, default=None)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--M", type=int, default=None, help="fig3, fig4")
+    p.add_argument("--dt", type=float, default=None, help="fig3, fig4")
+    p.add_argument("--tmax", type=float, default=None, help="fig3, fig4")
+    p.add_argument("--samples", type=int, default=None, help="fig1, fig2, fig4")
+    p.add_argument("--threads", type=int, default=None, help="fig1, fig2 (default: CPU count)")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_preset)
 
@@ -500,8 +498,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            sub = {a.dest: a for a in parser._actions}["command"].choices[args.command]
-            args = _apply_config(parser, sub, args, argv)
+            # the file's flags go first, so the command line's own win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
         return args.func(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

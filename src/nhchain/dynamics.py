@@ -122,7 +122,7 @@ def initial_localized(L: int, j0: int) -> np.ndarray:
 def initial_domain_wall(basis: FockBasis) -> np.ndarray:
     """Product state with the N highest-index sites occupied."""
     psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.index_of[((1 << basis.N) - 1) << (basis.L - basis.N)]] = 1.0
+    psi[np.searchsorted(basis.states, ((1 << basis.N) - 1) << (basis.L - basis.N))] = 1.0
     return psi
 
 

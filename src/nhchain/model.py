@@ -7,7 +7,7 @@ nearest-neighbor density-density interaction V, and a quasi-periodic
 
     W_j = W * cos(2*pi*theta*j + theta0),   j = 0 .. L-1,
 
-with theta the inverse golden ratio by default.  Both a single-particle
+with theta = THETA, the inverse golden ratio.  Both a single-particle
 matrix builder and a fixed-N many-body (occupation basis) builder are
 provided, under open or periodic boundaries with an optional flux twist
 on the wrap bond.
@@ -23,12 +23,12 @@ Conventions, fixed once here and relied on everywhere else:
 * Fock states are L-bit integers, bit j = occupation of site j, listed
   in ascending integer order.  With this ascending Jordan-Wigner
   ordering, bulk nearest-neighbor hops carry no fermionic sign; only the
-  periodic wrap hop picks up (-1)^(N-1), controlled by `fermionic_wrap`.
+  periodic wrap hop picks up (-1)^(N-1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from typing import Optional
@@ -59,7 +59,6 @@ class ModelParams:
     g: float = 0.0
     V: float = 0.0
     W: float = 0.0
-    theta: float = THETA
     theta0: float = 0.0
     bc: str = "obc"
     phi: float = 0.0
@@ -91,12 +90,15 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Ordered fixed-N occupation basis with O(1) word -> index lookup."""
+    """Ordered fixed-N occupation basis.
+
+    The index of a word is its position in `states`, found with
+    np.searchsorted(basis.states, word).
+    """
 
     L: int
     N: int
     states: np.ndarray          # int64 words, strictly ascending
-    index_of: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -139,7 +141,7 @@ class HamiltonianMatrix:
 def potential(params: ModelParams) -> np.ndarray:
     """Onsite quasi-periodic potential W*cos(2*pi*theta*j + theta0), j = 0..L-1."""
     j = np.arange(params.L)
-    return params.W * np.cos(TWO_PI * params.theta * j + params.theta0)
+    return params.W * np.cos(TWO_PI * THETA * j + params.theta0)
 
 
 def build_single_particle(params: ModelParams) -> HamiltonianMatrix:
@@ -172,8 +174,7 @@ def build_fock_basis(L: int, N: int) -> FockBasis:
     words = sorted(
         sum(1 << j for j in occupied) for occupied in combinations(range(L), N)
     )
-    states = np.array(words, dtype=np.int64)
-    return FockBasis(L=L, N=N, states=states, index_of={s: i for i, s in enumerate(words)})
+    return FockBasis(L=L, N=N, states=np.array(words, dtype=np.int64))
 
 
 def _bond_hops(states: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,11 +187,7 @@ def _bond_hops(states: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarr
     return src, targets
 
 
-def wrap_hops(
-    params: ModelParams,
-    basis: Optional[FockBasis] = None,
-    fermionic_wrap: bool = True,
-) -> tuple:
+def wrap_hops(params: ModelParams, basis: Optional[FockBasis] = None) -> tuple:
     """The flux-carrying wrap-bond hops (L-1 <-> 0) of the periodic chain.
 
     Returns two (rows, cols, amp) triplets, each hop adding amp to
@@ -199,8 +196,8 @@ def wrap_hops(
     cols are basis indices; with `basis` None they are the sites of the
     single-particle chain.  In the Fock basis each direction is a
     one-to-one map between C(L-2, N-1) states, and amp carries the
-    fermionic sign (-1)^(N-1) when `fermionic_wrap` is on.  Every other
-    matrix entry is independent of phi.
+    fermionic sign (-1)^(N-1).  Every other matrix entry is independent
+    of phi.
     """
     L = params.L
     up = -np.exp(params.g) * np.exp(1j * params.phi)
@@ -208,27 +205,22 @@ def wrap_hops(
     if basis is None:
         first, last = np.array([0]), np.array([L - 1])
     else:
-        if fermionic_wrap:
-            up, down = up * (-1.0) ** (basis.N - 1), down * (-1.0) ** (basis.N - 1)
+        up, down = up * (-1.0) ** (basis.N - 1), down * (-1.0) ** (basis.N - 1)
         # states with a particle on site 0 and none on L-1, and their images
         first, moved = _bond_hops(basis.states, L - 1, 0)
         last = np.searchsorted(basis.states, moved)
     return (last, first, up), (first, last, down)
 
 
-def build_many_body(
-    params: ModelParams,
-    basis: FockBasis,
-    fermionic_wrap: bool = True,
-) -> HamiltonianMatrix:
+def build_many_body(params: ModelParams, basis: FockBasis) -> HamiltonianMatrix:
     """Fixed-N Hamiltonian in the occupation basis.
 
     The diagonal carries sum_j V n_j n_{j+1} + sum_j W_j n_j (interaction
     wraps under periodic boundaries); off-diagonals move one particle
     across a bond with the single-particle amplitudes.  Bulk hops are
     sign-free in the ascending Jordan-Wigner ordering; the periodic wrap
-    hop is multiplied by (-1)^(N-1) when `fermionic_wrap` is on.  The
-    entries are CSR at every dimension.
+    hop is multiplied by (-1)^(N-1).  The entries are CSR at every
+    dimension.
     """
     if params.N != basis.N or params.L != basis.L:
         raise ValueError("basis does not match params (L, N)")
@@ -253,7 +245,7 @@ def build_many_body(
             cols.append(src)
             vals.append(np.full(len(src), amp, dtype=complex))
     if params.bc == "pbc":
-        for r, c, amp in wrap_hops(params, basis, fermionic_wrap):
+        for r, c, amp in wrap_hops(params, basis):
             rows.append(r)
             cols.append(c)
             vals.append(np.full(len(r), amp, dtype=complex))

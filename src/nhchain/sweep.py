@@ -8,6 +8,11 @@ grid index, never thread completion order.  Individual point failures
 (an ill-defined winding, a defective decomposition) become NaN rows
 with the message in the warnings column, and the sweep moves on.
 
+Quantities: `QUANTITIES` maps each name to the boundary condition it is
+forced to (`ipr_obc`, `ipr_pbc`, `winding`), or to None where it takes
+the spec's; each row's bc column holds the one it was computed under.
+`density` gives one row per site, named `density:j`.
+
 Output: `run_sweep_to_file` appends each grid point's rows to the CSV
 as soon as that point finishes, so an interrupted sweep keeps every
 finished point.  Resume: rerunning against an existing output file
@@ -32,7 +37,9 @@ from .model import ModelParams, build_fock_basis, build_many_body, build_single_
 from .spectral import decompose, eigenvalues, imag_fraction, ipr_per_state, static_observables
 from .winding import winding_result
 
-QUANTITIES = ("ipr_obc", "ipr_pbc", "f_im", "winding", "fock_ipr", "o_dw", "density")
+# Each quantity and the boundary condition it is computed under (None: the spec's).
+QUANTITIES = {"ipr_obc": "obc", "ipr_pbc": "pbc", "f_im": None, "winding": "pbc",
+              "fock_ipr": None, "o_dw": None, "density": None}
 
 CSV_COLUMNS = ("L", "N", "g", "V", "W", "theta0", "bc", "sample", "quantity", "value", "warnings")
 
@@ -129,24 +136,18 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
 
     for q in quantities:
         notes = []
+        bc = _effective_bc(q, params.bc)
         try:
-            if q == "ipr_obc":
-                value = float(np.mean(ipr_per_state(get_decomp("obc"))))
-            elif q == "ipr_pbc":
-                value = float(np.mean(ipr_per_state(get_decomp("pbc"))))
-            elif q == "f_im":
-                bc = params.bc
+            if q == "f_im":
                 value = imag_fraction(get_decomp(bc) if bc in vector_bcs else eigenvalues(matrix(bc)))
-            elif q == "fock_ipr":
-                value = float(np.mean(ipr_per_state(get_decomp(params.bc))))
             elif q == "winding":
                 res = winding_result(replace(params, bc="pbc", phi=0.0))
                 value = float(res.nu)
                 notes = list(res.warnings)
-            elif q == "o_dw":
-                value = static_observables(get_decomp(params.bc), basis).o_dw
-            elif q == "density":
-                value = static_observables(get_decomp(params.bc), basis).density
+            elif q in ("o_dw", "density"):
+                value = getattr(static_observables(get_decomp(bc), basis), q)
+            else:   # ipr_obc, ipr_pbc, fock_ipr: the mean over the right eigenvectors
+                value = float(np.mean(ipr_per_state(get_decomp(bc))))
         except Exception as exc:   # keep sweeping; the row carries the reason
             notes.append(f"{type(exc).__name__}: {exc}")
             value = np.full(params.L, np.nan) if q == "density" else float("nan")
@@ -156,8 +157,12 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
 
 def _effective_bc(quantity: str, base_bc: str) -> str:
     """Boundary condition a quantity is actually computed under."""
-    forced = {"ipr_obc": "obc", "ipr_pbc": "pbc", "winding": "pbc"}
-    return forced.get(quantity, base_bc)
+    return QUANTITIES.get(quantity) or base_bc
+
+
+def _names(quantity: str, L: int) -> list:
+    """The row names of a quantity: density has one row per site."""
+    return [f"density:{j}" for j in range(L)] if quantity == "density" else [quantity]
 
 
 def _sample_rows(spec: SweepSpec, g: float, V: float, W: float, s: int, results: dict) -> list:
@@ -165,15 +170,11 @@ def _sample_rows(spec: SweepSpec, g: float, V: float, W: float, s: int, results:
     theta0 = _theta0(spec, s)
     rows = []
     for q in spec.quantities:
-        value, notes = results[q]
+        value, notes = results[q]   # density: a length-L profile, NaN-filled on failure
         bc = _effective_bc(q, base.bc)
-        if q == "density":   # a length-L profile, NaN-filled on failure
-            for j, v in enumerate(value):
-                rows.append(ResultRecord(base.L, base.N, g, V, W, theta0, bc,
-                                         str(s), f"density:{j}", float(v), notes))
-        else:
+        for name, v in zip(_names(q, base.L), np.atleast_1d(value)):
             rows.append(ResultRecord(base.L, base.N, g, V, W, theta0, bc,
-                                     str(s), q, float(value), notes))
+                                     str(s), name, float(v), notes))
     return rows
 
 
@@ -197,9 +198,8 @@ def expected_keys(spec: SweepSpec, g: float, V: float, W: float) -> set:
     base = spec.base
     keys = set()
     for q in spec.quantities:
-        names = [f"density:{j}" for j in range(base.L)] if q == "density" else [q]
         bc = _effective_bc(q, base.bc)
-        for name in names:
+        for name in _names(q, base.L):
             for s in range(spec.theta0_samples):
                 keys.add(_key(base.L, base.N, g, V, W, _theta0(spec, s), bc, str(s), name))
             keys.add(_key(base.L, base.N, g, V, W, None, bc, "avg", name))

@@ -203,20 +203,19 @@ def winding_from_builder(builder: Callable[[float], object], cfg: Optional[Windi
 def _low_rank_phases(
     params: ModelParams,
     basis: Optional[FockBasis],
-    fermionic_wrap: bool,
     cfg: WindingConfig,
     grid: np.ndarray,
 ) -> np.ndarray:
     """Phases of det[H(phi) - E0] / det[H(grid[0]) - E0] over the grid."""
     ref = params.with_flux(grid[0])
-    H = build_single_particle(ref) if basis is None else build_many_body(ref, basis, fermionic_wrap)
+    H = build_single_particle(ref) if basis is None else build_many_body(ref, basis)
     A = _shifted(H.dense(), cfg.e0)              # real LU and real M when H and E0 are real
     # A.T is Fortran-ordered, so it is factored in place; trans=1 below
     # then solves with A itself.
     lu_piv = _checked_lu(A.T, cfg.e0)
 
     # at phi = 0 the amplitudes are the coefficients of z and 1/z
-    (rows_p, cols_p, amp_p), (rows_m, cols_m, amp_m) = wrap_hops(params.with_flux(0.0), basis, fermionic_wrap)
+    (rows_p, cols_p, amp_p), (rows_m, cols_m, amp_m) = wrap_hops(params.with_flux(0.0), basis)
     rows, cols = np.concatenate([rows_p, rows_m]), np.concatenate([cols_p, cols_m])
     k = np.arange(len(rows))
     U = np.zeros((H.dim, len(rows)), dtype=A.dtype, order="F")
@@ -237,20 +236,12 @@ def _low_rank_phases(
     return phases
 
 
-def winding_number(
-    params: ModelParams,
-    cfg: Optional[WindingConfig] = None,
-    fermionic_wrap: bool = True,
-) -> int:
+def winding_number(params: ModelParams, cfg: Optional[WindingConfig] = None) -> int:
     """Integer winding number of the model at base energy cfg.e0."""
-    return winding_result(params, cfg, fermionic_wrap).nu
+    return winding_result(params, cfg).nu
 
 
-def winding_result(
-    params: ModelParams,
-    cfg: Optional[WindingConfig] = None,
-    fermionic_wrap: bool = True,
-) -> WindingResult:
+def winding_result(params: ModelParams, cfg: Optional[WindingConfig] = None) -> WindingResult:
     """As winding_number, but returning diagnostics alongside the integer.
 
     The sector follows params.N: one particle when it is None, the
@@ -266,10 +257,10 @@ def winding_result(
 
     def phases_on(grid: np.ndarray) -> np.ndarray:
         if grid[0] != 0.0 or np.imag(cfg.e0) != 0.0:
-            return _low_rank_phases(params, basis, fermionic_wrap, cfg, grid)
+            return _low_rank_phases(params, basis, cfg, grid)
         # H(0) - E0 is real, so the phase at 2*pi - phi is minus that at phi
         n = len(grid) - 1
-        half = _low_rank_phases(params, basis, fermionic_wrap, cfg, grid[:n // 2 + 1])
+        half = _low_rank_phases(params, basis, cfg, grid[:n // 2 + 1])
         phases = np.empty(n + 1)
         phases[:n // 2 + 1] = half
         phases[n - np.arange(n // 2 + 1)] = -half

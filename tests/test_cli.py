@@ -12,6 +12,7 @@ from nhchain import (
     WindingIllDefinedError,
     build_single_particle,
     decompose,
+    eigenvalues,
     ipr_per_state,
     winding_result,
 )
@@ -40,6 +41,18 @@ def test_spectrum_stdout_mode(capsys):
     out, err = capsys.readouterr()
     assert len(out.strip().splitlines()) == 8   # data on stdout
     assert "spectrum: dim=8" in err             # summary moves to stderr
+
+
+def test_spectrum_file_and_stdout_hold_the_same_rows(tmp_path, capsys):
+    argv = ["spectrum", "--L", "9", "--g", "0.4", "--W", "1.5", "--bc", "pbc"]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "spec.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes().decode()
+    assert data.startswith("index,re,im\r\n") and data.count("\r\n") == 10
+    assert "\r" not in stdout and stdout.count("\n") == 9
+    assert data.split("\r\n")[1:] == stdout.split("\n")    # both end in an empty piece
 
 
 def test_winding_prints_integer(capsys):
@@ -127,6 +140,56 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("coupling = 3\n")
     assert cli.main(["spectrum", "--L", "8", "--config", str(cfg)]) == 1
+    cfg.write_text("thet = 0.3\n")                 # a key names its flag in full
+    assert cli.main(["spectrum", "--L", "8", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("text", ["bc = ring\n", "L 8\n", "name = fig3\n"])
+def test_config_entries_are_checked_as_flags(tmp_path, text, capsys):
+    # a value outside the flag's choices, a line without '=', and a key
+    # naming a positional argument
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert cli.main(["spectrum", "--L", "8", "--config", str(cfg)]) == 1
+    assert cli.main(["preset", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_command_line_flag_beats_config_on_either_side(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 13\nW = 1.0\nbc = pbc\n")
+    w = eigenvalues(build_single_particle(ModelParams(L=13, W=3.0, bc="pbc")))
+    for argv in (["--W", "3.0", "--config", str(cfg)], ["--config", str(cfg), "--W", "3.0"]):
+        out = tmp_path / "spec.csv"
+        assert cli.main(["spectrum", *argv, "--out", str(out)]) == 0
+        got = np.array([complex(float(r["re"]), float(r["im"])) for r in read_csv(str(out))])
+        assert np.array_equal(got, w)
+
+
+def test_preset_reads_its_flags_from_config(tmp_path):
+    cfg = tmp_path / "fig3.cfg"
+    cfg.write_text("tmax = 1\nL = 20\nwhich = b\n")
+    assert cli.main(["preset", "fig3", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "fig3_metadata.json").read_text())
+    assert meta["which"] == "b"
+    assert (meta["panels"]["b"]["L"], meta["panels"]["b"]["t_max"]) == (20, 1.0)
+
+
+# the optional flags each preset reads, besides --L, --which and --out-dir
+PRESET_FLAGS = {"fig1": {"--samples", "--threads"}, "fig2": {"--samples", "--threads"},
+                "fig3": {"--M", "--dt", "--tmax"}, "fig4": {"--M", "--dt", "--tmax", "--samples"}}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_FLAGS))
+def test_preset_refuses_flags_it_does_not_read(tmp_path, name, capsys):
+    values = {"--M": "3", "--dt": "0.1", "--tmax": "1", "--samples": "1", "--threads": "1"}
+    for flag in sorted(set(values) - PRESET_FLAGS[name]):
+        out_dir = tmp_path / flag.strip("-")
+        assert cli.main(["preset", name, "--L", "6", flag, values[flag],
+                         "--out-dir", str(out_dir)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_phase_diagram_with_resume(tmp_path, capsys):
@@ -251,6 +314,10 @@ def test_preset_rejects_bad_panel(tmp_path):
     assert cli.main(["preset", "fig3", "--which", "xz",
                      "--out-dir", str(tmp_path)]) == 1
     assert cli.main(["preset", "--out-dir", str(tmp_path)]) == 1
+    # a given 0 is refused, not replaced by the preset's default
+    assert cli.main(["preset", "fig1", "--samples", "0", "--out-dir", str(tmp_path / "o")]) == 1
+    assert cli.main(["preset", "fig3", "--L", "0", "--out-dir", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):

@@ -54,16 +54,16 @@ def test_initial_localized():
 def test_initial_domain_wall():
     basis = build_fock_basis(4, 2)
     psi = initial_domain_wall(basis)
-    assert psi[basis.index_of[0b1100]] == 1.0
+    assert psi[np.searchsorted(basis.states, 0b1100)] == 1.0
     assert np.count_nonzero(psi) == 1
     basis8 = build_fock_basis(8, 4)
     wall8 = initial_domain_wall(basis8)
-    assert wall8[basis8.index_of[0b11110000]] == 1.0
+    assert wall8[np.searchsorted(basis8.states, 0b11110000)] == 1.0
     assert entanglement_entropy(wall8, basis8) == pytest.approx(0.0, abs=1e-12)
     for (L, N), word in (((6, 2), 0b110000), ((7, 3), 0b1110000)):   # away from half filling
         basis = build_fock_basis(L, N)
         psi = initial_domain_wall(basis)
-        assert psi[basis.index_of[word]] == 1.0 and np.count_nonzero(psi) == 1
+        assert psi[np.searchsorted(basis.states, word)] == 1.0 and np.count_nonzero(psi) == 1
 
 
 def test_evolve_exact_t_zero_identity():
@@ -160,8 +160,7 @@ def test_krylov_tracks_exact_over_window():
 def test_entropy_single_particle_bell_pair():
     basis = build_fock_basis(2, 1)
     psi = np.zeros(2, dtype=complex)
-    psi[basis.index_of[0b01]] = 1.0 / np.sqrt(2.0)
-    psi[basis.index_of[0b10]] = 1.0 / np.sqrt(2.0)
+    psi[np.searchsorted(basis.states, [0b01, 0b10])] = 1.0 / np.sqrt(2.0)
     assert entanglement_entropy(psi, basis, cut=1) == pytest.approx(np.log(2.0), abs=1e-12)
 
 

@@ -59,3 +59,10 @@ def test_unused_private_definition_is_caught(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("def _kept():\n    pass\n\n\ndef _orphan():\n    return _kept()\n")
     assert unused_private_definitions([module]) == ["m.py:5 _orphan"]
+
+
+def test_unused_import_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os\nimport numpy as np\nfrom csv import writer, reader\n\n"
+                      "def f():\n    return np.zeros(1), writer\n")
+    assert unused_imports(module) == ["m.py:1 os", "m.py:3 reader"]

@@ -18,7 +18,7 @@ from nhchain import (
 from nhchain.model import wrap_hops
 
 
-def loop_built_many_body(params, basis, fermionic_wrap=True):
+def loop_built_many_body(params, basis):
     """Independent word-by-word builder used as an oracle for the
     vectorized construction.  Hops move one particle between adjacent
     sites; the amplified direction is toward lower site index."""
@@ -36,14 +36,14 @@ def loop_built_many_body(params, basis, fermionic_wrap=True):
         for j in range(bonds):
             a, b = j, (j + 1) % params.L
             wrap = b < a
-            sign = (-1) ** (params.N - 1) if (wrap and fermionic_wrap) else 1
+            sign = (-1) ** (params.N - 1) if wrap else 1
             phase = np.exp(1j * params.phi) if wrap else 1.0
             if occ[b] and not occ[a]:   # b -> a, toward lower index, amplified
                 tgt = word - (1 << b) + (1 << a)
-                H[basis.index_of[tgt], idx] += -np.exp(params.g) * phase * sign
+                H[np.searchsorted(basis.states, tgt), idx] += -np.exp(params.g) * phase * sign
             if occ[a] and not occ[b]:   # a -> b, damped
                 tgt = word - (1 << a) + (1 << b)
-                H[basis.index_of[tgt], idx] += -np.exp(-params.g) * np.conj(phase) * sign
+                H[np.searchsorted(basis.states, tgt), idx] += -np.exp(-params.g) * np.conj(phase) * sign
     return H
 
 
@@ -51,7 +51,7 @@ def test_fock_enumeration_ascending():
     basis = build_fock_basis(4, 2)
     assert basis.dim == 6
     assert list(basis.states) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
-    assert all(basis.index_of[w] == i for i, w in enumerate(basis.states))
+    assert list(np.searchsorted(basis.states, basis.states)) == list(range(6))
 
 
 def test_potential_profile():
@@ -129,20 +129,16 @@ def test_many_body_matches_loop_oracle():
 
 
 def test_many_body_wrap_sign_toggles():
-    # N=2: wrap hop picks up (-1)^(N-1) = -1 only with the fermionic flag on.
-    # 0 -> L-1 crosses the wrap bond in the amplified direction (the ring
+    # The wrap hop picks up the fermionic sign (-1)^(N-1), which toggles with
+    # N.  0 -> L-1 crosses the wrap bond in the amplified direction (the ring
     # continuation of hopping toward lower index).
-    basis = build_fock_basis(4, 2)
-    p = ModelParams(L=4, N=2, g=0.4, bc="pbc")
-    src = basis.index_of[0b0011]          # sites 0,1
-    tgt = basis.index_of[0b1010]          # site 0 wrapped to 3 -> sites 1,3
-    H_on = build_many_body(p, basis).dense()
-    H_off = build_many_body(p, basis, fermionic_wrap=False).dense()
-    assert H_on[tgt, src] == pytest.approx(np.exp(0.4))
-    assert H_off[tgt, src] == pytest.approx(-np.exp(0.4))
-    # bulk hop identical under both flags
-    bulk_tgt = basis.index_of[0b0101]     # site 1 -> 2
-    assert H_on[bulk_tgt, src] == H_off[bulk_tgt, src] == -np.exp(-0.4)
+    for N, src_word, tgt_word in ((1, 0b0001, 0b1000), (2, 0b0011, 0b1010), (3, 0b0111, 0b1110)):
+        basis = build_fock_basis(4, N)
+        H = build_many_body(ModelParams(L=4, N=N, g=0.4, bc="pbc"), basis).dense()
+        src, tgt = np.searchsorted(basis.states, [src_word, tgt_word])
+        assert H[tgt, src] == pytest.approx(-(-1.0) ** (N - 1) * np.exp(0.4))
+        if N == 2:   # the bulk hop of site 1 -> 2 carries no sign
+            assert H[np.searchsorted(basis.states, 0b0101), src] == -np.exp(-0.4)
 
 
 @pytest.mark.parametrize("L, N", [(2, None), (7, None), (2, 1), (6, 1), (6, 3), (7, 5)])
@@ -164,11 +160,13 @@ def test_interaction_diagonal():
     basis = build_fock_basis(4, 2)
     p = ModelParams(L=4, N=2, V=3.0, bc="obc")
     H = build_many_body(p, basis).dense()
-    assert H[basis.index_of[0b0011], basis.index_of[0b0011]] == pytest.approx(3.0)
-    assert H[basis.index_of[0b0101], basis.index_of[0b0101]] == pytest.approx(0.0)
+    i, j = np.searchsorted(basis.states, [0b0011, 0b0101])
+    assert H[i, i] == pytest.approx(3.0)
+    assert H[j, j] == pytest.approx(0.0)
     # wrap pair 0,3 counts only under pbc
     H_pbc = build_many_body(ModelParams(L=4, N=2, V=3.0, bc="pbc"), basis).dense()
-    assert H_pbc[basis.index_of[0b1001], basis.index_of[0b1001]] == pytest.approx(3.0)
+    k = np.searchsorted(basis.states, 0b1001)
+    assert H_pbc[k, k] == pytest.approx(3.0)
 
 
 def test_many_body_storage_is_csr_single_particle_dense():

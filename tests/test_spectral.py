@@ -1,12 +1,15 @@
 """Biorthogonal decompositions and derived static observables."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from scipy.optimize import linear_sum_assignment
 
 import nhchain.spectral as spectral
+from nhchain.model import wrap_hops
 
 from nhchain import (
     BiorthogonalizationError,
@@ -149,7 +152,7 @@ def test_imag_fraction_transition():
 def test_density_profile_fock_state():
     basis = build_fock_basis(8, 4)
     wall = np.zeros(basis.dim, dtype=complex)
-    wall[basis.index_of[0b11110000]] = 1.0
+    wall[np.searchsorted(basis.states, 0b11110000)] = 1.0
     dens = density_profile(wall, basis)
     assert np.allclose(dens, [0, 0, 0, 0, 1, 1, 1, 1], atol=1e-15)
 
@@ -226,12 +229,19 @@ def test_mode_coefficients_invert_expansion():
 # ------------------------------------------------ real arithmetic at zero flux
 
 def _pbc_matrix(L, N, fermionic_wrap=True, phi=0.0):
+    """The periodic chain; with fermionic_wrap False, its wrap hops carry the
+    opposite of the fermionic sign (-1)^(N-1) that the model builds."""
     p = ModelParams(L=L, N=N, g=0.5, V=2.0 if N else 0.0, W=0.5 if N else 1.0, theta0=0.3,
                     bc="pbc", phi=phi)
     if N is None:
         return build_single_particle(p), None
     basis = build_fock_basis(L, N)
-    return build_many_body(p, basis, fermionic_wrap=fermionic_wrap), basis
+    H = build_many_body(p, basis)
+    if not fermionic_wrap:
+        for rows, cols, amp in wrap_hops(p, basis):
+            H = replace(H, entries=H.entries - sparse.csr_matrix(
+                (np.full(len(rows), 2.0 * amp), (rows, cols)), shape=H.entries.shape))
+    return H, basis
 
 
 @pytest.mark.parametrize("L, N, fermionic_wrap", [
@@ -239,7 +249,7 @@ def _pbc_matrix(L, N, fermionic_wrap=True, phi=0.0):
     (10, 4, True), (10, 5, True), (10, 5, False), (12, 6, True), (12, 6, False),
 ])
 def test_real_general_route_matches_complex_solve(L, N, fermionic_wrap):
-    # wrap sign (-1)^(N-1): -1 at N = 4 and 6 with the fermionic sign on, +1 otherwise
+    # wrap sign (-1)^(N-1) with the fermionic sign (-1 at N = 4 and 6), its opposite without
     H, basis = _pbc_matrix(L, N, fermionic_wrap)
     assert H.dense().dtype == np.float64
     real = decompose(H)

@@ -74,14 +74,15 @@ def test_log_det_phase_stack_singular_member_rejected():
 # Small chains on which the low-rank route of winding_result must agree
 # with one dense factorization per flux point: one particle for every L
 # (at L=2 the wrap and bulk bonds join the same two sites), Fock sectors
-# up to N=5 with both wrap signs, both signs of g, real and complex E0,
-# and two chains singular at phi = 0 that need the half-step retry.
+# up to N=5 (both wrap signs, through N parity), both signs of g, real
+# and complex E0, and two chains singular at phi = 0 that need the
+# half-step retry.
 SMALL_CASES = (
     [dict(L=L, g=g, W=1.1, e0=e0) for L in range(2, 22)
      for g, e0 in ((0.5, 0.0), (-0.3, 0.3 - 0.2j))]
-    + [dict(L=L, N=N, g=g, V=1.5, W=0.7, e0=e0, fermionic_wrap=fw)
+    + [dict(L=L, N=N, g=g, V=1.5, W=0.7, e0=e0)
        for L in range(2, 9) for N in range(1, min(L, 6))
-       for (g, e0), fw in (((0.5, 0.0), True), ((-0.4, -1.0 + 0.3j), False))]
+       for g, e0 in ((0.5, 0.0), (-0.4, -1.0 + 0.3j))]
     + [dict(L=4, g=0.0, W=0.0, e0=0.0), dict(L=2, g=0.0, W=0.0, e0=2.0)]
 )
 
@@ -98,21 +99,21 @@ def test_low_rank_winding_matches_flux_grid():
     mismatches = []
     for case in SMALL_CASES:
         case = dict(case)
-        e0, fw = case.pop("e0"), case.pop("fermionic_wrap", True)
+        e0 = case.pop("e0")
         p = ModelParams(theta0=0.4, bc="pbc", **case)
         cfg = WindingConfig(e0=e0)
         if p.many_body:
             basis = build_fock_basis(p.L, p.N)
-            builder = lambda phi: build_many_body(p.with_flux(phi), basis, fw)
+            builder = lambda phi: build_many_body(p.with_flux(phi), basis)
         else:
             builder = lambda phi: build_single_particle(p.with_flux(phi))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WindingWarning)
-            fast = _outcome(lambda: winding_result(p, cfg, fermionic_wrap=fw))
+            fast = _outcome(lambda: winding_result(p, cfg))
             grid = _outcome(lambda: winding_from_builder(builder, cfg))
         same = fast[:2] == grid[:2] and (fast[2] is None or abs(fast[2] - grid[2]) <= 1e-9)
         if not same:
-            mismatches.append((case, e0, fw, fast, grid))
+            mismatches.append((case, e0, fast, grid))
     assert mismatches == []
 
 
@@ -147,7 +148,7 @@ def test_real_base_energy_evaluates_half_the_loop(monkeypatch, case):
 
     basis = build_fock_basis(p.L, p.N) if p.many_body else None
     grid = 2.0 * np.pi * np.arange(202) / 201
-    full = winding_mod._low_rank_phases(p, basis, True, WindingConfig(e0=-0.5), grid)
+    full = winding_mod._low_rank_phases(p, basis, WindingConfig(e0=-0.5), grid)
     assert np.abs(np.angle(np.exp(1j * (phases[0] - full)))).max() <= 1e-12
 
 
