@@ -58,6 +58,14 @@ def _parse_grid(text: str) -> tuple:
     raise CLIError(f"grid must be 'value' or 'start:stop:step', got {text!r}")
 
 
+def _sample_count(text: str) -> int:
+    """A --samples value: a whole number of disorder phases, at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_model_flags(p: _Parser, grid: bool = False, flux: bool = True) -> None:
     num = _parse_grid if grid else float
     p.add_argument("--L", type=int, default=None)
@@ -239,7 +247,7 @@ def cmd_ground_state(args) -> int:
 # the pair (write, meta): the function that writes the panel's file to
 # a given path, and the metadata read off the declaration.
 
-def _sweep(spec: SweepSpec, threads: int) -> tuple:
+def _sweep(spec: SweepSpec) -> tuple:
     """Job: run the sweep into the file.  Metadata: each quantity with
     the bc it is computed under, the grids, and the disorder sampling."""
     base = spec.base
@@ -250,7 +258,7 @@ def _sweep(spec: SweepSpec, threads: int) -> tuple:
     if "winding" in spec.quantities:
         cfg = WindingConfig()      # the sweep's winding runs with the defaults
         meta.update(e0=cfg.e0, flux_points=cfg.n_points)
-    return (lambda path: run_sweep_to_file(replace(spec, out=path), threads=threads)), meta
+    return (lambda path: run_sweep_to_file(replace(spec, out=path))), meta
 
 
 def _wave_packet(params: ModelParams, config: EvolverConfig, j0: int) -> tuple:
@@ -335,7 +343,7 @@ def _preset_fig1(args) -> tuple:
     grids = dict(g_grid=inclusive_range(0.0, 1.0, 0.1), w_grid=inclusive_range(0.0, 8.0, 0.25),
                  theta0_samples=_given(args.samples, 10))
     panels = [(panel, f"fig1_{panel}.csv",
-               _sweep(SweepSpec(base=base, quantities=(q,), **grids), args.threads))
+               _sweep(SweepSpec(base=base, quantities=(q,), **grids)))
               for panel, q in zip("abcd", ("ipr_obc", "winding", "ipr_pbc", "f_im"))]
     return panels, ["phase boundary expected along W = 2*exp(g)"]
 
@@ -358,7 +366,7 @@ def _preset_fig2(args) -> tuple:
         ("d", "fig2_d.csv", SweepSpec(base=ModelParams(L=L, N=N, g=0.5, W=0.0, bc="obc"),
                                       v_grid=inclusive_range(0.0, 5.0, 0.25), quantities=("o_dw",))),
     ]
-    panels = [(p, name, _sweep(spec, args.threads)) for p, name, spec in specs]
+    panels = [(p, name, _sweep(spec)) for p, name, spec in specs]
     panels.append(("d", "fig2_d_inset.csv", _winding_inset(L, N)))
     return panels, [f"desk-scale run at L={L}, N={N}; steep CDW rise expected near V=2"]
 
@@ -398,8 +406,8 @@ def _preset_fig4(args) -> tuple:
 
 # name -> (declaration, the optional flags it reads besides --L, --which, --out-dir)
 _PRESETS = {
-    "fig1": (_preset_fig1, ("samples", "threads")),
-    "fig2": (_preset_fig2, ("samples", "threads")),
+    "fig1": (_preset_fig1, ("samples",)),
+    "fig2": (_preset_fig2, ("samples",)),
     "fig3": (_preset_fig3, ("M", "dt", "tmax")),
     "fig4": (_preset_fig4, ("M", "dt", "tmax", "samples")),
 }
@@ -414,10 +422,8 @@ def cmd_preset(args) -> int:
     ignored = [f"--{f}" for f in flags if f not in reads and getattr(args, f) is not None]
     if ignored:
         raise CLIError(f"preset {name} does not take {', '.join(ignored)}")
-    if args.which and (set(args.which) - set("abcd")):
-        raise CLIError("--which takes a subset of 'abcd'")
-    if args.threads is None:
-        args.threads = os.cpu_count() or 1
+    if args.which and (set(args.which) - set("abcd") or len(set(args.which)) < len(args.which)):
+        raise CLIError("--which takes a subset of 'abcd', each panel once")
     panels, notes = declare(args)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -448,14 +454,15 @@ def build_parser() -> _Parser:
     _add_io_flags(p)
     p.add_argument("--e0", type=complex, default=0.0, help="base energy")
     p.add_argument("--points", type=int, default=201, help="flux grid points")
-    p.add_argument("--samples", type=int, default=1, help="theta0 samples")
+    p.add_argument("--samples", type=_sample_count, default=1, help="theta0 samples")
     p.set_defaults(func=cmd_winding)
 
     p = sub.add_parser("phase-diagram", help="sweep grids of (g, V, W)")
     _add_model_flags(p, grid=True, flux=False)
     _add_io_flags(p)
-    p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--samples", type=_sample_count, default=1)
+    # sweeps run in the calling thread; kept for bench/workloads.py, which passes 1
+    p.add_argument("--threads", type=int, choices=(1,), default=1)
     p.add_argument("--quantities", default="f_im", help="comma list of " + ",".join(QUANTITIES))
     p.set_defaults(func=cmd_phase_diagram)
 
@@ -484,8 +491,7 @@ def build_parser() -> _Parser:
     p.add_argument("--M", type=int, default=None, help="fig3, fig4")
     p.add_argument("--dt", type=float, default=None, help="fig3, fig4")
     p.add_argument("--tmax", type=float, default=None, help="fig3, fig4")
-    p.add_argument("--samples", type=int, default=None, help="fig1, fig2, fig4")
-    p.add_argument("--threads", type=int, default=None, help="fig1, fig2 (default: CPU count)")
+    p.add_argument("--samples", type=_sample_count, default=None, help="fig1, fig2, fig4")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_preset)
 

@@ -155,10 +155,9 @@ def build_single_particle(params: ModelParams) -> HamiltonianMatrix:
     L = params.L
     H = np.zeros((L, L), dtype=complex)
     np.fill_diagonal(H, potential(params))
-    up, down = -np.exp(params.g), -np.exp(-params.g)
-    for j in range(L - 1):
-        H[j, j + 1] = up
-        H[j + 1, j] = down
+    j = np.arange(L - 1)
+    H[j, j + 1] = -np.exp(params.g)
+    H[j + 1, j] = -np.exp(-params.g)
     if params.bc == "pbc":
         for rows, cols, amp in wrap_hops(params):
             H[rows, cols] += amp

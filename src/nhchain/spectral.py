@@ -75,8 +75,6 @@ class SpectralDecomposition:
 class StaticObservables:
     """Bundle of the static diagnostics used by sweeps."""
 
-    ipr_per_state: np.ndarray
-    f_im: float
     density: np.ndarray         # eigenstate-averaged per-site occupation
     o_dw: float
 
@@ -184,19 +182,23 @@ def eigenvalues(H: HamiltonianMatrix) -> np.ndarray:
     return w[np.lexsort((w.imag, w.real))]
 
 
+def _weights(states) -> np.ndarray:
+    """|psi|^2 normalized along axis 0: of one state, or of each column."""
+    p = np.abs(np.asarray(states)) ** 2
+    total = p.sum(axis=0)
+    if np.any(total < 1e-300):
+        raise ValueError("a zero vector has no normalized weights")
+    return p / total
+
+
 def ipr(state: np.ndarray) -> float:
     """Inverse participation ratio sum_j |psi_j|^4 (defensively normalized)."""
-    p = np.abs(np.asarray(state)) ** 2
-    total = p.sum()
-    if total < 1e-300:
-        raise ValueError("zero vector has no participation ratio")
-    p = p / total
+    p = _weights(state)
     return float(np.sum(p * p))
 
 
 def ipr_per_state(decomp: SpectralDecomposition) -> np.ndarray:
-    p = np.abs(decomp.right) ** 2
-    p = p / p.sum(axis=0, keepdims=True)
+    p = _weights(decomp.right)
     return np.sum(p * p, axis=0)
 
 
@@ -214,19 +216,18 @@ def density_profile(
     basis: Optional[FockBasis] = None,
     left_state: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Per-site occupation of a normalized state.
+    """Per-site occupation of a normalized state, or of each column of a
+    matrix of states.
 
     Single-particle (no basis): |psi_j|^2.  Many-body: sum of |c_s|^2
     over states occupying site j.  Passing `left_state` (the matching
     left eigenvector) switches to the biorthogonal expectation
     Re(sum_s l_s c_s n_j(s)) instead of the right-vector default.
     """
-    state = np.asarray(state)
     if left_state is not None:
-        weights = (np.asarray(left_state) * state).real
+        weights = (np.asarray(left_state) * np.asarray(state)).real
     else:
-        weights = np.abs(state) ** 2
-        weights = weights / weights.sum()
+        weights = _weights(state)
     return weights if basis is None else basis.occupations().T @ weights
 
 
@@ -242,13 +243,5 @@ def static_observables(
     basis: Optional[FockBasis] = None,
 ) -> StaticObservables:
     """Eigenstate-averaged diagnostics of one decomposition."""
-    per_state = ipr_per_state(decomp)
-    p = np.abs(decomp.right) ** 2
-    p = p / p.sum(axis=0, keepdims=True)
-    density = (p if basis is None else basis.occupations().T @ p).mean(axis=1)
-    return StaticObservables(
-        ipr_per_state=per_state,
-        f_im=imag_fraction(decomp),
-        density=density,
-        o_dw=cdw_order(density),
-    )
+    density = density_profile(decomp.right, basis).mean(axis=1)
+    return StaticObservables(density=density, o_dw=cdw_order(density))

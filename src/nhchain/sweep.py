@@ -3,8 +3,9 @@
 A sweep walks the Cartesian product of g, V and W grids; at each point
 the requested quantities are evaluated for S evenly spaced disorder
 phases theta0 = theta0_base + 2*pi*s/S and then averaged.  Evenly spaced phases stand
-in for random draws so a rerun is bit-identical; output order follows
-grid index, never thread completion order.  Individual point failures
+in for random draws so a rerun is bit-identical.  Grid points run one
+after another in grid order, each one's samples in the calling thread
+just before its rows are written.  Individual point failures
 (an ill-defined winding, a defective decomposition) become NaN rows
 with the message in the warnings column, and the sweep moves on.
 
@@ -26,9 +27,8 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -242,40 +242,29 @@ def _check_compatible(spec: SweepSpec, records: Sequence[ResultRecord]) -> None:
             )
 
 
-def _point_rows(spec: SweepSpec, threads: int, have: set) -> Iterator[list]:
+def _point_rows(spec: SweepSpec, have: set) -> Iterator[list]:
     """Each grid point's rows not already in `have`, one list per point, in grid order.
 
     Points whose rows are all in `have` are skipped; partially covered
-    points are recomputed and only their missing rows are returned.
+    points are recomputed and only their missing rows are returned.  A
+    point is computed only when its rows are asked for.
     """
-    points = [(g, V, W) for g in spec.g_grid for V in spec.v_grid for W in spec.w_grid]
-    todo = [pt for pt in points if not expected_keys(spec, *pt) <= have]
-
     basis = build_fock_basis(spec.base.L, spec.base.N) if spec.base.many_body else None
-
-    def compute(task):
-        g, V, W, s = task
-        params = replace(spec.base, g=g, V=V, W=W, theta0=_theta0(spec, s))
-        return _evaluate_sample(params, spec.quantities, basis)
-
-    tasks = [(g, V, W, s) for (g, V, W) in todo for s in range(spec.theta0_samples)]
-    S = spec.theta0_samples
-    with ExitStack() as stack:
-        # One thread computes each sample in the caller's thread, just before
-        # its point is written.  Both maps preserve task order.
-        mapper = stack.enter_context(ThreadPoolExecutor(threads)).map if threads > 1 else map
-        results = mapper(compute, tasks)
-        for g, V, W in todo:
-            point_rows = []
-            for s in range(S):
-                point_rows.extend(_sample_rows(spec, g, V, W, s, next(results)))
-            rows = point_rows + _average_rows(spec, g, V, W, point_rows)
-            yield [r for r in rows if r.key not in have]
+    for g, V, W in product(spec.g_grid, spec.v_grid, spec.w_grid):
+        if expected_keys(spec, g, V, W) <= have:
+            continue
+        point_rows = []
+        for s in range(spec.theta0_samples):
+            params = replace(spec.base, g=g, V=V, W=W, theta0=_theta0(spec, s))
+            results = _evaluate_sample(params, spec.quantities, basis)
+            point_rows.extend(_sample_rows(spec, g, V, W, s, results))
+        rows = point_rows + _average_rows(spec, g, V, W, point_rows)
+        yield [r for r in rows if r.key not in have]
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> Iterator[ResultRecord]:
+def run_sweep(spec: SweepSpec) -> Iterator[ResultRecord]:
     """Yield records grid point by grid point, in grid order."""
-    for rows in _point_rows(spec, threads, set()):
+    for rows in _point_rows(spec, set()):
         yield from rows
 
 
@@ -315,8 +304,11 @@ def run_sweep_to_file(spec: SweepSpec, threads: int = 1) -> tuple:
 
     Each grid point's rows are appended as soon as the point finishes.
     Raises ValueError when spec.out holds rows of an incompatible run
-    (see _check_compatible); the file is then left untouched.
+    (see _check_compatible); the file is then left untouched.  `threads`
+    accepts only 1: every sweep runs in the calling thread.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1 (sweeps run in the calling thread), got {threads}")
     if spec.out is None:
         raise ValueError("spec.out must be set")
     existing = []
@@ -324,6 +316,6 @@ def run_sweep_to_file(spec: SweepSpec, threads: int = 1) -> tuple:
         existing = read_records_csv(spec.out)
     _check_compatible(spec, existing)
     written = 0
-    for rows in _point_rows(spec, threads, {r.key for r in existing}):
+    for rows in _point_rows(spec, {r.key for r in existing}):
         written += write_records_csv(rows, spec.out, append=True)
     return written, len(existing)

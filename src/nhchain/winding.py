@@ -93,8 +93,7 @@ def _principal(phase):
 def _checked_lu(A: np.ndarray, e0: complex):
     """LU factors of A (overwritten when Fortran-ordered), pivots checked."""
     # LAPACK's getrf as lu_factor calls it, minus lu_factor's warning on an
-    # exactly singular A: that is ours to report, and silencing it would
-    # swap process-wide warning state inside the sweep's worker threads.
+    # exactly singular A: that is ours to report, through the pivot check below.
     getrf = scipy.linalg.get_lapack_funcs("getrf", (A,))
     lu, piv, _ = getrf(np.asarray_chkfinite(A), overwrite_a=True)
     mags = np.abs(np.diag(lu))

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
 
 import nhchain.cli as cli
+import nhchain.sweep as sweep_mod
 from nhchain import (
     ModelParams,
     WindingIllDefinedError,
@@ -177,7 +179,7 @@ def test_preset_reads_its_flags_from_config(tmp_path):
 
 
 # the optional flags each preset reads, besides --L, --which and --out-dir
-PRESET_FLAGS = {"fig1": {"--samples", "--threads"}, "fig2": {"--samples", "--threads"},
+PRESET_FLAGS = {"fig1": {"--samples"}, "fig2": {"--samples"},
                 "fig3": {"--M", "--dt", "--tmax"}, "fig4": {"--M", "--dt", "--tmax", "--samples"}}
 
 
@@ -195,8 +197,7 @@ def test_preset_refuses_flags_it_does_not_read(tmp_path, name, capsys):
 def test_phase_diagram_with_resume(tmp_path, capsys):
     out = tmp_path / "pd.csv"
     argv = ["phase-diagram", "--L", "13", "--g", "0.5", "--W", "0:2:1",
-            "--bc", "pbc", "--samples", "2", "--quantities", "f_im",
-            "--threads", "2", "--out", str(out)]
+            "--bc", "pbc", "--samples", "2", "--quantities", "f_im", "--out", str(out)]
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
     assert "(9 rows written, 0 reused)" in first
@@ -206,6 +207,29 @@ def test_phase_diagram_with_resume(tmp_path, capsys):
     second = capsys.readouterr().out
     assert "(0 rows written, 9 reused)" in second
     assert len(read_csv(str(out))) == n_rows    # nothing re-appended
+
+
+def test_phase_diagram_computes_in_the_main_thread_and_takes_one_thread_only(
+        tmp_path, monkeypatch, capsys):
+    out = tmp_path / "pd.csv"
+    argv = ["phase-diagram", "--L", "13", "--g", "0.5", "--W", "0:2:1", "--bc", "pbc",
+            "--samples", "2", "--quantities", "f_im", "--out", str(out)]
+    assert cli.main(argv + ["--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+    seen = []
+    evaluate = sweep_mod._evaluate_sample
+
+    def recording(*args):
+        seen.append(threading.current_thread())
+        return evaluate(*args)
+
+    monkeypatch.setattr(sweep_mod, "_evaluate_sample", recording)
+    assert cli.main(argv) == 0
+    assert seen == [threading.main_thread()] * 6       # 3 points x 2 samples
+    assert cli.main(argv + ["--threads", "1"]) == 0    # the value the benchmark passes
+    assert "(0 rows written, 9 reused)" in capsys.readouterr().out
 
 
 def test_phase_diagram_honours_theta0(tmp_path):
@@ -280,7 +304,7 @@ def test_preset_fig4_panels(tmp_path):
 
 def test_preset_metadata_is_read_off_the_sweeps(tmp_path):
     rc = cli.main(["preset", "fig1", "--which", "ab", "--L", "5", "--samples", "1",
-                   "--threads", "1", "--out-dir", str(tmp_path)])
+                   "--out-dir", str(tmp_path)])
     assert rc == 0
     panels = json.loads((tmp_path / "fig1_metadata.json").read_text())["panels"]
     assert panels["a"]["quantities"] == {"ipr_obc": "obc"}
@@ -290,7 +314,7 @@ def test_preset_metadata_is_read_off_the_sweeps(tmp_path):
     assert panels["a"]["theta0_samples"] == 1
 
     rc = cli.main(["preset", "fig2", "--which", "a", "--L", "6", "--samples", "1",
-                   "--threads", "1", "--out-dir", str(tmp_path)])
+                   "--out-dir", str(tmp_path)])
     assert rc == 0
     meta = json.loads((tmp_path / "fig2_metadata.json").read_text())
     assert set(meta) == {"preset", "which", "files", "panels", "notes"}
@@ -318,6 +342,20 @@ def test_preset_rejects_bad_panel(tmp_path):
     assert cli.main(["preset", "fig1", "--samples", "0", "--out-dir", str(tmp_path / "o")]) == 1
     assert cli.main(["preset", "fig3", "--L", "0", "--out-dir", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["winding", "--L", "13", "--g", "0.5", "--W", "1", "--samples", "0"], "--samples"),
+    (["winding", "--L", "13", "--g", "0.5", "--W", "1", "--samples", "-2"], "--samples"),
+    (["preset", "fig4", "--samples", "0"], "--samples"),
+    (["preset", "fig3", "--which", "aa"], "--which"),      # a panel named twice
+])
+def test_bad_sample_count_and_repeated_panel_are_refused(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out" if argv[0] == "winding" else "--out-dir", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert flag in stderr and stdout == ""
+    assert not out.exists()
 
 
 def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):

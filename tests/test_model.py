@@ -69,6 +69,23 @@ def test_two_site_matrix_explicit():
     assert np.allclose(H, expect, atol=1e-15)
 
 
+@pytest.mark.parametrize("L", [3, 8, 89])
+@pytest.mark.parametrize("bc", ["obc", "pbc"])
+def test_single_particle_matches_loop_oracle(L, bc):
+    # the hop-by-hop build, compared bit for bit (signed zeros included)
+    p = ModelParams(L=L, g=0.4, W=1.3, theta0=0.2, bc=bc, phi=0.7 if bc == "pbc" else 0.0)
+    oracle = np.zeros((L, L), dtype=complex)
+    np.fill_diagonal(oracle, potential(p))
+    for j in range(L - 1):
+        oracle[j, j + 1] = -np.exp(p.g)
+        oracle[j + 1, j] = -np.exp(-p.g)
+    for rows, cols, amp in wrap_hops(p) if bc == "pbc" else ():
+        oracle[rows, cols] += amp
+    got = build_single_particle(p).entries.view(float)
+    assert np.array_equal(got, oracle.view(float))
+    assert np.array_equal(np.signbit(got), np.signbit(oracle.view(float)))
+
+
 def test_pbc_wrap_bond_carries_twist():
     p = ModelParams(L=5, g=0.4, bc="pbc", phi=0.9)
     H = build_single_particle(p).dense()

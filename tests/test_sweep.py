@@ -1,7 +1,6 @@
 """Parameter sweeps: determinism, resume, and record plumbing."""
 
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -26,8 +25,8 @@ from nhchain import (
 from dataclasses import replace
 
 
-def collect(spec, threads=1):
-    return list(run_sweep(spec, threads=threads))
+def collect(spec):
+    return list(run_sweep(spec))
 
 
 def test_inclusive_range():
@@ -67,15 +66,6 @@ def test_average_row_is_mean_of_samples():
     assert np.allclose(thetas, [0.0, 2 * np.pi / 3, 4 * np.pi / 3])
 
 
-def test_thread_count_does_not_change_results():
-    base = ModelParams(L=13, g=0.25, bc="pbc")
-    spec = SweepSpec(base=base, w_grid=inclusive_range(0.0, 2.0, 1.0),
-                     theta0_samples=2, quantities=("f_im", "ipr_obc"), out="unused.csv")
-    serial = [(r.key, r.value) for r in collect(spec, threads=1)]
-    pooled = [(r.key, r.value) for r in collect(spec, threads=4)]
-    assert serial == pooled
-
-
 def test_one_thread_computes_in_the_calling_thread(monkeypatch):
     # a trace with one span stack sees each sample inside the sweep that asked for it
     seen = []
@@ -88,11 +78,24 @@ def test_one_thread_computes_in_the_calling_thread(monkeypatch):
     monkeypatch.setattr(sweep_mod, "_evaluate_sample", recording)
     spec = SweepSpec(base=ModelParams(L=8, g=0.5, bc="pbc"), w_grid=(0.0, 1.0),
                      theta0_samples=2, quantities=("f_im",), out="unused.csv")
-    points = sweep_mod._point_rows(spec, 1, set())
+    points = sweep_mod._point_rows(spec, set())
     next(points)
     assert seen == [threading.main_thread()] * 2       # the second point is not computed yet
-    collect(spec, threads=2)
-    assert threading.main_thread() not in seen[2:]
+
+
+def test_run_sweep_to_file_takes_one_thread_only(tmp_path):
+    out = tmp_path / "sweep.csv"
+    spec = SweepSpec(base=ModelParams(L=13, g=0.5, bc="pbc"), w_grid=(0.0, 1.0),
+                     quantities=("f_im",), out=str(out))
+    assert run_sweep_to_file(spec, threads=1) == (4, 0)
+    before = out.read_bytes()
+    wider = replace(spec, w_grid=(0.0, 1.0, 2.0))
+    with pytest.raises(ValueError, match="threads must be 1"):
+        run_sweep_to_file(wider, threads=2)
+    assert out.read_bytes() == before
+    with pytest.raises(ValueError, match="threads must be 1"):
+        run_sweep_to_file(replace(spec, out=str(tmp_path / "new.csv")), threads=2)
+    assert not (tmp_path / "new.csv").exists()
 
 
 @pytest.mark.parametrize("quantities, decompositions, eigenvalue_calls", [
@@ -188,7 +191,6 @@ def test_failed_point_becomes_nan_row_with_warning(tmp_path, monkeypatch):
 def test_warnings_column_holds_each_samples_own_notes_under_threads(monkeypatch):
     def noisy_winding(params):
         note = f"note of theta0={params.theta0:.6f}"
-        time.sleep(0.01)           # let the worker threads interleave
         warnings.warn(note)        # a process-wide warning must not leak into other rows
         return WindingResult(nu=0, raw=0.0, steps=np.zeros(3), warnings=[note])
 
@@ -198,7 +200,7 @@ def test_warnings_column_holds_each_samples_own_notes_under_threads(monkeypatch)
                      out="unused.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")         # the column must not depend on them
-        rows = [r for r in collect(spec, threads=4) if r.sample != "avg"]
+        rows = [r for r in collect(spec) if r.sample != "avg"]
     assert len(rows) == 16
     for r in rows:
         assert r.warnings == f"note of theta0={r.theta0:.6f}"
