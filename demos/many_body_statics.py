@@ -56,7 +56,7 @@ def main():
     basis = build_fock_basis(L, N)
 
     p = ModelParams(L=L, N=N, g=0.5, V=2.0, W=0.5, bc="obc")
-    density = static_observables(decompose(build_many_body(p, basis)), basis).density
+    density = static_observables(decompose(build_many_body(p, basis)), basis)
     bars = ["#" * int(round(12 * d)) for d in density]
     print("eigenstate-averaged density, OBC, g=0.5, V=2, W=0.5:")
     for j, (d, bar) in enumerate(zip(density, bars)):

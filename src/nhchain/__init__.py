@@ -20,7 +20,6 @@ from .model import (
 from .spectral import (
     BiorthogonalizationError,
     SpectralDecomposition,
-    StaticObservables,
     cdw_order,
     decompose,
     density_profile,
@@ -37,8 +36,6 @@ from .winding import (
     WindingResult,
     WindingWarning,
     log_det_phase,
-    winding_from_builder,
-    winding_number,
     winding_result,
 )
 from .dynamics import (

@@ -2,15 +2,15 @@
 
 Two propagators are provided.  `evolve_exact` expands the initial state
 over the biorthogonal modes, attaches e^{-i eps_n t} factors and resums;
-with renormalization on, the exponentials are rescaled by the largest
-imaginary part before resummation so arbitrarily long times never
-overflow (the rescaling is a positive factor and drops out of the
-normalized state).  `arnoldi_step` advances one time step in a Krylov
-subspace: it orthonormalizes {psi, H psi, ..., H^{M-1} psi} by block
-classical Gram-Schmidt run twice (each pass one projection onto and one
-subtraction of all earlier basis vectors), exponentiates the small
-Hessenberg matrix, and maps back.  Both renormalize after every step,
-mirroring how a non-unitary evolution is turned into a physical state.
+the exponentials are rescaled by the largest imaginary part before
+resummation so arbitrarily long times never overflow (the rescaling is a
+positive factor and drops out of the normalized state).  `arnoldi_step`
+advances one time step in a Krylov subspace: it orthonormalizes
+{psi, H psi, ..., H^{M-1} psi} by block classical Gram-Schmidt run twice
+(each pass one projection onto and one subtraction of all earlier basis
+vectors), exponentiates the small Hessenberg matrix, and maps back.
+Both return a unit-norm state, mirroring how a non-unitary evolution is
+turned into a physical state.
 
 `run` records observables on a time grid into an `ObservableSeries`
 held as columns: the record times and one (times x width) array per
@@ -130,23 +130,20 @@ def evolve_exact(
     decomp: SpectralDecomposition,
     psi0: np.ndarray,
     t: float,
-    renormalize: bool = True,
 ) -> np.ndarray:
-    """Biorthogonal mode expansion: sum_n c_n e^{-i eps_n t} |n>."""
+    """Biorthogonal mode expansion sum_n c_n e^{-i eps_n t} |n>, normalized."""
     c = decomp.left @ psi0
     w = decomp.eigenvalues
-    if renormalize:
-        growth = w.imag * t
-        growth = growth - growth.max()   # positive rescale, dropped by normalization
-        amps = np.exp(growth) * np.exp(-1j * w.real * t)
-        psi = decomp.right @ (c * amps)
-        norm = np.linalg.norm(psi)
-        if norm < 1e-300 or not np.isfinite(norm):
-            raise FloatingPointError(
-                "evolved state norm left the representable range; mode "
-                "coefficients span too many orders (use the Krylov stepper)")
-        return psi / norm
-    return decomp.right @ (c * np.exp(-1j * w * t))
+    growth = w.imag * t
+    growth = growth - growth.max()   # positive rescale, dropped by normalization
+    amps = np.exp(growth) * np.exp(-1j * w.real * t)
+    psi = decomp.right @ (c * amps)
+    norm = np.linalg.norm(psi)
+    if norm < 1e-300 or not np.isfinite(norm):
+        raise FloatingPointError(
+            "evolved state norm left the representable range; mode "
+            "coefficients span too many orders (use the Krylov stepper)")
+    return psi / norm
 
 
 def _expm_small(Ht: np.ndarray, dt: float) -> np.ndarray:
@@ -166,9 +163,8 @@ def arnoldi_step(
     psi: np.ndarray,
     M: int,
     dt: float,
-    renormalize: bool = True,
 ) -> np.ndarray:
-    """One Krylov step psi -> V_M exp(-i dt H~) V_M^dagger psi.
+    """One Krylov step psi -> V_M exp(-i dt H~) V_M^dagger psi, normalized.
 
     H may be a HamiltonianMatrix, dense array, or sparse matrix; only
     mat-vec products are taken.  The recursion stops early when the
@@ -208,9 +204,7 @@ def arnoldi_step(
     out = V[:, :m_eff] @ small[:, 0]
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite entries in Krylov step")
-    if renormalize:
-        return out / np.linalg.norm(out)
-    return norm0 * out
+    return out / np.linalg.norm(out)
 
 
 def entanglement_entropy(psi: np.ndarray, basis: FockBasis, cut: Optional[int] = None) -> float:
@@ -253,7 +247,7 @@ def run(
 ) -> ObservableSeries:
     """Evolve `initial` to t_max, recording observables on a time grid.
 
-    The state is renormalized after every step.  The grid is t = k * dt
+    The state is normalized after every step.  The grid is t = k * dt
     for k = 0, stride, 2*stride, ..., plus the final step, which ends at
     t_max: when t_max is not a multiple of dt (to 1e-9 relative), the
     last step is shortened to land on it.

@@ -51,8 +51,8 @@ class ModelParams:
     """All Hamiltonian knobs in one immutable record.
 
     `N` selects the many-body sector; leave it None for single-particle
-    work.  `phi` is reduced to [0, 2*pi) and is meaningful only for
-    periodic boundaries (open boundaries ignore it).
+    work, where V must be 0.  `phi` is reduced to [0, 2*pi) and is
+    meaningful only for periodic boundaries (open boundaries ignore it).
     """
 
     L: int
@@ -72,6 +72,8 @@ class ModelParams:
         if self.W < 0:
             raise ValueError(f"W must be >= 0, got {self.W}")
         object.__setattr__(self, "phi", float(np.remainder(self.phi, TWO_PI)))
+        if self.V != 0 and self.N is None:
+            raise ValueError(f"V={self.V} needs a particle number N: one particle has no interaction")
         if self.N is not None:
             if not 0 < self.N < self.L:
                 raise ValueError(f"N must satisfy 0 < N < L, got N={self.N}, L={self.L}")

@@ -71,14 +71,6 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class StaticObservables:
-    """Bundle of the static diagnostics used by sweeps."""
-
-    density: np.ndarray         # eigenstate-averaged per-site occupation
-    o_dw: float
-
-
 def _decompose_hermitian(H: np.ndarray) -> SpectralDecomposition:
     w, v = scipy.linalg.eigh(H)
     return SpectralDecomposition(
@@ -241,7 +233,7 @@ def cdw_order(density: np.ndarray) -> float:
 def static_observables(
     decomp: SpectralDecomposition,
     basis: Optional[FockBasis] = None,
-) -> StaticObservables:
-    """Eigenstate-averaged diagnostics of one decomposition."""
-    density = density_profile(decomp.right, basis).mean(axis=1)
-    return StaticObservables(density=density, o_dw=cdw_order(density))
+) -> np.ndarray:
+    """Eigenstate-averaged per-site occupation of one decomposition
+    (right-vector densities); `cdw_order` of it is the sweep's o_dw."""
+    return density_profile(decomp.right, basis).mean(axis=1)

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
-from .spectral import decompose, eigenvalues, imag_fraction, ipr_per_state, static_observables
+from .spectral import cdw_order, decompose, eigenvalues, imag_fraction, ipr_per_state, static_observables
 from .winding import winding_result
 
 # Each quantity and the boundary condition it is computed under (None: the spec's).
@@ -77,6 +77,9 @@ class SweepSpec:
         needs_filling = {"fock_ipr", "o_dw"} & set(self.quantities)
         if needs_filling and not self.base.many_body:
             raise ValueError(f"{sorted(needs_filling)} require a particle number N")
+        if any(self.v_grid) and not self.base.many_body:
+            raise ValueError("a nonzero V in v_grid needs a particle number N: "
+                             "one particle has no interaction")
 
 
 @dataclass
@@ -145,7 +148,8 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
                 value = float(res.nu)
                 notes = list(res.warnings)
             elif q in ("o_dw", "density"):
-                value = getattr(static_observables(get_decomp(bc), basis), q)
+                density = static_observables(get_decomp(bc), basis)
+                value = cdw_order(density) if q == "o_dw" else density
             else:   # ipr_obc, ipr_pbc, fock_ipr: the mean over the right eigenvectors
                 value = float(np.mean(ipr_per_state(get_decomp(bc))))
         except Exception as exc:   # keep sweeping; the row carries the reason

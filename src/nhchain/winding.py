@@ -1,17 +1,15 @@
 """Spectral winding number over a discretized flux loop.
 
 The winding number counts how often det[H(phi) - E0] encircles zero as
-the boundary twist runs through 2*pi.  Determinant phases are taken from
-LU factorizations (sum of pivot arguments plus the permutation sign)
-so that many-body dimensions never overflow, and the phase differences
-between consecutive flux points are unwrapped assuming each step stays
-below pi.  A grid point whose determinant underflows means E0 collided
-with an eigenvalue there; one retry on a half-step-shifted grid is
-attempted before giving up.
+the boundary twist runs through 2*pi.  The phase differences between
+consecutive flux points are unwrapped assuming each step stays below
+pi.  A grid point whose determinant underflows means E0 collided with
+an eigenvalue there; one retry on a half-step-shifted grid is attempted
+before giving up.
 
-The model's own winding (`winding_result`) factors one matrix per flux
-loop.  Only the wrap bond carries the flux (`model.wrap_hops`), so with
-z = e^{i phi} and z0 the first grid point,
+`winding_result` factors one matrix per flux loop by LU.  Only the wrap
+bond carries the flux (`model.wrap_hops`), so with z = e^{i phi} and z0
+the first grid point,
 
     H(phi) - E0 = A + U D(z) V^T,   A = H(phi0) - E0,
     D(z) = diag((z - z0) * a_+, (1/z - 1/z0) * a_-),
@@ -21,15 +19,14 @@ direction: 1 for one particle, C(L-2, N-1) in the Fock basis) and a_+-
 are their amplitudes per unit twist.  The matrix determinant lemma
 gives det[H(phi) - E0] = det A * det(I + D(z) M) with the 2r x 2r
 matrix M = V^T A^{-1} U, so each flux point costs one small determinant
-and the phase of det A cancels in the step differences.  On the
-unshifted grid (phi0 = 0) with real E0, A is real: it is factored in
-real arithmetic and M is real.  H(-phi) is then the conjugate of
-H(phi), so det at 2*pi - phi is the conjugate of det at phi and only
-the half loop 0 <= phi <= pi is evaluated; grid point n - k takes the
-negated phase of point k.  The half-step retry grid and complex E0
-evaluate every point.
-`winding_from_builder` keeps one dense factorization per flux point
-for an arbitrary flux -> matrix map, and serves as the reference.
+(`log_det_phase` takes a stack of them at once, in log form so that no
+dimension overflows) and the phase of det A cancels in the step
+differences.  On the unshifted grid (phi0 = 0) with real E0, A is real:
+it is factored in real arithmetic and M is real.  H(-phi) is then the
+conjugate of H(phi), so det at 2*pi - phi is the conjugate of det at
+phi and only the half loop 0 <= phi <= pi is evaluated; grid point
+n - k takes the negated phase of point k.  The half-step retry grid and
+complex E0 evaluate every point.
 """
 
 from __future__ import annotations
@@ -42,8 +39,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lu_solve
 
-from .model import (FockBasis, HamiltonianMatrix, ModelParams, build_fock_basis, build_many_body,
-                    build_single_particle, wrap_hops)
+from .model import (FockBasis, ModelParams, build_fock_basis, build_many_body, build_single_particle,
+                    wrap_hops)
 
 DET_FLOOR = 1e-300
 
@@ -103,49 +100,31 @@ def _checked_lu(A: np.ndarray, e0: complex):
 
 
 def _shifted(A: np.ndarray, e0: complex) -> np.ndarray:
-    """A - e0 on the (last two axes') diagonal, in place; a real A is
-    made complex only when e0 has an imaginary part."""
+    """A - e0 on the diagonal, in place; a real A is made complex only
+    when e0 has an imaginary part."""
     e0 = complex(e0)
     if e0.imag:
         A = A.astype(complex, copy=False)
     if e0:
-        idx = np.arange(A.shape[-1])
-        A[..., idx, idx] -= e0 if e0.imag else e0.real
+        A[np.diag_indices_from(A)] -= e0 if e0.imag else e0.real
     return A
 
 
-def log_det_phase(H_phi, e0: complex = 0.0):
-    """(log|det|, principal phase) of det[H - e0].
+def log_det_phase(stack: np.ndarray) -> tuple:
+    """(log|det|, principal phase) of each matrix of a stack (..., n, n).
 
-    One square matrix is factored by LU; the two results are floats and
-    SingularBaseEnergyError is raised when any pivot magnitude drops
-    below DET_FLOOR.  A stack of shape (..., n, n) goes through one
-    batched determinant call; the results are arrays of shape (...) and
-    the error is raised when any member's |det| drops below DET_FLOOR.
+    One batched determinant call; both results are arrays of shape (...).
+    SingularBaseEnergyError is raised when any member's |det| drops
+    below DET_FLOOR.
     """
-    # A C-ordered array of our own: shifted in place, and its transpose
-    # (Fortran-ordered, with det A^T = det A) factored in place.  .dense()
-    # is already a new C-ordered array, real when the matrix is.
-    if isinstance(H_phi, HamiltonianMatrix):
-        A = H_phi.dense()
-    else:
-        A = np.array(H_phi, dtype=complex, order="C")
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValueError("need a square matrix or a stack of them")
-    A = _shifted(A, e0)
-    if A.ndim > 2:
-        if not np.all(np.isfinite(A)):
-            raise ValueError("array must not contain infs or NaNs")
-        sign, logabs = np.linalg.slogdet(A)
-        if not np.all(np.isfinite(logabs)) or np.any(np.exp(logabs) < DET_FLOOR):
-            raise SingularBaseEnergyError(f"determinant underflow at e0={e0}")
-        return logabs, _principal(np.angle(sign))
-    lu, piv = _checked_lu(A.T, e0)
-    diag = np.diag(lu)
-    # Row swaps flip the determinant sign; fold that into the phase.
-    n_swaps = int(np.sum(piv != np.arange(len(piv))))
-    phase = float(np.sum(np.angle(diag))) + (np.pi if n_swaps % 2 else 0.0)
-    return float(np.sum(np.log(np.abs(diag)))), float(_principal(phase))
+    if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
+        raise ValueError("need a stack of square matrices, shape (..., n, n)")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("array must not contain infs or NaNs")
+    sign, logabs = np.linalg.slogdet(stack)
+    if not np.all(np.isfinite(logabs)) or np.any(np.exp(logabs) < DET_FLOOR):
+        raise SingularBaseEnergyError("determinant underflow in a stack member")
+    return logabs, _principal(np.angle(sign))
 
 
 def _from_phases(phases: np.ndarray) -> WindingResult:
@@ -186,19 +165,6 @@ def _winding(phases_on: Callable[[np.ndarray], np.ndarray], cfg: WindingConfig) 
     ) from error
 
 
-def winding_from_builder(builder: Callable[[float], object], cfg: Optional[WindingConfig] = None) -> WindingResult:
-    """Winding of det[H(phi) - E0] for an arbitrary flux -> matrix map.
-
-    Factors the full matrix at every flux point.
-    """
-    cfg = cfg or WindingConfig()
-
-    def phases_on(grid: np.ndarray) -> np.ndarray:
-        return np.array([log_det_phase(builder(phi), cfg.e0)[1] for phi in grid])
-
-    return _winding(phases_on, cfg)
-
-
 def _low_rank_phases(
     params: ModelParams,
     basis: Optional[FockBasis],
@@ -235,19 +201,14 @@ def _low_rank_phases(
     return phases
 
 
-def winding_number(params: ModelParams, cfg: Optional[WindingConfig] = None) -> int:
-    """Integer winding number of the model at base energy cfg.e0."""
-    return winding_result(params, cfg).nu
-
-
 def winding_result(params: ModelParams, cfg: Optional[WindingConfig] = None) -> WindingResult:
-    """As winding_number, but returning diagnostics alongside the integer.
+    """Integer winding number of the model at base energy cfg.e0, with diagnostics.
 
     The sector follows params.N: one particle when it is None, the
     N-particle Fock space otherwise.  Factors H(phi0) - E0 once per flux
     grid and takes every flux point's determinant phase from the
-    low-rank wrap-bond update (module docstring); the grid, the retry
-    and the diagnostics are those of winding_from_builder.
+    low-rank wrap-bond update (module docstring); `_winding` runs the
+    grid, the retry and the diagnostics.
     """
     if params.bc != "pbc":
         raise ValueError("winding requires periodic boundaries")

@@ -142,7 +142,7 @@ def test_03_skin_ipr_quartet(acceptance):
 def test_04_krylov_matches_exact(acceptance):
     worst = {}
     for label, p, psi0, basis in (
-        ("sp", ModelParams(L=10, g=0.5, V=2.0, W=1.0, bc="pbc"), initial_localized(10, 5), None),
+        ("sp", ModelParams(L=10, g=0.5, W=1.0, bc="pbc"), initial_localized(10, 5), None),
         ("mb", ModelParams(L=12, N=6, g=0.5, V=2.0, W=1.0, bc="pbc"), None, build_fock_basis(12, 6)),
     ):
         if basis is not None:
@@ -262,7 +262,7 @@ def test_08_cdw_onset_and_winding_drop(acceptance):
 def test_09_many_body_skin_asymmetry(acceptance):
     basis = build_fock_basis(12, 6)
     p = ModelParams(L=12, N=6, g=0.5, V=2.0, W=0.5, theta0=0.0, bc="obc")
-    density = static_observables(decompose(build_many_body(p, basis)), basis).density
+    density = static_observables(decompose(build_many_body(p, basis)), basis)
     skew = float(density[:6].sum() - density[6:].sum())
     acceptance(skew > 0.5, f"eigenstate-averaged density skew {skew:.2f} (> 0.5)")
 

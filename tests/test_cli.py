@@ -358,6 +358,20 @@ def test_bad_sample_count_and_repeated_panel_are_refused(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--L", "6", "--V", "3"],
+    ["phase-diagram", "--L", "8", "--V", "0:2:1"],
+    ["phase-diagram", "--L", "8", "--V", "2"],
+])
+def test_interaction_without_particle_number_is_refused(tmp_path, capsys, argv):
+    # one particle has no interaction: V would be accepted and then ignored
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert "needs a particle number N" in stderr and stdout == ""
+    assert not out.exists()
+
+
 def test_numerical_failure_maps_to_exit_2(monkeypatch, capsys):
     def boom(*a, **k):
         raise WindingIllDefinedError("no grid refinement helped")

@@ -1,5 +1,6 @@
-"""Every module of the package uses what it imports, and every private
-module-level helper is used somewhere in the package."""
+"""Every module of the package uses what it imports, every private
+module-level helper is used somewhere in the package, and every public
+name is used by code outside the tests."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import nhchain
 
 PACKAGE = Path(nhchain.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(path: Path) -> list:
@@ -66,3 +68,42 @@ def test_unused_import_is_caught(tmp_path):
     module.write_text("import os\nimport numpy as np\nfrom csv import writer, reader\n\n"
                       "def f():\n    return np.zeros(1), writer\n")
     assert unused_imports(module) == ["m.py:1 os", "m.py:3 reader"]
+
+
+def unreferenced_names(names, paths: list) -> list:
+    """The names that no top-level statement of `paths` refers to, other
+    than the statement defining the name itself.  A reference is a name,
+    an attribute, an imported name or a component of an imported module."""
+    referenced = set()
+    for path in paths:
+        for stmt in ast.parse(path.read_text()).body:
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.Import):
+                    refs.update(part for alias in node.names for part in alias.name.split("."))
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update(alias.name for alias in node.names)
+                    refs.update((node.module or "").split("."))
+            refs.discard(getattr(stmt, "name", None))
+            referenced |= refs
+    return sorted(set(names) - referenced)
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # __init__.py only re-exports; the program, the benchmark and the demos must use each name
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert len(paths) > len(list(PACKAGE.glob("*.py")))
+    assert unreferenced_names(nhchain.__all__, paths) == []
+
+
+def test_unreferenced_name_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from pkg import imported\nimport pkg.sub\n\n\n"
+                      "def recursive(n):\n    return recursive(n - 1) if n else pkg.attr\n")
+    names = ["imported", "sub", "attr", "recursive", "absent"]
+    assert unreferenced_names(names, [module]) == ["absent", "recursive"]

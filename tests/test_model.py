@@ -160,7 +160,7 @@ def test_many_body_wrap_sign_toggles():
 
 @pytest.mark.parametrize("L, N", [(2, None), (7, None), (2, 1), (6, 1), (6, 3), (7, 5)])
 def test_wrap_hops_are_the_only_flux_dependence(L, N):
-    p = ModelParams(L=L, N=N, g=0.3, V=1.2, W=0.9, theta0=0.2, bc="pbc", phi=1.1)
+    p = ModelParams(L=L, N=N, g=0.3, V=1.2 if N else 0.0, W=0.9, theta0=0.2, bc="pbc", phi=1.1)
     basis = build_fock_basis(L, N) if N else None
 
     def build(q):
@@ -213,6 +213,9 @@ def test_params_validation():
         ModelParams(L=4, N=4)
     with pytest.raises(ValueError):
         ModelParams(L=40, N=20)   # C(40,20) far beyond the basis cap
+    with pytest.raises(ValueError, match="needs a particle number N"):
+        ModelParams(L=6, V=3.0)   # one particle: V would be ignored
+    assert ModelParams(L=6, N=3, V=3.0).V == 3.0
     assert BASIS_SIZE_CAP == 10**7
     with pytest.raises(ValueError):
         build_fock_basis(40, 20)

@@ -189,9 +189,9 @@ def test_density_profile_biorthogonal_ground_state():
 def test_average_density_skews_left_for_positive_g():
     basis = build_fock_basis(8, 4)
     p = ModelParams(L=8, N=4, g=0.5, V=2.0, W=0.0, bc="obc")
-    obs = static_observables(decompose(build_many_body(p, basis)), basis)
-    left = obs.density[:4].sum()
-    assert obs.density.sum() == pytest.approx(4.0, abs=1e-9)
+    density = static_observables(decompose(build_many_body(p, basis)), basis)
+    left = density[:4].sum()
+    assert density.sum() == pytest.approx(4.0, abs=1e-9)
     assert left == pytest.approx(3.058, abs=2e-3)
     assert left > 4.0 - left
 
@@ -215,9 +215,11 @@ def test_cdw_order():
 
 def test_static_observables_shapes():
     p = ModelParams(L=10, g=0.5, W=1.0, bc="pbc")
-    obs = static_observables(decompose(build_single_particle(p)))
-    assert obs.density.shape == (10,)
-    assert obs.o_dw >= 0.0
+    d = decompose(build_single_particle(p))
+    density = static_observables(d)
+    assert density.shape == (10,)
+    assert np.array_equal(density, density_profile(d.right).mean(axis=1))
+    assert cdw_order(density) >= 0.0
 
 
 def test_mode_coefficients_invert_expansion():
@@ -260,8 +262,8 @@ def test_real_general_route_matches_complex_solve(L, N, fermionic_wrap):
     assert _multiset_distance(real.eigenvalues, ref.eigenvalues) <= 1e-10
     assert biorth_residual(real) <= 1e-10
     assert np.mean(ipr_per_state(real)) == pytest.approx(np.mean(ipr_per_state(ref)), rel=1e-10)
-    assert (static_observables(real, basis).o_dw
-            == pytest.approx(static_observables(ref, basis).o_dw, rel=1e-10))
+    assert (cdw_order(static_observables(real, basis))
+            == pytest.approx(cdw_order(static_observables(ref, basis)), rel=1e-10))
     # complex eigenvalues of a real matrix come in exact conjugate pairs
     w = real.eigenvalues
     assert np.any(w.imag != 0.0)
@@ -278,7 +280,7 @@ def test_real_matrices_reach_the_solvers_real(monkeypatch):
                           (0.0, 0.0, np.float64), (0.7, 0.0, np.complex128)):
         for N in (None, 4):
             seen.clear()
-            p = ModelParams(L=8, N=N, g=g, V=1.0, W=1.0, bc="pbc", phi=phi)
+            p = ModelParams(L=8, N=N, g=g, V=1.0 if N else 0.0, W=1.0, bc="pbc", phi=phi)
             decompose(build_many_body(p, build_fock_basis(8, 4)) if N else build_single_particle(p))
             assert seen == [dtype]
 

@@ -274,3 +274,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(base=base, quantities=("fock_ipr",), out="u.csv")   # needs N
     SweepSpec(base=mb, quantities=("fock_ipr",), out="u.csv")
+    with pytest.raises(ValueError, match="needs a particle number N"):
+        SweepSpec(base=base, v_grid=(0.0, 1.0), out="u.csv")          # V needs N too
+    assert SweepSpec(base=base, v_grid=(0.0,), out="u.csv").v_grid == (0.0,)
+    assert SweepSpec(base=mb, v_grid=(0.0, 1.0), out="u.csv").v_grid == (0.0, 1.0)

@@ -1,6 +1,5 @@
-"""Point-gap winding numbers from LU log-determinant phases."""
+"""Point-gap winding numbers from flux-loop determinant phases."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,51 +17,66 @@ from nhchain import (
     build_many_body,
     build_single_particle,
     log_det_phase,
-    winding_from_builder,
-    winding_number,
     winding_result,
 )
 
 
+def dense_winding(builder, cfg=None):
+    """Reference winding: one dense determinant of H(phi) - E0 per flux
+    point, for a map phi -> dense matrix, through the package's grid,
+    retry and diagnostics (`_winding`)."""
+    cfg = cfg or WindingConfig()
+
+    def phases_on(grid):
+        phases = []
+        for phi in grid:
+            H = builder(phi)
+            phases.append(log_det_phase((H - cfg.e0 * np.eye(len(H)))[None])[1][0])
+        return np.array(phases)
+
+    return winding_mod._winding(phases_on, cfg)
+
+
 def test_log_det_phase_scalars():
-    mag, phase = log_det_phase(np.array([[3.0 + 0.0j]]))
-    assert mag == pytest.approx(np.log(3.0))
-    assert phase == pytest.approx(0.0)
-    mag, phase = log_det_phase(np.array([[-2.0 + 0.0j]]))
-    assert mag == pytest.approx(np.log(2.0))
-    assert phase == pytest.approx(np.pi)
-    mag, phase = log_det_phase(np.diag([1.0j, 1.0j]))
-    assert mag == pytest.approx(0.0)
-    assert phase == pytest.approx(np.pi)   # det = -1
+    mag, phase = log_det_phase(np.array([[[3.0]], [[-2.0]]]))
+    assert mag == pytest.approx(np.log([3.0, 2.0]))
+    assert phase == pytest.approx([0.0, np.pi])
+    mag, phase = log_det_phase(np.diag([1.0j, 1.0j])[None])
+    assert mag == pytest.approx([0.0], abs=1e-15)
+    assert phase == pytest.approx([np.pi])   # det = -1
 
 
 def test_log_det_phase_matches_eigenvalue_product():
     p = ModelParams(L=8, g=0.4, W=0.9, theta0=0.3, bc="pbc", phi=0.3)
-    H = build_single_particle(p).dense()
-    e0 = 0.2 + 0.1j
-    mag, phase = log_det_phase(H, e0=e0)
-    det = np.prod(np.linalg.eigvals(H) - e0)
-    assert mag == pytest.approx(np.log(np.abs(det)), rel=1e-12)
-    assert np.angle(det) == pytest.approx(phase, abs=1e-12)
+    A = build_single_particle(p).dense() - (0.2 + 0.1j) * np.eye(8)
+    mag, phase = log_det_phase(A[None])
+    det = np.prod(np.linalg.eigvals(A))
+    assert mag.shape == phase.shape == (1,)
+    assert mag[0] == pytest.approx(np.log(np.abs(det)), rel=1e-12)
+    assert np.angle(det) == pytest.approx(phase[0], abs=1e-12)
 
 
 def test_log_det_phase_singular_rejected():
     with pytest.raises(SingularBaseEnergyError):
-        log_det_phase(np.zeros((3, 3), dtype=complex))
+        log_det_phase(np.zeros((1, 3, 3), dtype=complex))
+
+
+def test_log_det_phase_takes_only_a_stack_of_square_matrices():
+    for bad in (np.eye(3), np.ones((2, 3, 4))):
+        with pytest.raises(ValueError):
+            log_det_phase(bad)
 
 
 def test_log_det_phase_stack_matches_loop():
     rng = np.random.default_rng(7)
     stack = rng.normal(size=(3, 4, 6, 6)) + 1j * rng.normal(size=(3, 4, 6, 6))
-    e0 = 0.4 - 0.1j
-    mags, phases = log_det_phase(stack, e0=e0)
+    mags, phases = log_det_phase(stack)
     assert mags.shape == phases.shape == (3, 4)
     for i, j in np.ndindex(3, 4):
-        mag, phase = log_det_phase(stack[i, j], e0=e0)
-        assert mags[i, j] == pytest.approx(mag, abs=1e-12)
-        assert abs(np.angle(np.exp(1j * (phases[i, j] - phase)))) < 1e-12
+        det = np.prod(np.linalg.eigvals(stack[i, j]))
+        assert mags[i, j] == pytest.approx(np.log(np.abs(det)), abs=1e-12)
+        assert abs(np.angle(np.exp(1j * phases[i, j]) / det)) < 1e-12
         assert -np.pi < phases[i, j] <= np.pi
-    assert isinstance(mag, float) and isinstance(phase, float)
 
 
 def test_log_det_phase_stack_singular_member_rejected():
@@ -72,7 +86,7 @@ def test_log_det_phase_stack_singular_member_rejected():
 
 
 # Small chains on which the low-rank route of winding_result must agree
-# with one dense factorization per flux point: one particle for every L
+# with one dense determinant per flux point: one particle for every L
 # (at L=2 the wrap and bulk bonds join the same two sites), Fock sectors
 # up to N=5 (both wrap signs, through N parity), both signs of g, real
 # and complex E0, and two chains singular at phi = 0 that need the
@@ -104,13 +118,13 @@ def test_low_rank_winding_matches_flux_grid():
         cfg = WindingConfig(e0=e0)
         if p.many_body:
             basis = build_fock_basis(p.L, p.N)
-            builder = lambda phi: build_many_body(p.with_flux(phi), basis)
+            builder = lambda phi: build_many_body(p.with_flux(phi), basis).dense()
         else:
-            builder = lambda phi: build_single_particle(p.with_flux(phi))
+            builder = lambda phi: build_single_particle(p.with_flux(phi)).dense()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WindingWarning)
             fast = _outcome(lambda: winding_result(p, cfg))
-            grid = _outcome(lambda: winding_from_builder(builder, cfg))
+            grid = _outcome(lambda: dense_winding(builder, cfg))
         same = fast[:2] == grid[:2] and (fast[2] is None or abs(fast[2] - grid[2]) <= 1e-9)
         if not same:
             mismatches.append((case, e0, fast, grid))
@@ -122,9 +136,9 @@ def _counting_log_det_phase(monkeypatch):
     members = [0]
     original = winding_mod.log_det_phase
 
-    def counting(A, e0=0.0):
-        members[0] += int(np.prod(np.shape(A)[:-2]))
-        return original(A, e0)
+    def counting(stack):
+        members[0] += int(np.prod(stack.shape[:-2]))
+        return original(stack)
 
     monkeypatch.setattr(winding_mod, "log_det_phase", counting)
     return members
@@ -158,43 +172,31 @@ def test_complex_base_energy_and_retry_evaluate_every_point(monkeypatch):
     assert members[0] == 202
     members[0] = 0
     # singular at phi = 0, so only the half-step grid reaches the determinants
-    assert winding_number(ModelParams(L=4, g=0.0, W=0.0, bc="pbc")) == 0
+    assert winding_result(ModelParams(L=4, g=0.0, W=0.0, bc="pbc")).nu == 0
     assert members[0] == 202
 
 
-def test_log_det_phase_copies_a_sparse_matrix_once():
-    basis = build_fock_basis(12, 6)
-    H = build_many_body(ModelParams(L=12, N=6, g=0.5, V=2.0, W=0.5, bc="pbc"), basis)
-    tracemalloc.start()
-    try:
-        log_det_phase(H)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * H.dim**2 * 16
-
-
 def test_winding_transition_single_particle():
-    assert winding_number(ModelParams(L=34, g=0.5, W=0.0, bc="pbc")) == 1
-    assert winding_number(ModelParams(L=34, g=0.5, W=5.0, bc="pbc")) == 0
+    assert winding_result(ModelParams(L=34, g=0.5, W=0.0, bc="pbc")).nu == 1
+    assert winding_result(ModelParams(L=34, g=0.5, W=5.0, bc="pbc")).nu == 0
 
 
 def test_winding_grid_refinement_stable():
     p = ModelParams(L=21, g=0.5, W=1.0, bc="pbc")
-    nu_201 = winding_number(p, WindingConfig(n_points=201))
-    nu_402 = winding_number(p, WindingConfig(n_points=402))
+    nu_201 = winding_result(p, WindingConfig(n_points=201)).nu
+    nu_402 = winding_result(p, WindingConfig(n_points=402)).nu
     assert nu_201 == nu_402 == 1
 
 
 def test_winding_antisymmetric_in_g():
-    plus = winding_number(ModelParams(L=21, g=0.5, W=0.5, bc="pbc"))
-    minus = winding_number(ModelParams(L=21, g=-0.5, W=0.5, bc="pbc"))
+    plus = winding_result(ModelParams(L=21, g=0.5, W=0.5, bc="pbc")).nu
+    minus = winding_result(ModelParams(L=21, g=-0.5, W=0.5, bc="pbc")).nu
     assert plus == 1 and minus == -1
 
 
 def test_hermitian_singular_grid_point_retries():
     # Phi = 0 makes det(H) vanish exactly; the shifted grid resolves it
-    assert winding_number(ModelParams(L=4, g=0.0, W=0.0, bc="pbc")) == 0
+    assert winding_result(ModelParams(L=4, g=0.0, W=0.0, bc="pbc")).nu == 0
 
 
 def test_hermitian_closed_gap_warns():
@@ -217,12 +219,12 @@ def test_repeated_warning_is_shown_once_per_location():
 
 def test_persistent_singularity_raises():
     with pytest.raises(WindingIllDefinedError):
-        winding_from_builder(lambda phi: np.zeros((2, 2), dtype=complex))
+        dense_winding(lambda phi: np.zeros((2, 2), dtype=complex))
 
 
 def test_winding_requires_pbc():
     with pytest.raises(ValueError):
-        winding_number(ModelParams(L=8, g=0.5, bc="obc"))
+        winding_result(ModelParams(L=8, g=0.5, bc="obc"))
 
 
 def test_many_body_winding_half_filling():
