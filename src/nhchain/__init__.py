@@ -52,7 +52,6 @@ from .sweep import (
     ResultRecord,
     SweepSpec,
     inclusive_range,
-    read_records_csv,
     run_sweep,
     run_sweep_to_file,
     write_records_csv,

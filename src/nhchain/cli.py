@@ -200,6 +200,8 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_evolve(args) -> int:
     params = _model_params(args)
+    if args.method == "exact" and args.M is not None:
+        raise CLIError("--M sets the Krylov dimension; --method exact does not use one")
     M = args.M if args.M is not None else (25 if params.many_body else 15)
     config = EvolverConfig(method=args.method, M=M, dt=args.dt,
                            t_max=args.tmax, record_stride=args.record_stride)
@@ -216,7 +218,8 @@ def cmd_evolve(args) -> int:
     out = args.out or "evolve.csv"
     series.write_csv(out)
     rows = len(series.t) * sum(block.shape[1] for block in series.blocks.values())
-    _summary(f"evolve: {config.method} M={M} dt={config.dt} t_max={config.t_max} "
+    method = "exact" if config.method == "exact" else f"krylov M={M}"
+    _summary(f"evolve: {method} dt={config.dt} t_max={config.t_max} "
              f"-> {out} ({rows} records)", to_stderr=False)
     return 0
 

@@ -207,8 +207,8 @@ def arnoldi_step(
     return out / np.linalg.norm(out)
 
 
-def entanglement_entropy(psi: np.ndarray, basis: FockBasis, cut: Optional[int] = None) -> float:
-    """Half-chain (or custom-cut) von Neumann entanglement entropy.
+def entanglement_entropy(psi: np.ndarray, basis: FockBasis) -> float:
+    """Half-chain von Neumann entanglement entropy: the first L // 2 sites against the rest.
 
     The amplitude matrix (left pattern) x (right pattern) is block
     diagonal in the particle number k left of the cut, so its singular
@@ -218,10 +218,7 @@ def entanglement_entropy(psi: np.ndarray, basis: FockBasis, cut: Optional[int] =
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"state norm {norm:.3e} deviates from 1 beyond 1e-8")
-    if cut is None:
-        cut = basis.L // 2
-    if not 0 < cut < basis.L:
-        raise ValueError(f"cut must be in 1..{basis.L - 1}")
+    cut = basis.L // 2
     # Ascending Jordan-Wigner ordering: the left-block creation operators
     # already precede the right-block ones in every word, so the split
     # sign is +1 throughout.

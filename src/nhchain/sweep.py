@@ -16,19 +16,24 @@ the spec's; each row's bc column holds the one it was computed under.
 
 Output: `run_sweep_to_file` appends each grid point's rows to the CSV
 as soon as that point finishes, so an interrupted sweep keeps every
-finished point.  Resume: rerunning against an existing output file
-recomputes only grid points with missing rows and appends those rows,
-keyed by the full parameter echo.  A file written by a run with another
-L, N, boundary condition, base theta0 or sample count is refused rather
-than mixed with the new rows.
+finished point.  A row's key is the text of its first nine columns, and
+`expected_keys` alone says which keys a run writes.  Resume skips grid
+points whose keys are all in the file and refuses a file holding a row
+that this run would not write (another L, N, boundary condition, base
+theta0 or sample count), rather than mix it with the new rows.  A last
+row cut off before its line end is dropped and its point recomputed.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import product
+from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -98,7 +103,7 @@ class ResultRecord:
 
     @property
     def key(self) -> tuple:
-        """The full parameter echo; rows of one run differ in it."""
+        """The row's first nine CSV fields, as written; rows of one run differ in it."""
         return _key(self.L, self.N, self.g, self.V, self.W, self.theta0, self.bc,
                     self.sample, self.quantity)
 
@@ -108,8 +113,8 @@ def _num(x: float) -> str:
 
 
 def _key(L, N, g, V, W, theta0, bc, sample, quantity) -> tuple:
-    return (L, N, _num(g), _num(V), _num(W), "" if theta0 is None else _num(theta0),
-            bc, sample, quantity)
+    return (str(L), "" if N is None else str(N), _num(g), _num(V), _num(W),
+            "" if theta0 is None else format(theta0, ".17g"), bc, sample, quantity)
 
 
 def _theta0(spec: SweepSpec, s: int) -> float:
@@ -124,7 +129,6 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
     (WindingResult.warnings) and the error that replaced a failed value.
     """
     out = {}
-    decomps = {}
     # f_im takes its eigenvalues from a decomposition made anyway at its bc
     vector_bcs = {_effective_bc(q, params.bc) for q in quantities if q not in ("f_im", "winding")}
 
@@ -132,10 +136,13 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
         p = replace(params, bc=bc, phi=0.0)
         return build_many_body(p, basis) if p.many_body else build_single_particle(p)
 
+    @cache   # one decomposition and one density per boundary condition
     def get_decomp(bc):
-        if bc not in decomps:
-            decomps[bc] = decompose(matrix(bc))
-        return decomps[bc]
+        return decompose(matrix(bc))
+
+    @cache
+    def get_density(bc):
+        return static_observables(get_decomp(bc), basis)
 
     for q in quantities:
         notes = []
@@ -148,8 +155,7 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
                 value = float(res.nu)
                 notes = list(res.warnings)
             elif q in ("o_dw", "density"):
-                density = static_observables(get_decomp(bc), basis)
-                value = cdw_order(density) if q == "o_dw" else density
+                value = cdw_order(get_density(bc)) if q == "o_dw" else get_density(bc)
             else:   # ipr_obc, ipr_pbc, fock_ipr: the mean over the right eigenvectors
                 value = float(np.mean(ipr_per_state(get_decomp(bc))))
         except Exception as exc:   # keep sweeping; the row carries the reason
@@ -197,11 +203,11 @@ def _average_rows(spec: SweepSpec, g: float, V: float, W: float, sample_rows: li
     return rows
 
 
-def expected_keys(spec: SweepSpec, g: float, V: float, W: float) -> set:
-    """Row keys one grid point must contribute (for resume bookkeeping)."""
+def expected_keys(spec: SweepSpec, g: float, V: float, W: float, quantities: Sequence[str]) -> set:
+    """Keys of the rows that `quantities` contribute at one grid point of `spec`."""
     base = spec.base
     keys = set()
-    for q in spec.quantities:
+    for q in quantities:
         bc = _effective_bc(q, base.bc)
         for name in _names(q, base.L):
             for s in range(spec.theta0_samples):
@@ -210,40 +216,42 @@ def expected_keys(spec: SweepSpec, g: float, V: float, W: float) -> set:
     return keys
 
 
-def _check_compatible(spec: SweepSpec, records: Sequence[ResultRecord]) -> None:
-    """Raise ValueError unless every record could have come from `spec`.
+def _check_compatible(spec: SweepSpec, rows: Sequence[list]) -> None:
+    """Raise ValueError unless every CSV row (header excluded) could have come from `spec`.
 
-    Grid points and quantities may differ; L, N, the boundary condition
-    each quantity is computed under, and each sample's theta0 must not.
+    A row must have every column, and its key must be one that
+    `expected_keys` gives at the row's own grid point and quantity: grid
+    points and quantities may differ from the spec's, nothing else may.
     An average row must come with all S of its sample rows, which is
     what tells a file with fewer samples apart.
     """
     base, S = spec.base, spec.theta0_samples
-    keys = {r.key for r in records}
 
-    def mismatch(r: ResultRecord) -> str:
-        if (r.L, r.N) != (base.L, base.N):
-            return f"L={r.L}, N={r.N}"
-        if r.bc != _effective_bc(r.quantity.split(":")[0], base.bc):
-            return f"bc={r.bc}"
-        if r.sample == "avg":
-            missing = [s for s in range(S) if _key(r.L, r.N, r.g, r.V, r.W, _theta0(spec, s),
-                                                   r.bc, str(s), r.quantity) not in keys]
-            return f"an average over other than {S} samples" if missing else ""
-        if not r.sample.isdigit() or int(r.sample) >= S:
-            return f"sample {r.sample}"
-        if r.theta0 is None or _num(r.theta0) != _num(_theta0(spec, int(r.sample))):
-            return f"theta0={r.theta0} for sample {r.sample}"
-        return ""
+    def refuse(row, why):
+        fields = ", ".join(f"{c}={v}" for c, v in zip(CSV_COLUMNS, row[:9]))
+        raise ValueError(f"{spec.out}: row ({fields}) {why}; this run has L={base.L}, "
+                         f"N={base.N}, bc={base.bc}, theta0={base.theta0}, {S} samples")
 
-    for r in records:
-        why = mismatch(r)
-        if why:
-            raise ValueError(
-                f"{spec.out}: row ({r.quantity}, g={_num(r.g)}, V={_num(r.V)}, W={_num(r.W)}, "
-                f"sample {r.sample}) has {why}; this run has L={base.L}, N={base.N}, "
-                f"bc={base.bc}, theta0={_num(base.theta0)}, {S} samples"
-            )
+    expected = {}   # (g, V, W, quantity) -> expected_keys there
+    for row in rows:
+        if len(row) != len(CSV_COLUMNS):
+            refuse(row, f"has {len(row)} fields, not {len(CSV_COLUMNS)}")
+        point = (*row[2:5], row[8].split(":")[0])
+        if point not in expected:
+            g, V, W, q = point
+            try:   # like an unknown quantity, a g, V or W that is no number matches no key
+                expected[point] = expected_keys(spec, float(g), float(V), float(W),
+                                                [q] if q in QUANTITIES else [])
+            except ValueError:
+                expected[point] = set()
+        if tuple(row[:9]) not in expected[point]:
+            refuse(row, "is not a row this run writes")
+    # every sample row is now one of this run's, so S distinct ones make an average whole
+    keys = {tuple(row[:9]) for row in rows}
+    samples = Counter(k[:5] + k[6:7] + k[8:] for k in keys if k[7] != "avg")
+    for row in rows:
+        if row[7] == "avg" and samples[tuple(row[:5]) + (row[6], row[8])] != S:
+            refuse(row, f"is an average over other than {S} samples")
 
 
 def _point_rows(spec: SweepSpec, have: set) -> Iterator[list]:
@@ -255,7 +263,7 @@ def _point_rows(spec: SweepSpec, have: set) -> Iterator[list]:
     """
     basis = build_fock_basis(spec.base.L, spec.base.N) if spec.base.many_body else None
     for g, V, W in product(spec.g_grid, spec.v_grid, spec.w_grid):
-        if expected_keys(spec, g, V, W) <= have:
+        if expected_keys(spec, g, V, W, spec.quantities) <= have:
             continue
         point_rows = []
         for s in range(spec.theta0_samples):
@@ -280,27 +288,9 @@ def write_records_csv(records: Iterable[ResultRecord], path: str, append: bool =
         if new_file:
             writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow([
-                r.L, "" if r.N is None else r.N, _num(r.g), _num(r.V), _num(r.W),
-                "" if r.theta0 is None else format(r.theta0, ".17g"),
-                r.bc, r.sample, r.quantity, format(r.value, ".17g"), r.warnings,
-            ])
+            writer.writerow([*r.key, format(r.value, ".17g"), r.warnings])
             n += 1
     return n
-
-
-def read_records_csv(path: str) -> list:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(ResultRecord(
-                L=int(row["L"]), N=int(row["N"]) if row["N"] else None,
-                g=float(row["g"]), V=float(row["V"]), W=float(row["W"]),
-                theta0=float(row["theta0"]) if row["theta0"] else None,
-                bc=row["bc"], sample=row["sample"], quantity=row["quantity"],
-                value=float(row["value"]), warnings=row["warnings"],
-            ))
-    return records
 
 
 def run_sweep_to_file(spec: SweepSpec, threads: int = 1) -> tuple:
@@ -308,18 +298,23 @@ def run_sweep_to_file(spec: SweepSpec, threads: int = 1) -> tuple:
 
     Each grid point's rows are appended as soon as the point finishes.
     Raises ValueError when spec.out holds rows of an incompatible run
-    (see _check_compatible); the file is then left untouched.  `threads`
-    accepts only 1: every sweep runs in the calling thread.
+    (see _check_compatible); the file is then left untouched.  A last
+    row without its line end is cut away once the check has passed.
+    `threads` accepts only 1: every sweep runs in the calling thread.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (sweeps run in the calling thread), got {threads}")
     if spec.out is None:
         raise ValueError("spec.out must be set")
-    existing = []
-    if os.path.exists(spec.out) and os.path.getsize(spec.out) > 0:
-        existing = read_records_csv(spec.out)
-    _check_compatible(spec, existing)
+    data = Path(spec.out).read_bytes() if os.path.exists(spec.out) else b""
+    end = data.rfind(b"\n") + 1   # what follows the last line end was cut off mid-write
+    header, *rows = list(csv.reader(io.StringIO(data[:end].decode(), newline=""))) or [CSV_COLUMNS]
+    if tuple(header) != CSV_COLUMNS:
+        raise ValueError(f"{spec.out}: header {header} is not {list(CSV_COLUMNS)}")
+    _check_compatible(spec, rows)
+    if end < len(data):
+        os.truncate(spec.out, end)
     written = 0
-    for rows in _point_rows(spec, {r.key for r in existing}):
-        written += write_records_csv(rows, spec.out, append=True)
-    return written, len(existing)
+    for point in _point_rows(spec, {tuple(row[:9]) for row in rows}):
+        written += write_records_csv(point, spec.out, append=True)
+    return written, len(rows)

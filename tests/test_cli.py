@@ -104,6 +104,18 @@ def test_evolve_j0_conflicts_with_filling():
     assert rc == 1
 
 
+@pytest.mark.parametrize("N", [None, "4"])
+def test_evolve_exact_refuses_a_krylov_dimension(tmp_path, capsys, N):
+    out = tmp_path / "ev.csv"
+    argv = ["evolve", "--L", "8", "--method", "exact", "--tmax", "0.5", "--out", str(out)]
+    argv += ["--N", N] if N else []
+    assert cli.main(argv + ["--M", "3"]) == 1
+    assert "--M" in capsys.readouterr().err and not out.exists()
+    assert cli.main(argv) == 0
+    assert "evolve: exact dt=" in capsys.readouterr().out
+    assert out.exists()
+
+
 def test_ground_state_stdout(capsys):
     rc = cli.main(["ground-state", "--L", "10", "--N", "5", "--g", "0.5",
                    "--V", "2.0", "--W", "0.5"])

@@ -163,7 +163,7 @@ def test_entropy_single_particle_bell_pair():
     basis = build_fock_basis(2, 1)
     psi = np.zeros(2, dtype=complex)
     psi[np.searchsorted(basis.states, [0b01, 0b10])] = 1.0 / np.sqrt(2.0)
-    assert entanglement_entropy(psi, basis, cut=1) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert entanglement_entropy(psi, basis) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_entropy_matches_density_matrix_oracle():
@@ -182,8 +182,6 @@ def test_entropy_input_validation():
     basis = build_fock_basis(4, 2)
     with pytest.raises(ValueError):
         entanglement_entropy(2.0 * initial_domain_wall(basis), basis)
-    with pytest.raises(ValueError):
-        entanglement_entropy(initial_domain_wall(basis), basis, cut=0)
 
 
 def test_run_slide_monotonic():
@@ -295,9 +293,7 @@ def test_entropy_from_number_blocks_matches_dense_svd(L, N):
     rng = np.random.default_rng(L * 100 + N)
     psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     psi = psi / np.linalg.norm(psi)
-    cuts = range(1, L) if basis.dim < 48620 else (1, L // 2, L - 1)
-    for cut in cuts:
-        assert abs(entanglement_entropy(psi, basis, cut) - dense_svd_entropy(psi, basis, cut)) < 1e-12
+    assert abs(entanglement_entropy(psi, basis) - dense_svd_entropy(psi, basis, L // 2)) < 1e-12
     # a product state: every block but one is empty
     assert entanglement_entropy(initial_domain_wall(basis), basis) == 0.0
 

@@ -1,6 +1,6 @@
 """Every module of the package uses what it imports, every private
 module-level helper is used somewhere in the package, and every public
-name is used by code outside the tests."""
+name and every optional parameter is used by code outside the tests."""
 
 import ast
 from pathlib import Path
@@ -107,3 +107,53 @@ def test_unreferenced_name_is_caught(tmp_path):
                       "def recursive(n):\n    return recursive(n - 1) if n else pkg.attr\n")
     names = ["imported", "sub", "attr", "recursive", "absent"]
     assert unreferenced_names(names, [module]) == ["absent", "recursive"]
+
+
+def unpassed_parameters(defined_in: list, called_in: list) -> list:
+    """The optional parameters of functions defined in `defined_in` that
+    no call in `called_in` passes, by keyword or by position.  A call
+    `f(...)` or `x.f(...)` counts for every function named f; a method's
+    position skips self, a `*args` passes every positional parameter and
+    a `**kwargs` every keyword."""
+    positional, keywords = {}, {}      # function name -> largest positional count, names passed
+    for path in called_in:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                n = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+                positional[name] = max(positional.get(name, 0), n)
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    unpassed = []
+    for path in defined_in:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args
+            skip = 1 if params and params[0].arg in ("self", "cls") else 0
+            first = len(params) - len(a.defaults)
+            optional = [(i - skip, p.arg) for i, p in enumerate(params) if i >= first]
+            optional += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            passed = keywords.get(node.name, set())
+            unpassed += [f"{path.name}:{node.lineno} {node.name}({p}=)" for i, p in optional
+                         if p not in passed and None not in passed
+                         and (i is None or positional.get(node.name, 0) <= i)]
+    return unpassed
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    # a default that only tests override is a setting the program never uses
+    modules = sorted(PACKAGE.glob("*.py"))
+    callers = modules + sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert unpassed_parameters(modules, callers) == []
+
+
+def test_unpassed_parameter_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n\n"
+        "def g(x=0, y=0):\n    pass\n\n\n"
+        "class K:\n    def m(self, z=0, w=0):\n        pass\n\n\n"
+        "def h(s=0, t=0):\n    pass\n\n\n"
+        "f(0, 1, e=5)\ng(*[1, 2])\nK().m(1)\nh(**{})\n")
+    assert unpassed_parameters([module], [module]) == ["m.py:1 f(c=)", "m.py:1 f(d=)", "m.py:10 m(w=)"]

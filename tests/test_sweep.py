@@ -1,5 +1,6 @@
 """Parameter sweeps: determinism, resume, and record plumbing."""
 
+import csv
 import threading
 import warnings
 
@@ -15,7 +16,6 @@ from nhchain import (
     imag_fraction,
     inclusive_range,
     ipr_per_state,
-    read_records_csv,
     run_sweep,
     run_sweep_to_file,
     winding_result,
@@ -27,6 +27,12 @@ from dataclasses import replace
 
 def collect(spec):
     return list(run_sweep(spec))
+
+
+def read_rows(path):
+    """A sweep file's rows below the header, each as the fields it holds."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
 
 
 def test_inclusive_range():
@@ -119,6 +125,23 @@ def test_f_im_reuses_a_decomposition_at_its_bc(monkeypatch, quantities, decompos
     assert rows["f_im"] == imag_fraction(d)
 
 
+def test_o_dw_and_density_share_one_density_per_sample(monkeypatch):
+    calls = []
+    observe = sweep_mod.static_observables
+
+    def counting(decomp, basis):
+        calls.append(decomp)
+        return observe(decomp, basis)
+
+    spec = SweepSpec(base=ModelParams(L=8, N=4, g=0.5, V=2.0, W=0.5, bc="obc"),
+                     theta0_samples=2, quantities=("o_dw", "density"), out="unused.csv")
+    plain = collect(spec)
+    monkeypatch.setattr(sweep_mod, "static_observables", counting)
+    shared = collect(spec)
+    assert len(calls) == 2
+    assert [(r.key, r.value) for r in shared] == [(r.key, r.value) for r in plain]
+
+
 def test_resume_skips_finished_points(tmp_path):
     base = ModelParams(L=13, g=0.5, bc="pbc")
     out = tmp_path / "sweep.csv"
@@ -130,12 +153,12 @@ def test_resume_skips_finished_points(tmp_path):
     assert (again_written, again_reused) == (0, 9)
 
     # widen the grid: only the new point runs, old rows are untouched
-    before = {(r.key, r.sample) for r in read_records_csv(str(out))}
+    before = {tuple(row) for row in read_rows(out)}
     wider = SweepSpec(base=base, w_grid=(0.0, 1.0, 2.0, 3.0), theta0_samples=2,
                       quantities=("f_im",), out=str(out))
     written, reused = run_sweep_to_file(wider)
     assert (written, reused) == (3, 9)
-    after = {(r.key, r.sample) for r in read_records_csv(str(out))}
+    after = {tuple(row) for row in read_rows(out)}
     assert before < after and len(after) == 12
 
 
@@ -146,6 +169,7 @@ def test_resume_skips_finished_points(tmp_path):
     (dict(), dict(S=1)),            # the file has a sample this run lacks
     (dict(), dict(S=3)),            # sample 1 sits at another theta0
     (dict(S=1), dict()),            # the file's averages cover one sample only
+    (dict(theta0=0.3), dict(theta0=0.3000000000001)),   # equal to 12 digits, not to 17
 ])
 def test_resume_refuses_incompatible_file(tmp_path, first, second):
     out = str(tmp_path / "sweep.csv")
@@ -159,6 +183,48 @@ def test_resume_refuses_incompatible_file(tmp_path, first, second):
     with pytest.raises(ValueError, match="this run has"):
         run_sweep_to_file(spec(**second))
     assert open(out).read() == before
+
+
+@pytest.mark.parametrize("malformed, why", [
+    (lambda f: f[:1], "has 1 fields, not 11"),
+    (lambda f: f[:10], "has 10 fields, not 11"),
+    (lambda f: f + [""], "has 12 fields, not 11"),
+    (lambda f: f[:2] + ["x"] + f[3:], "is not a row this run writes"),        # g is no number
+    (lambda f: f[:8] + ["f_im:0"] + f[9:], "is not a row this run writes"),
+], ids=["1-field", "10-fields", "12-fields", "g-not-a-number", "unknown-row-name"])
+def test_resume_refuses_a_malformed_row(tmp_path, malformed, why):
+    out = tmp_path / "sweep.csv"
+    spec = SweepSpec(base=ModelParams(L=13, g=0.5, bc="pbc"), w_grid=(0.0, 1.0),
+                     theta0_samples=2, quantities=("f_im",), out=str(out))
+    run_sweep_to_file(spec)
+    lines = out.read_bytes().decode().split("\r\n")
+    lines[2] = ",".join(malformed(lines[2].split(",")))
+    out.write_bytes("\r\n".join(lines).encode())
+    before = out.read_bytes()
+    with pytest.raises(ValueError, match=f"{why}; this run has"):
+        run_sweep_to_file(replace(spec, w_grid=(0.0, 1.0, 2.0)))
+    assert out.read_bytes() == before
+
+
+def test_resume_drops_a_last_row_cut_off_mid_write(tmp_path):
+    spec = SweepSpec(base=ModelParams(L=21, g=0.5, bc="pbc"), w_grid=(0.0, 1.0, 2.0, 3.0),
+                     theta0_samples=2, quantities=("f_im", "ipr_obc"), out=str(tmp_path / "fresh.csv"))
+    run_sweep_to_file(spec)
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+    # killed while writing the W=2 sample-0 f_im row, eight characters short of its value
+    torn = tmp_path / "torn.csv"
+    start = fresh.index(b"21,,0.5,0,2,0,pbc,0,f_im,")
+    torn.write_bytes(fresh[:fresh.index(b",", start + 25) - 8])
+    before = torn.read_bytes()
+    torn_spec = replace(spec, out=str(torn))
+    with pytest.raises(ValueError, match="this run has"):      # a refused file keeps its tail
+        run_sweep_to_file(replace(torn_spec, base=replace(spec.base, L=15)))
+    assert torn.read_bytes() == before
+    assert run_sweep_to_file(torn_spec) == (12, 12)   # W=2's point runs again, and W=3's
+    lines = torn.read_bytes().split(b"\r\n")
+    assert set(lines) == set(fresh.split(b"\r\n")) and len(lines) == 26
+    assert all(len(row) == 11 for row in csv.reader(line.decode() for line in lines[:-1]))
+    assert run_sweep_to_file(torn_spec) == (0, 24)
 
 
 def test_resume_accepts_other_grid_and_quantities(tmp_path):
@@ -221,13 +287,13 @@ def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep_mod, "imag_fraction", interrupt_at_third_point)
     with pytest.raises(KeyboardInterrupt):
         run_sweep_to_file(spec)
-    kept = read_records_csv(out)
-    assert sorted({r.W for r in kept}) == [0.0, 1.0]
+    kept = read_rows(out)
+    assert sorted({row[4] for row in kept}) == ["0", "1"]
     assert len(kept) == 4                        # 2 points x (1 sample + avg)
 
     monkeypatch.undo()
     assert run_sweep_to_file(spec) == (4, 4)
-    assert len(read_records_csv(out)) == 8
+    assert len(read_rows(out)) == 8
 
 
 def test_density_rows_cover_every_site():
@@ -257,11 +323,12 @@ def test_csv_round_trip(tmp_path):
     rows = collect(spec)
     path = tmp_path / "records.csv"
     write_records_csv(rows, str(path))
-    back = read_records_csv(str(path))
+    back = read_rows(path)
     assert len(back) == len(rows)
     for a, b in zip(rows, back):
-        assert a.key == b.key and a.sample == b.sample
-        assert (np.isnan(a.value) and np.isnan(b.value)) or a.value == pytest.approx(b.value, rel=1e-10)
+        assert len(b) == 11 and a.key == tuple(b[:9]) and b[9] == format(a.value, ".17g")
+        assert float(b[9]) == a.value                    # .17g reads back to the same double
+    assert float(back[0][5]) == rows[0].theta0 and back[-1][5] == ""   # the avg row has no theta0
 
 
 def test_spec_validation():
