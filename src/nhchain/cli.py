@@ -201,7 +201,7 @@ def cmd_phase_diagram(args) -> int:
 def cmd_evolve(args) -> int:
     params = _model_params(args)
     if args.method == "exact" and args.M is not None:
-        raise CLIError("--M sets the Krylov dimension; --method exact does not use one")
+        raise CLIError("--M caps the Krylov dimension; --method exact does not use one")
     M = args.M if args.M is not None else (25 if params.many_body else 15)
     config = EvolverConfig(method=args.method, M=M, dt=args.dt,
                            t_max=args.tmax, record_stride=args.record_stride)
@@ -473,7 +473,8 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     _add_io_flags(p)
     p.add_argument("--method", choices=("exact", "krylov"), default="krylov")
-    p.add_argument("--M", type=int, default=None, help="Krylov dimension (15 single-particle, 25 many-body)")
+    p.add_argument("--M", type=int, default=None,
+                   help="largest Krylov dimension (15 single-particle, 25 many-body)")
     p.add_argument("--dt", type=float, default=0.2)
     p.add_argument("--tmax", type=float, default=10.0)
     p.add_argument("--record-stride", type=int, default=1)
@@ -491,7 +492,7 @@ def build_parser() -> _Parser:
     p.add_argument("--which", default=None, help="panel subset, e.g. 'a' or 'bd'")
     p.add_argument("--out-dir", default=None)
     p.add_argument("--L", type=int, default=None)
-    p.add_argument("--M", type=int, default=None, help="fig3, fig4")
+    p.add_argument("--M", type=int, default=None, help="largest Krylov dimension (fig3, fig4)")
     p.add_argument("--dt", type=float, default=None, help="fig3, fig4")
     p.add_argument("--tmax", type=float, default=None, help="fig3, fig4")
     p.add_argument("--samples", type=_sample_count, default=None, help="fig1, fig2, fig4")

@@ -6,11 +6,13 @@ the exponentials are rescaled by the largest imaginary part before
 resummation so arbitrarily long times never overflow (the rescaling is a
 positive factor and drops out of the normalized state).  `arnoldi_step`
 advances one time step in a Krylov subspace: it orthonormalizes
-{psi, H psi, ..., H^{M-1} psi} by block classical Gram-Schmidt run twice
+{psi, H psi, ..., H^{m-1} psi} by block classical Gram-Schmidt run twice
 (each pass one projection onto and one subtraction of all earlier basis
-vectors), exponentiates the small Hessenberg matrix, and maps back.
-Both return a unit-norm state, mirroring how a non-unitary evolution is
-turned into a physical state.
+vectors), exponentiates the small Hessenberg matrix, and maps back.  The
+dimension m is the first whose a-posteriori error estimate is at or
+below KRYLOV_TOL (Saad 1992; Niesen & Wright 2012 adapt m the same way),
+up to the cap M that the caller passes.  Both return a unit-norm state,
+mirroring how a non-unitary evolution is turned into a physical state.
 
 `run` records observables on a time grid into an `ObservableSeries`
 held as columns: the record times and one (times x width) array per
@@ -40,12 +42,13 @@ from .spectral import SpectralDecomposition, decompose, density_profile, ipr
 
 EXPM_COND_CAP = 1e8
 BREAKDOWN_TOL = 1e-14
+KRYLOV_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class EvolverConfig:
     method: str = "krylov"           # "exact" | "krylov"
-    M: int = 15                      # Krylov dimension (25 is the many-body default)
+    M: int = 15                      # largest Krylov dimension (25 is the many-body default)
     dt: float = 0.2
     t_max: float = 10.0
     record_stride: int = 1
@@ -146,16 +149,26 @@ def evolve_exact(
     return psi / norm
 
 
-def _expm_small(Ht: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt Ht) via eigendecomposition, Pade fallback near defectiveness."""
+def _expm_e1(Hm: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt Hm) e1, the first column of the small propagator: by
+    eigendecomposition, with a Pade fallback near defectiveness."""
     try:
-        lam, vecs = scipy.linalg.eig(Ht)
+        lam, vecs = np.linalg.eig(Hm)
         cond = np.linalg.cond(vecs)
         if np.isfinite(cond) and cond < EXPM_COND_CAP:
-            return (vecs * np.exp(-1j * dt * lam)) @ np.linalg.inv(vecs)
+            e1 = np.zeros(len(lam))
+            e1[0] = 1.0
+            return vecs @ (np.exp(-1j * dt * lam) * np.linalg.solve(vecs, e1))
     except np.linalg.LinAlgError:
         pass
-    return scipy.linalg.expm(-1j * dt * np.asarray(Ht))
+    return scipy.linalg.expm(-1j * dt * np.asarray(Hm))[:, 0]
+
+
+def _krylov_error(y: np.ndarray, beta: float) -> float:
+    """Saad's a-posteriori error of the Krylov step V_m y with y = exp(-i dt H_m) e1,
+    relative to the step's norm: beta |y_m| / ||y||, where beta = h_{m+1,m}
+    (Saad, SIAM J. Numer. Anal. 29, 1992)."""
+    return beta * abs(y[-1]) / np.linalg.norm(y)
 
 
 def arnoldi_step(
@@ -164,12 +177,19 @@ def arnoldi_step(
     M: int,
     dt: float,
 ) -> np.ndarray:
-    """One Krylov step psi -> V_M exp(-i dt H~) V_M^dagger psi, normalized.
+    """One Krylov step psi -> V_m exp(-i dt H_m) V_m^dagger psi, normalized.
 
     H may be a HamiltonianMatrix, dense array, or sparse matrix; only
-    mat-vec products are taken.  The recursion stops early when the
-    Arnoldi residual drops below 1e-14 (invariant subspace reached, the
-    truncated propagator is then exact).  dt=0 returns the input state.
+    mat-vec products are taken.  The Krylov dimension m adapts: the
+    recursion stops at the first m whose a-posteriori error
+    (`_krylov_error`) is at or below KRYLOV_TOL, and M is the largest m it
+    may reach.  The estimate needs the small exponential, so it is taken
+    only once the a-priori proxy prod_k h_{k+1,k} dt / k (the size of the
+    first Taylor term that the m vectors leave out) has fallen to the
+    tolerance; after an estimate above it, the proxy goes on from that
+    estimate.  The recursion also stops when the Arnoldi residual drops
+    below BREAKDOWN_TOL (invariant subspace reached, the truncated
+    propagator is then exact).  dt=0 returns the input state.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
@@ -179,12 +199,12 @@ def arnoldi_step(
         return np.array(psi, dtype=complex, copy=True)
     M = min(M, n)
     V = np.zeros((n, M), dtype=complex, order="F")   # contiguous Krylov vectors
-    h = np.zeros((M + 1, M), dtype=complex)
+    h = np.zeros((M, M), dtype=complex)
     norm0 = np.linalg.norm(psi)
     if norm0 < 1e-300:
         raise ValueError("zero state")
     V[:, 0] = np.asarray(psi, dtype=complex) / norm0
-    m_eff = M
+    err = 1.0      # prod_k h_{k+1,k} dt / k, continued from the last estimate taken
     for j in range(M):
         w = op @ V[:, j]
         Vj = V[:, :j + 1]
@@ -194,14 +214,17 @@ def arnoldi_step(
             w -= Vj @ coef
             h[:j + 1, j] += coef
         beta = np.linalg.norm(w)
-        if j + 1 < M:
-            if beta < BREAKDOWN_TOL:
-                m_eff = j + 1
+        m = j + 1
+        err *= beta * dt / m
+        last = m == M or beta < BREAKDOWN_TOL
+        if last or err <= KRYLOV_TOL:
+            y = _expm_e1(h[:m, :m], dt)
+            err = _krylov_error(y, beta)
+            if last or err <= KRYLOV_TOL:
                 break
-            h[j + 1, j] = beta
-            V[:, j + 1] = w / beta
-    small = _expm_small(h[:m_eff, :m_eff], dt)
-    out = V[:, :m_eff] @ small[:, 0]
+        h[m, j] = beta
+        V[:, m] = w / beta
+    out = V[:, :m] @ y
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite entries in Krylov step")
     return out / np.linalg.norm(out)
