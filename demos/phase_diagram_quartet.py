@@ -46,6 +46,8 @@ def main():
         print(f"{g:5.2f} {w_f:10.2f} {w_nu:9.2f} {2 * np.exp(g):7.2f}")
 
     from nhchain import write_records_csv
+    if os.path.exists(out):   # write_records_csv appends; a rerun replaces the file
+        os.remove(out)
     write_records_csv(all_rows, out)
     print(f"\nboth markers move with the gauge parameter, not with W alone;")
     print(f"averaged rows written to {out}")

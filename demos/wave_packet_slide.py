@@ -16,7 +16,7 @@ L, J0, G, T_MAX = 300, 290, 1.0, 30.0
 
 def density_series(W, bc):
     p = ModelParams(L=L, g=G, W=W, bc=bc)
-    cfg = EvolverConfig(method="krylov", M=15, dt=0.2, t_max=T_MAX, record_stride=5)
+    cfg = EvolverConfig(method="krylov", dt=0.2, t_max=T_MAX, record_stride=5)
     return run(p, cfg, initial_localized(L, J0), ("density",))
 
 

@@ -8,12 +8,13 @@ command but `evolve` and `phase-diagram` (whose series and sweep
 modules write their own files) writes its rows through `_write_rows`.
 
 `--config FILE` reads flat `key = value` lines and turns each into the
-flag `--key=value`, placed right after the command name, so argparse
-checks it like any flag and a flag given on the command line wins.
+flag `--key=value`, placed right after the command name (the preset
+name, for a preset), so argparse checks it like any flag and a flag
+given on the command line wins.
 
 Each preset is a list of declared (panel, file, job) entries run by one
-runner; `_PRESETS` lists the optional flags each preset reads, and any
-other one is refused.
+runner and its own sub-command under `preset`: `_PRESETS` gives each the
+flags it reads with their defaults, and argparse refuses any other.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .dynamics import EvolverConfig, initial_domain_wall, initial_localized, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import BiorthogonalizationError, decompose, density_profile, cdw_order, eigenvalues, ipr
-from .sweep import QUANTITIES, SweepSpec, _effective_bc, inclusive_range, run_sweep_to_file
+from .sweep import QUANTITIES, SweepSpec, _effective_bc, _theta0, inclusive_range, run_sweep_to_file
 from .winding import SingularBaseEnergyError, WindingConfig, WindingIllDefinedError, winding_result
 
 
@@ -168,7 +169,7 @@ def cmd_winding(args) -> int:
     S = args.samples
     rows = []
     for s in range(S):
-        p = replace(params, theta0=args.theta0 + 2.0 * np.pi * s / S)
+        p = replace(params, theta0=_theta0(args.theta0, s, S))
         res = winding_result(p, cfg=cfg)
         rows.append((s, p.theta0, res.nu, res.raw))
         if S > 1:
@@ -200,11 +201,8 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_evolve(args) -> int:
     params = _model_params(args)
-    if args.method == "exact" and args.M is not None:
-        raise CLIError("--M caps the Krylov dimension; --method exact does not use one")
-    M = args.M if args.M is not None else (25 if params.many_body else 15)
-    config = EvolverConfig(method=args.method, M=M, dt=args.dt,
-                           t_max=args.tmax, record_stride=args.record_stride)
+    config = EvolverConfig(method=args.method, dt=args.dt, t_max=args.tmax,
+                           record_stride=args.record_stride)
     observables = tuple(o.strip() for o in args.observables.split(",") if o.strip())
     if params.many_body:
         if args.j0 is not None:
@@ -218,8 +216,7 @@ def cmd_evolve(args) -> int:
     out = args.out or "evolve.csv"
     series.write_csv(out)
     rows = len(series.t) * sum(block.shape[1] for block in series.blocks.values())
-    method = "exact" if config.method == "exact" else f"krylov M={M}"
-    _summary(f"evolve: {method} dt={config.dt} t_max={config.t_max} "
+    _summary(f"evolve: {config.method} dt={config.dt} t_max={config.t_max} "
              f"-> {out} ({rows} records)", to_stderr=False)
     return 0
 
@@ -279,7 +276,7 @@ def _entanglement_traces(params: ModelParams, config: EvolverConfig, S: int) -> 
     disorder phase theta0 = 2*pi*s/S (s < S) over time, then the sample mean."""
     def write(path):
         basis = build_fock_basis(params.L, params.N)
-        series = [run(replace(params, theta0=2.0 * np.pi * s / S), config,
+        series = [run(replace(params, theta0=_theta0(params.theta0, s, S)), config,
                       initial_domain_wall(basis), ("s_ee",), basis=basis) for s in range(S)]
         # (len(t), S): the mean along each contiguous row adds the samples in order
         stack = np.column_stack([x.blocks["s_ee"][:, 0] for x in series])
@@ -311,11 +308,6 @@ def _winding_inset(L: int, N: int) -> tuple:
     return write, meta
 
 
-def _given(value, default):
-    """A preset flag's value, or the preset's default where it is not given."""
-    return default if value is None else value
-
-
 def _run_panels(which: str, out_dir: str, panels: list) -> tuple:
     """Run the declared jobs of the selected panels, in panel order.
 
@@ -342,9 +334,9 @@ def _run_panels(which: str, out_dir: str, panels: list) -> tuple:
 
 def _preset_fig1(args) -> tuple:
     """Single-particle (W, g) phase-diagram quartet."""
-    base = ModelParams(L=_given(args.L, 89), bc="pbc")
+    base = ModelParams(L=args.L, bc="pbc")
     grids = dict(g_grid=inclusive_range(0.0, 1.0, 0.1), w_grid=inclusive_range(0.0, 8.0, 0.25),
-                 theta0_samples=_given(args.samples, 10))
+                 theta0_samples=args.samples)
     panels = [(panel, f"fig1_{panel}.csv",
                _sweep(SweepSpec(base=base, quantities=(q,), **grids)))
               for panel, q in zip("abcd", ("ipr_obc", "winding", "ipr_pbc", "f_im"))]
@@ -353,9 +345,9 @@ def _preset_fig1(args) -> tuple:
 
 def _preset_fig2(args) -> tuple:
     """Many-body statics at half filling: density, Fock IPR, winding, CDW order."""
-    L = _given(args.L, 12)
+    L = args.L
     N = L // 2
-    S = _given(args.samples, 3)
+    S = args.samples
     w_grid = inclusive_range(0.0, 8.0, 0.5)
     specs = [
         *[("a", f"fig2_a_{bc}.csv",
@@ -376,10 +368,9 @@ def _preset_fig2(args) -> tuple:
 
 def _preset_fig3(args) -> tuple:
     """Single-particle wave-packet propagation with an amplified front."""
-    L = _given(args.L, 600)
+    L = args.L
     j0 = min(int(round(L * 580 / 600)), L - 1)
-    config = EvolverConfig(method="krylov", M=_given(args.M, 15), dt=_given(args.dt, 0.2),
-                           t_max=_given(args.tmax, 40.0))
+    config = EvolverConfig(method="krylov", dt=args.dt, t_max=args.tmax)
     panels = [(panel, f"fig3_{panel}.csv",
                _wave_packet(ModelParams(L=L, g=1.0, W=W, bc=bc), config, j0))
               for panel, (bc, W) in zip("abcd", (("pbc", 0.0), ("obc", 0.0),
@@ -390,15 +381,14 @@ def _preset_fig3(args) -> tuple:
 
 def _preset_fig4(args) -> tuple:
     """Entanglement growth from the half-filled domain wall."""
-    L = _given(args.L, 12)
+    L = args.L
     N = L // 2
     g = 0.5
     w_crit = 2.0 * 2.0 * np.exp(g)
-    config = EvolverConfig(method="krylov", M=_given(args.M, 25), dt=_given(args.dt, 0.05),
-                           t_max=_given(args.tmax, 100.0), record_stride=5)
+    config = EvolverConfig(method="krylov", dt=args.dt, t_max=args.tmax, record_stride=5)
     panels = [(panel, f"fig4_{panel}.csv",
                _entanglement_traces(ModelParams(L=L, N=N, g=g, V=2.0, W=W, bc=bc), config,
-                                    _given(args.samples, 5)))
+                                    args.samples))
               for panel, (bc, W) in zip("abcd", (("pbc", 0.5), ("obc", 0.5),
                                                   ("pbc", w_crit), ("obc", w_crit)))]
     notes = [f"this run: L={L}, N={N} (dim {comb(L, N)}); published setting: L=18, N=8 "
@@ -407,27 +397,20 @@ def _preset_fig4(args) -> tuple:
     return panels, notes
 
 
-# name -> (declaration, the optional flags it reads besides --L, --which, --out-dir)
+# name -> (declaration, {flag: default} for the flags it reads besides --which, --out-dir)
 _PRESETS = {
-    "fig1": (_preset_fig1, ("samples",)),
-    "fig2": (_preset_fig2, ("samples",)),
-    "fig3": (_preset_fig3, ("M", "dt", "tmax")),
-    "fig4": (_preset_fig4, ("M", "dt", "tmax", "samples")),
+    "fig1": (_preset_fig1, {"L": 89, "samples": 10}),
+    "fig2": (_preset_fig2, {"L": 12, "samples": 3}),
+    "fig3": (_preset_fig3, {"L": 600, "dt": 0.2, "tmax": 40.0}),
+    "fig4": (_preset_fig4, {"L": 12, "dt": 0.05, "tmax": 100.0, "samples": 5}),
 }
 
 
 def cmd_preset(args) -> int:
     name = args.name
-    if name is None:
-        raise CLIError("preset name required (fig1|fig2|fig3|fig4)")
-    declare, reads = _PRESETS[name]
-    flags = dict.fromkeys(flag for _, takes in _PRESETS.values() for flag in takes)
-    ignored = [f"--{f}" for f in flags if f not in reads and getattr(args, f) is not None]
-    if ignored:
-        raise CLIError(f"preset {name} does not take {', '.join(ignored)}")
     if args.which and (set(args.which) - set("abcd") or len(set(args.which)) < len(args.which)):
         raise CLIError("--which takes a subset of 'abcd', each panel once")
-    panels, notes = declare(args)
+    panels, notes = _PRESETS[name][0](args)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     files, panel_meta = _run_panels(args.which or "abcd", out_dir, panels)
@@ -456,7 +439,7 @@ def build_parser() -> _Parser:
     _add_model_flags(p, flux=False)
     _add_io_flags(p)
     p.add_argument("--e0", type=complex, default=0.0, help="base energy")
-    p.add_argument("--points", type=int, default=201, help="flux grid points")
+    p.add_argument("--points", type=int, default=WindingConfig.n_points, help="flux grid points")
     p.add_argument("--samples", type=_sample_count, default=1, help="theta0 samples")
     p.set_defaults(func=cmd_winding)
 
@@ -473,11 +456,9 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     _add_io_flags(p)
     p.add_argument("--method", choices=("exact", "krylov"), default="krylov")
-    p.add_argument("--M", type=int, default=None,
-                   help="largest Krylov dimension (15 single-particle, 25 many-body)")
-    p.add_argument("--dt", type=float, default=0.2)
-    p.add_argument("--tmax", type=float, default=10.0)
-    p.add_argument("--record-stride", type=int, default=1)
+    p.add_argument("--dt", type=float, default=EvolverConfig.dt)
+    p.add_argument("--tmax", type=float, default=EvolverConfig.t_max)
+    p.add_argument("--record-stride", type=int, default=EvolverConfig.record_stride)
     p.add_argument("--j0", type=int, default=None, help="initial site (single-particle)")
     p.add_argument("--observables", default="density")
     p.set_defaults(func=cmd_evolve)
@@ -487,17 +468,17 @@ def build_parser() -> _Parser:
     _add_io_flags(p)
     p.set_defaults(func=cmd_ground_state)
 
-    p = sub.add_parser("preset", help="canned study reproductions (fig1..fig4)")
-    p.add_argument("name", nargs="?", choices=tuple(_PRESETS), default=None)
-    p.add_argument("--which", default=None, help="panel subset, e.g. 'a' or 'bd'")
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--M", type=int, default=None, help="largest Krylov dimension (fig3, fig4)")
-    p.add_argument("--dt", type=float, default=None, help="fig3, fig4")
-    p.add_argument("--tmax", type=float, default=None, help="fig3, fig4")
-    p.add_argument("--samples", type=_sample_count, default=None, help="fig1, fig2, fig4")
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_preset)
+    presets = sub.add_parser("preset", help="canned study reproductions (fig1..fig4)")
+    by_name = presets.add_subparsers(dest="name", required=True)
+    for name, (declare, flags) in _PRESETS.items():
+        p = by_name.add_parser(name, help=declare.__doc__.splitlines()[0])
+        p.add_argument("--which", default=None, help="panel subset, e.g. 'a' or 'bd'")
+        p.add_argument("--out-dir", default=None)
+        for flag, default in flags.items():
+            p.add_argument(f"--{flag}", type=_sample_count if flag == "samples" else type(default),
+                           default=default, help=f"default {default}")
+        p.add_argument("--config", default=None)
+        p.set_defaults(func=cmd_preset)
 
     return parser
 
@@ -508,8 +489,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            # the file's flags go first, so the command line's own win
-            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+            # the file's flags go right after the command (and preset) name,
+            # so the command line's own win
+            at = 2 if args.command == "preset" else 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         return args.func(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,7 +48,7 @@ KRYLOV_TOL = 1e-12
 @dataclass(frozen=True)
 class EvolverConfig:
     method: str = "krylov"           # "exact" | "krylov"
-    M: int = 15                      # largest Krylov dimension (25 is the many-body default)
+    M: int = 25                      # largest Krylov dimension a step may use
     dt: float = 0.2
     t_max: float = 10.0
     record_stride: int = 1

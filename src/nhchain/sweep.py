@@ -117,9 +117,9 @@ def _key(L, N, g, V, W, theta0, bc, sample, quantity) -> tuple:
             "" if theta0 is None else format(theta0, ".17g"), bc, sample, quantity)
 
 
-def _theta0(spec: SweepSpec, s: int) -> float:
-    """Disorder phase of sample s: the base phase plus s/S of a turn."""
-    return spec.base.theta0 + 2.0 * np.pi * s / spec.theta0_samples
+def _theta0(theta0: float, s: int, S: int) -> float:
+    """Disorder phase of sample s of S: the base phase theta0 plus s/S of a turn."""
+    return theta0 + 2.0 * np.pi * s / S
 
 
 def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> dict:
@@ -177,7 +177,7 @@ def _names(quantity: str, L: int) -> list:
 
 def _sample_rows(spec: SweepSpec, g: float, V: float, W: float, s: int, results: dict) -> list:
     base = spec.base
-    theta0 = _theta0(spec, s)
+    theta0 = _theta0(base.theta0, s, spec.theta0_samples)
     rows = []
     for q in spec.quantities:
         value, notes = results[q]   # density: a length-L profile, NaN-filled on failure
@@ -205,13 +205,13 @@ def _average_rows(spec: SweepSpec, g: float, V: float, W: float, sample_rows: li
 
 def expected_keys(spec: SweepSpec, g: float, V: float, W: float, quantities: Sequence[str]) -> set:
     """Keys of the rows that `quantities` contribute at one grid point of `spec`."""
-    base = spec.base
+    base, S = spec.base, spec.theta0_samples
     keys = set()
     for q in quantities:
         bc = _effective_bc(q, base.bc)
         for name in _names(q, base.L):
-            for s in range(spec.theta0_samples):
-                keys.add(_key(base.L, base.N, g, V, W, _theta0(spec, s), bc, str(s), name))
+            for s in range(S):
+                keys.add(_key(base.L, base.N, g, V, W, _theta0(base.theta0, s, S), bc, str(s), name))
             keys.add(_key(base.L, base.N, g, V, W, None, bc, "avg", name))
     return keys
 
@@ -261,13 +261,14 @@ def _point_rows(spec: SweepSpec, have: set) -> Iterator[list]:
     points are recomputed and only their missing rows are returned.  A
     point is computed only when its rows are asked for.
     """
-    basis = build_fock_basis(spec.base.L, spec.base.N) if spec.base.many_body else None
+    base, S = spec.base, spec.theta0_samples
+    basis = build_fock_basis(base.L, base.N) if base.many_body else None
     for g, V, W in product(spec.g_grid, spec.v_grid, spec.w_grid):
         if expected_keys(spec, g, V, W, spec.quantities) <= have:
             continue
         point_rows = []
-        for s in range(spec.theta0_samples):
-            params = replace(spec.base, g=g, V=V, W=W, theta0=_theta0(spec, s))
+        for s in range(S):
+            params = replace(base, g=g, V=V, W=W, theta0=_theta0(base.theta0, s, S))
             results = _evaluate_sample(params, spec.quantities, basis)
             point_rows.extend(_sample_rows(spec, g, V, W, s, results))
         rows = point_rows + _average_rows(spec, g, V, W, point_rows)
@@ -280,12 +281,13 @@ def run_sweep(spec: SweepSpec) -> Iterator[ResultRecord]:
         yield from rows
 
 
-def write_records_csv(records: Iterable[ResultRecord], path: str, append: bool = False) -> int:
-    new_file = not (append and os.path.exists(path) and os.path.getsize(path) > 0)
+def write_records_csv(records: Iterable[ResultRecord], path: str) -> int:
+    """Append the records to the CSV file, with the header first when the
+    file is missing or empty; returns the number of records written."""
     n = 0
-    with open(path, "a" if append else "w", newline="") as fh:
+    with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
-        if new_file:
+        if fh.tell() == 0:
             writer.writerow(CSV_COLUMNS)
         for r in records:
             writer.writerow([*r.key, format(r.value, ".17g"), r.warnings])
@@ -316,5 +318,5 @@ def run_sweep_to_file(spec: SweepSpec, threads: int = 1) -> tuple:
         os.truncate(spec.out, end)
     written = 0
     for point in _point_rows(spec, {tuple(row[:9]) for row in rows}):
-        written += write_records_csv(point, spec.out, append=True)
+        written += write_records_csv(point, spec.out)
     return written, len(rows)

@@ -105,15 +105,17 @@ def test_evolve_j0_conflicts_with_filling():
 
 
 @pytest.mark.parametrize("N", [None, "4"])
-def test_evolve_exact_refuses_a_krylov_dimension(tmp_path, capsys, N):
-    out = tmp_path / "ev.csv"
-    argv = ["evolve", "--L", "8", "--method", "exact", "--tmax", "0.5", "--out", str(out)]
-    argv += ["--N", N] if N else []
-    assert cli.main(argv + ["--M", "3"]) == 1
-    assert "--M" in capsys.readouterr().err and not out.exists()
-    assert cli.main(argv) == 0
-    assert "evolve: exact dt=" in capsys.readouterr().out
-    assert out.exists()
+def test_evolve_refuses_a_krylov_dimension(tmp_path, capsys, N):
+    # the error estimate picks each step's Krylov dimension; a cap would only truncate
+    for method in ("exact", "krylov"):
+        out = tmp_path / f"{method}.csv"
+        argv = ["evolve", "--L", "8", "--method", method, "--tmax", "0.5", "--out", str(out)]
+        argv += ["--N", N] if N else []
+        assert cli.main(argv + ["--M", "3"]) == 1
+        assert "--M" in capsys.readouterr().err and not out.exists()
+        assert cli.main(argv) == 0
+        assert f"evolve: {method} dt=" in capsys.readouterr().out
+        assert out.exists()
 
 
 def test_ground_state_stdout(capsys):
@@ -165,7 +167,7 @@ def test_config_entries_are_checked_as_flags(tmp_path, text, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert cli.main(["spectrum", "--L", "8", "--config", str(cfg)]) == 1
-    assert cli.main(["preset", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert cli.main(["preset", "fig3", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
     assert capsys.readouterr().err.count("error: ") == 2
 
@@ -192,7 +194,7 @@ def test_preset_reads_its_flags_from_config(tmp_path):
 
 # the optional flags each preset reads, besides --L, --which and --out-dir
 PRESET_FLAGS = {"fig1": {"--samples"}, "fig2": {"--samples"},
-                "fig3": {"--M", "--dt", "--tmax"}, "fig4": {"--M", "--dt", "--tmax", "--samples"}}
+                "fig3": {"--dt", "--tmax"}, "fig4": {"--dt", "--tmax", "--samples"}}
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_FLAGS))

@@ -22,6 +22,7 @@ from nhchain import (
     ipr,
     run,
 )
+import nhchain.dynamics as dynamics
 from nhchain.dynamics import _expm_e1, _krylov_error
 
 
@@ -205,6 +206,23 @@ def test_hermitian_krylov_matches_expm_over_500_steps():
     for _ in range(500):
         psi = arnoldi_step(H, psi, 15, 0.2)
     assert np.abs(psi - scipy.linalg.expm(-100.0j * H.dense()) @ psi0).max() < 1e-9
+
+
+def test_default_cap_takes_a_delta_start_step_to_the_tolerance(monkeypatch):
+    # fig3's first step: a delta state at L=600 needs m ~ 20 at dt = 0.2,
+    # which the default cap must allow (a cap of 15 erred by 7.2e-11)
+    p = ModelParams(L=600, g=1.0, W=0.0, bc="pbc")
+    psi0 = initial_localized(600, 580)
+    states = []
+
+    def recording(*args):
+        states.append(arnoldi_step(*args))
+        return states[-1]
+
+    monkeypatch.setattr(dynamics, "arnoldi_step", recording)
+    run(p, EvolverConfig(dt=0.2, t_max=0.2), psi0)
+    exact = scipy.linalg.expm(-0.2j * build_single_particle(p).dense()) @ psi0
+    assert np.abs(states[-1] - exact / np.linalg.norm(exact)).max() <= 1e-12
 
 
 def test_krylov_tracks_exact_over_window():
