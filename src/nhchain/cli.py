@@ -36,27 +36,26 @@ from .sweep import QUANTITIES, SweepSpec, _effective_bc, _theta0, inclusive_rang
 from .winding import SingularBaseEnergyError, WindingConfig, WindingIllDefinedError, winding_result
 
 
-class CLIError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         # a flag, and so a config key, must be named in full: no prefix matching
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):   # argparse would sys.exit(2); we map to exit 1
-        raise CLIError(message)
+        raise ValueError(message)
 
 
 def _parse_grid(text: str) -> tuple:
     """'0:8:0.25' -> inclusive grid; '1.5' -> single-point grid."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) == 3:
-        return inclusive_range(float(parts[0]), float(parts[1]), float(parts[2]))
-    raise CLIError(f"grid must be 'value' or 'start:stop:step', got {text!r}")
+    try:
+        if len(parts) == 1:
+            return (float(parts[0]),)
+        if len(parts) == 3:
+            return inclusive_range(*map(float, parts))
+    except ValueError as exc:   # argparse would replace the message with its own
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError(f"grid must be 'value' or 'start:stop:step', got {text!r}")
 
 
 def _sample_count(text: str) -> int:
@@ -88,12 +87,12 @@ def _add_io_flags(p: _Parser) -> None:
     p.add_argument("--out", default=None)
 
 
-def _model_params(args, default_bc=None) -> ModelParams:
+def _model_params(args) -> ModelParams:
     if args.L is None:
-        raise CLIError("--L is required")
-    bc = args.bc or default_bc or "obc"   # explicit flag wins over the command default
+        raise ValueError("--L is required")
+    bc = args.bc or "obc"
     if args.flux is not None and bc == "obc":
-        raise CLIError("--flux only applies under --bc pbc")
+        raise ValueError("--flux only applies under --bc pbc")
 
     def one(x, fallback):   # a grid flag builds the matrix at its first value
         if x is None:
@@ -138,7 +137,7 @@ def _config_flags(path: str) -> list:
             if not line:
                 continue
             if "=" not in line:
-                raise CLIError(f"config line is not key=value: {raw.strip()!r}")
+                raise ValueError(f"config line is not key=value: {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             flags.append(f"--{key.replace('_', '-')}={value}")
     return flags
@@ -162,9 +161,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_winding(args) -> int:
-    params = _model_params(args, default_bc="pbc")
-    if params.bc != "pbc":
-        raise CLIError("winding needs --bc pbc")
+    params = _model_params(args)
     cfg = WindingConfig(n_points=args.points, e0=args.e0)
     S = args.samples
     rows = []
@@ -206,7 +203,7 @@ def cmd_evolve(args) -> int:
     observables = tuple(o.strip() for o in args.observables.split(",") if o.strip())
     if params.many_body:
         if args.j0 is not None:
-            raise CLIError("--j0 applies to single-particle runs; many-body starts from the domain wall")
+            raise ValueError("--j0 applies to single-particle runs; many-body starts from the domain wall")
         basis = build_fock_basis(params.L, params.N)
         psi0 = initial_domain_wall(basis)
     else:
@@ -409,7 +406,7 @@ _PRESETS = {
 def cmd_preset(args) -> int:
     name = args.name
     if args.which and (set(args.which) - set("abcd") or len(set(args.which)) < len(args.which)):
-        raise CLIError("--which takes a subset of 'abcd', each panel once")
+        raise ValueError("--which takes a subset of 'abcd', each panel once")
     panels, notes = _PRESETS[name][0](args)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -441,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--e0", type=complex, default=0.0, help="base energy")
     p.add_argument("--points", type=int, default=WindingConfig.n_points, help="flux grid points")
     p.add_argument("--samples", type=_sample_count, default=1, help="theta0 samples")
-    p.set_defaults(func=cmd_winding)
+    p.set_defaults(func=cmd_winding, bc="pbc")
 
     p = sub.add_parser("phase-diagram", help="sweep grids of (g, V, W)")
     _add_model_flags(p, grid=True, flux=False)
@@ -494,9 +491,6 @@ def main(argv=None) -> int:
             at = 2 if args.command == "preset" else 1
             args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (BiorthogonalizationError, WindingIllDefinedError, SingularBaseEnergyError,
             FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

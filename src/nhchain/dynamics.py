@@ -272,22 +272,19 @@ def run(
     t_max: when t_max is not a multiple of dt (to 1e-9 relative), the
     last step is shortened to land on it.
     """
-    measure = {   # basis and r_max are bound below, before the first record
+    measure = {   # basis is bound below, before the first record
         "density": lambda psi: density_profile(psi, basis),
-        **dict.fromkeys(("ipr", "fock_ipr"), ipr),
+        "ipr": ipr,
         "s_ee": lambda psi: entanglement_entropy(psi, basis),
-        "rmax_overlap": lambda psi: abs(np.vdot(r_max, psi)),
     }
     names = list(dict.fromkeys(observables))
     unknown = set(names) - set(measure)
     if unknown:
-        raise ValueError(f"unknown observables: {sorted(unknown)}")
+        raise ValueError(f"unknown observables: {sorted(unknown)}; known: {', '.join(measure)}")
     if params.many_body and basis is None:
         basis = build_fock_basis(params.L, params.N)
-    if not params.many_body and ("s_ee" in names or "fock_ipr" in names):
-        raise ValueError("s_ee and fock_ipr need a many-body state")
-    if "rmax_overlap" in names and config.method != "exact":
-        raise ValueError("rmax_overlap needs the exact spectrum; use method='exact'")
+    if not params.many_body and "s_ee" in names:
+        raise ValueError("s_ee needs a many-body state")
 
     if params.many_body:
         H = build_many_body(params, basis)
@@ -295,13 +292,7 @@ def run(
         H = build_single_particle(params)
         basis = None
 
-    decomp = None
-    r_max = None
-    if config.method == "exact" or "rmax_overlap" in names:
-        decomp = decompose(H)
-        k_max = int(np.argmax(decomp.eigenvalues.imag))
-        r_max = decomp.right[:, k_max]
-        r_max = r_max / np.linalg.norm(r_max)
+    decomp = decompose(H) if config.method == "exact" else None
 
     dt = last_dt = config.dt
     n_steps = int(round(config.t_max / dt))

@@ -144,8 +144,6 @@ def decompose(H: HamiltonianMatrix) -> SpectralDecomposition:
     The open-chain route (g != 0) solves the g = 0 chain of H.params,
     so H must be the model matrix of its params there.
     """
-    if H.dim < 2:
-        raise ValueError("need dim >= 2")
     p = H.params
     if p.g == 0.0:
         # Hermitian for any W and flux: the twist enters conjugately.
@@ -162,8 +160,6 @@ def eigenvalues(H: HamiltonianMatrix) -> np.ndarray:
     arithmetic.  Raises BiorthogonalizationError where decompose's
     collision check would.
     """
-    if H.dim < 2:
-        raise ValueError("need dim >= 2")
     p = H.params
     if p.g == 0.0:
         return scipy.linalg.eigvalsh(H.dense()).astype(complex)

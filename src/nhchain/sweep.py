@@ -85,6 +85,9 @@ class SweepSpec:
         if any(self.v_grid) and not self.base.many_body:
             raise ValueError("a nonzero V in v_grid needs a particle number N: "
                              "one particle has no interaction")
+        if self.base.phi:
+            raise ValueError("a sweep builds at zero flux (the winding runs the whole loop); "
+                             f"got base phi={self.base.phi}")
 
 
 @dataclass
@@ -133,7 +136,7 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
     vector_bcs = {_effective_bc(q, params.bc) for q in quantities if q not in ("f_im", "winding")}
 
     def matrix(bc):
-        p = replace(params, bc=bc, phi=0.0)
+        p = replace(params, bc=bc)
         return build_many_body(p, basis) if p.many_body else build_single_particle(p)
 
     @cache   # one decomposition and one density per boundary condition
@@ -151,7 +154,7 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
             if q == "f_im":
                 value = imag_fraction(get_decomp(bc) if bc in vector_bcs else eigenvalues(matrix(bc)))
             elif q == "winding":
-                res = winding_result(replace(params, bc="pbc", phi=0.0))
+                res = winding_result(replace(params, bc="pbc"))
                 value = float(res.nu)
                 notes = list(res.warnings)
             elif q in ("o_dw", "density"):

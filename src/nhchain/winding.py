@@ -45,7 +45,8 @@ from .model import (FockBasis, ModelParams, build_fock_basis, build_many_body, b
 DET_FLOOR = 1e-300
 
 # Largest stack of flux-point determinants handed to log_det_phase at
-# once: all 202 points of a single-particle loop, two at dim 924.
+# once: a whole single-particle grid (the 101 points of the half loop at
+# a real base energy, all 202 at a complex one), two at dim 924.
 BATCH_BYTES = 8 << 20
 
 

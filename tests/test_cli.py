@@ -64,8 +64,33 @@ def test_winding_prints_integer(capsys):
     assert out.strip().splitlines()[-1] == "nu = 1"
 
 
-def test_winding_rejects_obc():
+def test_winding_rejects_obc(capsys):
     assert cli.main(["winding", "--L", "21", "--g", "0.5", "--bc", "obc"]) == 1
+    assert "winding requires periodic boundaries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("1:2", "grid must be 'value' or 'start:stop:step', got '1:2'"),
+    ("1:0:1", "empty range: stop 0.0 < start 1.0"),
+    ("0:1:0", "step must be > 0"),
+])
+def test_bad_grid_message_reaches_stderr(tmp_path, capsys, grid, message):
+    out = tmp_path / "pd.csv"
+    assert cli.main(["phase-diagram", "--L", "8", "--W", grid, "--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert f"argument --W: {message}" in stderr and stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--L", "8", "--g", "0.5", "--method", "exact", "--observables", "rmax_overlap"],
+    ["--L", "8", "--N", "4", "--g", "0.5", "--observables", "fock_ipr"],
+])
+def test_evolve_names_the_known_observables(tmp_path, capsys, argv):
+    out = tmp_path / "ev.csv"
+    assert cli.main(["evolve", *argv, "--tmax", "0.4", "--out", str(out)]) == 1
+    assert "known: density, ipr, s_ee" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_winding_sample_file(tmp_path, capsys):

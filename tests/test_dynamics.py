@@ -1,6 +1,7 @@
 """Propagators, the evolution driver, and entanglement entropy."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,8 +316,26 @@ def test_run_validation():
         run(p, cfg, psi0, ("bogus",))
     with pytest.raises(ValueError):
         run(p, cfg, psi0, ("s_ee",))            # needs a many-body state
-    with pytest.raises(ValueError):
-        run(p, cfg, psi0, ("rmax_overlap",))    # needs the exact spectrum
+    with pytest.raises(ValueError, match="known: density, ipr, s_ee"):
+        run(p, cfg, psi0, ("rmax_overlap",))    # no observable of run: decompose gives the modes
+    with pytest.raises(ValueError, match="known: density, ipr, s_ee"):
+        run(p, replace(cfg, method="exact"), psi0, ("rmax_overlap",))
+    basis = build_fock_basis(6, 3)
+    with pytest.raises(ValueError, match="known: density, ipr, s_ee"):
+        run(ModelParams(L=6, N=3, g=0.5, bc="pbc"), cfg, initial_domain_wall(basis),
+            ("fock_ipr",), basis=basis)         # ipr under a second name
+
+
+def test_krylov_run_needs_no_spectrum(monkeypatch):
+    def no_spectrum(H):
+        raise AssertionError("a Krylov run decomposed H")
+
+    monkeypatch.setattr(dynamics, "decompose", no_spectrum)
+    basis = build_fock_basis(8, 4)
+    p = ModelParams(L=8, N=4, g=0.5, V=2.0, W=1.0, bc="pbc")
+    cfg = EvolverConfig(method="krylov", dt=0.1, t_max=0.5)
+    series = run(p, cfg, initial_domain_wall(basis), ("density", "ipr", "s_ee"), basis=basis)
+    assert list(series.blocks) == ["density", "ipr", "s_ee"] and len(series.t) == 6
 
 
 def test_evolver_config_validation():

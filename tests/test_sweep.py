@@ -345,3 +345,5 @@ def test_spec_validation():
         SweepSpec(base=base, v_grid=(0.0, 1.0), out="u.csv")          # V needs N too
     assert SweepSpec(base=base, v_grid=(0.0,), out="u.csv").v_grid == (0.0,)
     assert SweepSpec(base=mb, v_grid=(0.0, 1.0), out="u.csv").v_grid == (0.0, 1.0)
+    with pytest.raises(ValueError, match="zero flux"):    # it would be built at phi = 0
+        SweepSpec(base=replace(base, W=1.0, phi=1.3), quantities=("f_im", "ipr_pbc"))
