@@ -453,9 +453,12 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     _add_io_flags(p)
     p.add_argument("--method", choices=("exact", "krylov"), default="krylov")
-    p.add_argument("--dt", type=float, default=EvolverConfig.dt)
+    p.add_argument("--dt", type=float, default=EvolverConfig.dt,
+                   help="unit of the record grid t = k*dt, not the propagator's step: "
+                        "krylov takes one error-controlled step per record interval")
     p.add_argument("--tmax", type=float, default=EvolverConfig.t_max)
-    p.add_argument("--record-stride", type=int, default=EvolverConfig.record_stride)
+    p.add_argument("--record-stride", type=int, default=EvolverConfig.record_stride,
+                   help="record every k-th grid time (and t_max)")
     p.add_argument("--j0", type=int, default=None, help="initial site (single-particle)")
     p.add_argument("--observables", default="density")
     p.set_defaults(func=cmd_evolve)

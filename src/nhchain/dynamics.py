@@ -5,14 +5,18 @@ over the biorthogonal modes, attaches e^{-i eps_n t} factors and resums;
 the exponentials are rescaled by the largest imaginary part before
 resummation so arbitrarily long times never overflow (the rescaling is a
 positive factor and drops out of the normalized state).  `arnoldi_step`
-advances one time step in a Krylov subspace: it orthonormalizes
-{psi, H psi, ..., H^{m-1} psi} by block classical Gram-Schmidt run twice
-(each pass one projection onto and one subtraction of all earlier basis
-vectors), exponentiates the small Hessenberg matrix, and maps back.  The
-dimension m is the first whose a-posteriori error estimate is at or
-below KRYLOV_TOL (Saad 1992; Niesen & Wright 2012 adapt m the same way),
-up to the cap M that the caller passes.  Both return a unit-norm state,
-mirroring how a non-unitary evolution is turned into a physical state.
+advances a state over a time interval in Krylov sub-steps.  Each one
+orthonormalizes {psi, H psi, ..., H^{m-1} psi} by block classical
+Gram-Schmidt run twice (each pass one projection onto and one
+subtraction of all earlier basis vectors), exponentiates the small
+Hessenberg matrix, and maps back.  The dimension m is the first whose
+a-posteriori error estimate is at or below KRYLOV_TOL (Saad 1992;
+Niesen & Wright 2012 adapt m the same way), up to the cap M that the
+caller passes.  One sub-step covers the whole interval unless it reaches
+M above the tolerance; then the interval is split into shorter
+sub-steps, each on a new basis (Expokit's step-size control, Sidje
+1998).  Both return a unit-norm state, mirroring how a non-unitary
+evolution is turned into a physical state.
 
 `run` records observables on a time grid into an `ObservableSeries`
 held as columns: the record times and one (times x width) array per
@@ -43,12 +47,24 @@ from .spectral import SpectralDecomposition, decompose, density_profile, ipr
 EXPM_COND_CAP = 1e8
 BREAKDOWN_TOL = 1e-14
 KRYLOV_TOL = 1e-12
+STEP_SAFETY = 0.9        # Expokit's gamma: aim a sub-step below the length the estimate allows
+MAX_STEP_GROWTH = 5.0    # largest factor by which a sub-step may exceed the one before
+MAX_SUBSTEPS = 10_000    # a step refuses sub-steps shorter than dt / MAX_SUBSTEPS
 
 
 @dataclass(frozen=True)
 class EvolverConfig:
+    """How `run` evolves: the method, the Krylov cap M (at least 2), and
+    the record grid t = k * dt for every record_stride-th k up to t_max.
+
+    dt is the unit of the record grid, not the propagator's step: the
+    Krylov method takes one `arnoldi_step` per record interval
+    (record_stride * dt), which splits the interval only where the cap M
+    cannot meet KRYLOV_TOL in one sub-step.
+    """
+
     method: str = "krylov"           # "exact" | "krylov"
-    M: int = 25                      # largest Krylov dimension a step may use
+    M: int = 25                      # largest Krylov dimension a sub-step may use
     dt: float = 0.2
     t_max: float = 10.0
     record_stride: int = 1
@@ -56,8 +72,8 @@ class EvolverConfig:
     def __post_init__(self) -> None:
         if self.method not in ("exact", "krylov"):
             raise ValueError(f"method must be 'exact' or 'krylov', got {self.method!r}")
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
+        if self.M < 2:
+            raise ValueError("M must be >= 2")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.t_max < 0:
@@ -171,39 +187,26 @@ def _krylov_error(y: np.ndarray, beta: float) -> float:
     return beta * abs(y[-1]) / np.linalg.norm(y)
 
 
-def arnoldi_step(
-    H,
-    psi: np.ndarray,
-    M: int,
-    dt: float,
-) -> np.ndarray:
-    """One Krylov step psi -> V_m exp(-i dt H_m) V_m^dagger psi, normalized.
+def _krylov_attempt(op, psi: np.ndarray, M: int, dt: float) -> tuple:
+    """One Krylov basis built from psi for a step of dt: the normalized
+    state V_m exp(-i dt H_m) V_m^dagger psi, its error estimate, and m.
 
-    H may be a HamiltonianMatrix, dense array, or sparse matrix; only
-    mat-vec products are taken.  The Krylov dimension m adapts: the
-    recursion stops at the first m whose a-posteriori error
-    (`_krylov_error`) is at or below KRYLOV_TOL, and M is the largest m it
-    may reach.  The estimate needs the small exponential, so it is taken
-    only once the a-priori proxy prod_k h_{k+1,k} dt / k (the size of the
-    first Taylor term that the m vectors leave out) has fallen to the
-    tolerance; after an estimate above it, the proxy goes on from that
-    estimate.  The recursion also stops when the Arnoldi residual drops
-    below BREAKDOWN_TOL (invariant subspace reached, the truncated
-    propagator is then exact).  dt=0 returns the input state.
+    The dimension m adapts: the recursion stops at the first m whose
+    a-posteriori error (`_krylov_error`) is at or below KRYLOV_TOL, and M
+    is the largest m it may reach, whatever the estimate there.  The
+    estimate needs the small exponential, so it is taken only once the
+    a-priori proxy prod_k h_{k+1,k} dt / k (the size of the first Taylor
+    term that the m vectors leave out) has fallen to the tolerance; after
+    an estimate above it, the proxy goes on from that estimate.  The
+    recursion also stops when the Arnoldi residual drops below
+    BREAKDOWN_TOL (invariant subspace reached, the truncated propagator
+    is then exact).
     """
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    op = H.entries if isinstance(H, HamiltonianMatrix) else H
     n = len(psi)
-    if dt == 0:
-        return np.array(psi, dtype=complex, copy=True)
     M = min(M, n)
     V = np.zeros((n, M), dtype=complex, order="F")   # contiguous Krylov vectors
     h = np.zeros((M, M), dtype=complex)
-    norm0 = np.linalg.norm(psi)
-    if norm0 < 1e-300:
-        raise ValueError("zero state")
-    V[:, 0] = np.asarray(psi, dtype=complex) / norm0
+    V[:, 0] = psi / np.linalg.norm(psi)
     err = 1.0      # prod_k h_{k+1,k} dt / k, continued from the last estimate taken
     for j in range(M):
         w = op @ V[:, j]
@@ -227,7 +230,68 @@ def arnoldi_step(
     out = V[:, :m] @ y
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite entries in Krylov step")
-    return out / np.linalg.norm(out)
+    return out / np.linalg.norm(out), err, m
+
+
+def _step_factor(err: float, m: int) -> float:
+    """Expokit's step-length factor STEP_SAFETY (KRYLOV_TOL / err)^(1/m):
+    the estimate of an m-vector step scales as dt^m (Sidje, ACM TOMS 24, 1998)."""
+    return STEP_SAFETY * (KRYLOV_TOL / max(err, 1e-300)) ** (1.0 / m)
+
+
+def arnoldi_step(
+    H,
+    psi: np.ndarray,
+    M: int,
+    dt: float,
+) -> np.ndarray:
+    """Evolve psi over dt in Krylov sub-steps; the normalized state.
+
+    H may be a HamiltonianMatrix, dense array, or sparse matrix; only
+    mat-vec products are taken.  Each attempt at a sub-step of length tau
+    builds a Krylov basis of adaptive dimension m <= M from the current
+    state (`_krylov_attempt`).  The first attempt covers all of dt, and
+    when it meets KRYLOV_TOL the step is that one attempt.
+
+    An attempt that reaches the cap M with its estimate above KRYLOV_TOL
+    is rejected, never accepted.  tau then shrinks by `_step_factor` at
+    m = M, and the next attempt builds a new basis from the same state,
+    so that m adapts again: shrinking tau on the rejected basis would keep
+    m = M, where the rounding of `_expm_e1` can hold the estimate above
+    the tolerance at every tau.  After an accepted sub-step tau grows by
+    `_step_factor` at the m it used (never shrinking, at most
+    MAX_STEP_GROWTH-fold), and the last sub-step ends on dt.
+
+    Every call ends.  M must be at least 2, since at m = 1 the estimate
+    is h_21 at every tau.  A rejection that would take tau below
+    dt / MAX_SUBSTEPS raises FloatingPointError, as the cap then cannot
+    meet the tolerance in a practical number of sub-steps (at M = 2 the
+    estimate falls only linearly in tau).  dt=0 returns a copy of psi.
+    """
+    if dt < 0:
+        raise ValueError("dt must be >= 0")
+    if M < 2:
+        raise ValueError("M must be >= 2: at m = 1 the error estimate does not shrink with the step")
+    op = H.entries if isinstance(H, HamiltonianMatrix) else H
+    psi = np.array(psi, dtype=complex, copy=True)
+    if dt == 0:
+        return psi
+    if np.linalg.norm(psi) < 1e-300:
+        raise ValueError("zero state")
+    left, tau = dt, dt
+    while left > 0:
+        tau = min(tau, left)
+        out, err, m = _krylov_attempt(op, psi, M, tau)
+        if err <= KRYLOV_TOL:
+            psi, left = out, left - tau
+            tau *= min(max(_step_factor(err, m), 1.0), MAX_STEP_GROWTH)
+            continue
+        tau *= _step_factor(err, m)
+        if not tau * MAX_SUBSTEPS >= dt:      # also when the estimate is not a number
+            raise FloatingPointError(
+                f"the Krylov step of {dt:.6g} needs sub-steps below {tau:.3g} at the cap M={m} "
+                f"(estimate {err:.2e} above KRYLOV_TOL): more than {MAX_SUBSTEPS} of them")
+    return psi
 
 
 def entanglement_entropy(psi: np.ndarray, basis: FockBasis) -> float:
@@ -267,10 +331,12 @@ def run(
 ) -> ObservableSeries:
     """Evolve `initial` to t_max, recording observables on a time grid.
 
-    The state is normalized after every step.  The grid is t = k * dt
-    for k = 0, stride, 2*stride, ..., plus the final step, which ends at
-    t_max: when t_max is not a multiple of dt (to 1e-9 relative), the
-    last step is shortened to land on it.
+    The grid is t = k * dt for k = 0, stride, 2*stride, ..., plus a last
+    record at t_max: when t_max is not a multiple of dt (to 1e-9
+    relative), the last record interval is shortened to end on it.  The
+    Krylov method takes one `arnoldi_step` per record interval, and the
+    exact method evaluates each record time from `initial`; either way
+    the state is normalized at every record.
     """
     measure = {   # basis is bound below, before the first record
         "density": lambda psi: density_profile(psi, basis),
@@ -294,29 +360,29 @@ def run(
 
     decomp = decompose(H) if config.method == "exact" else None
 
-    dt = last_dt = config.dt
-    n_steps = int(round(config.t_max / dt))
-    if abs(n_steps * dt - config.t_max) > 1e-9 * config.t_max:
-        # whole steps up to the last multiple of dt below t_max, then a shorter one onto it
-        n_steps = int(config.t_max // dt) + 1
-        last_dt = config.t_max - (n_steps - 1) * dt
-    record_at = sorted({*range(0, n_steps + 1, config.record_stride), n_steps})
+    dt = config.dt
+    k_last = int(round(config.t_max / dt))
+    off_grid = abs(k_last * dt - config.t_max) > 1e-9 * config.t_max
+    if off_grid:
+        # whole multiples of dt up to the last one below t_max, then t_max itself
+        k_last = int(config.t_max // dt) + 1
+    record_at = sorted({*range(0, k_last + 1, config.record_stride), k_last})
     times = np.array(record_at) * dt
-    if last_dt != dt:
+    intervals = np.diff(record_at) * dt      # one Krylov step each
+    if off_grid:
         times[-1] = config.t_max
+        intervals[-1] = config.t_max - times[-2]
     blocks = {name: np.empty((len(record_at), params.L if name == "density" else 1))
               for name in names}
 
     psi0 = np.asarray(initial, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
-    psi, done = psi0, 0
-    for row, k in enumerate(record_at):
-        if config.method == "exact":
-            psi = evolve_exact(decomp, psi0, times[row]) if k else psi0
-        else:
-            for step in range(done + 1, k + 1):
-                psi = arnoldi_step(H, psi, config.M, last_dt if step == n_steps else dt)
-            done = k
+    psi = psi0
+    for row, t in enumerate(times):
+        if row and config.method == "exact":
+            psi = evolve_exact(decomp, psi0, t)
+        elif row:
+            psi = arnoldi_step(H, psi, config.M, intervals[row - 1])
         for name in names:
             blocks[name][row] = measure[name](psi)
     return ObservableSeries(t=times, blocks=blocks)

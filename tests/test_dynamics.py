@@ -200,6 +200,41 @@ def test_arnoldi_step_stops_below_the_cap_with_the_full_step_answer():
     assert np.abs(out - full).max() <= 1e-11
 
 
+def test_a_step_that_reaches_the_cap_is_split_to_the_tolerance():
+    # one attempt over dt reaches the cap 25 above KRYLOV_TOL: accepted, it
+    # would be 7.4e-10 (dt = 1) and 7.1e-4 (dt = 2) off
+    H, psi = quench_924()
+    modes = decompose(H)
+    for dt in (1.0, 2.0):
+        exact = evolve_exact(modes, psi, dt)
+        assert np.abs(arnoldi_step(H, psi, 25, dt) - exact).max() <= 1e-12, dt
+
+
+def test_every_cap_terminates():
+    basis = build_fock_basis(8, 4)                     # dim 70
+    H = build_many_body(ModelParams(L=8, N=4, g=0.5, V=2.0, W=1.0, bc="pbc"), basis)
+    psi = initial_domain_wall(basis)
+    exact = scipy.linalg.expm(-0.05j * H.dense()) @ psi
+    exact /= np.linalg.norm(exact)
+    for M in (-1, 0, 1):        # at m = 1 the estimate is h_21 at every step length
+        with pytest.raises(ValueError, match="M must be >= 2"):
+            arnoldi_step(H, psi, M, 0.05)
+        with pytest.raises(ValueError, match="M must be >= 2"):
+            EvolverConfig(M=M)
+    returned, raised = [], []
+    for M in range(2, basis.dim + 3):
+        try:
+            out = arnoldi_step(H, psi, M, 0.05)
+        except FloatingPointError as exc:
+            assert "sub-steps below" in str(exc)
+            raised.append(M)
+            continue
+        assert np.abs(out - exact).max() <= 1e-12, M
+        returned.append(M)
+    # caps too small for the tolerance raise instead of splitting without end
+    assert raised and max(raised) < min(returned) <= 5
+
+
 def test_hermitian_krylov_matches_expm_over_500_steps():
     H = build_single_particle(ModelParams(L=40, g=0.0, W=1.0, bc="pbc"))
     psi0 = initial_localized(40, 20)
@@ -346,6 +381,8 @@ def test_evolver_config_validation():
     with pytest.raises(ValueError):
         EvolverConfig(M=0)
     with pytest.raises(ValueError):
+        EvolverConfig(M=1)
+    with pytest.raises(ValueError):
         EvolverConfig(record_stride=0)
     with pytest.raises(ValueError):
         EvolverConfig(t_max=-1.0)
@@ -422,6 +459,34 @@ def test_run_ends_at_t_max_off_the_step_grid():
                   - series["exact"].profile_at("density", 1.0)).max() < 1e-8
     stride = run(p, EvolverConfig(M=10, dt=0.3, t_max=1.0, record_stride=2), psi0, ("ipr",))
     assert stride.t.tolist() == [0.0, 0.6, 1.0]
+
+
+def test_run_takes_one_step_per_record_interval(monkeypatch):
+    calls = []
+
+    def counting(H, psi, M, dt):
+        calls.append((M, dt))
+        return arnoldi_step(H, psi, M, dt)
+
+    monkeypatch.setattr(dynamics, "arnoldi_step", counting)
+    basis = build_fock_basis(8, 4)
+    p = ModelParams(L=8, N=4, g=0.5, V=2.0, W=1.0, bc="pbc")
+    psi0 = initial_domain_wall(basis)
+    # the benchmark quench's grid: 20 units of 0.05, a record every 5
+    series = run(p, EvolverConfig(M=25, dt=0.05, t_max=1.0, record_stride=5), psi0,
+                 ("s_ee",), basis=basis)
+    assert np.array_equal(series.t, np.array([0, 5, 10, 15, 20]) * 0.05)
+    assert calls == [(25, 0.25)] * 4
+    exact = run(p, EvolverConfig(method="exact", dt=0.05, t_max=1.0, record_stride=5), psi0,
+                ("s_ee",), basis=basis)
+    assert np.array_equal(exact.t, series.t)
+    assert np.abs(series.blocks["s_ee"] - exact.blocks["s_ee"]).max() < 1e-10
+    # t_max off the grid: records at 0, 0.6 and 1.0, one step onto each
+    calls.clear()
+    series = run(p, EvolverConfig(M=25, dt=0.3, t_max=1.0, record_stride=2), psi0,
+                 ("ipr",), basis=basis)
+    assert series.t.tolist() == [0.0, 0.6, 1.0]
+    assert calls == [(25, 2 * 0.3), (25, 1.0 - 0.6)]
 
 
 @pytest.mark.parametrize("dt, t_max, stride", [(0.2, 40.0, 1), (0.05, 1.0, 5), (0.1, 0.3, 1), (0.3, 0.0, 1)])
