@@ -9,12 +9,13 @@ advances a state over a time interval in Krylov sub-steps.  Each one
 orthonormalizes {psi, H psi, ..., H^{m-1} psi} by block classical
 Gram-Schmidt run twice (each pass one projection onto and one
 subtraction of all earlier basis vectors), exponentiates the small
-Hessenberg matrix, and maps back.  The dimension m is the first whose
-a-posteriori error estimate is at or below KRYLOV_TOL (Saad 1992;
-Niesen & Wright 2012 adapt m the same way), up to the cap M that the
-caller passes.  One sub-step covers the whole interval unless it reaches
-M above the tolerance; then the interval is split into shorter
-sub-steps, each on a new basis (Expokit's step-size control, Sidje
+Hessenberg matrix by a Taylor series with scaling and squaring, and maps
+back.  The dimension m is the first whose a-posteriori error estimate is
+at or below KRYLOV_TOL (Saad 1992; Niesen & Wright 2012 adapt m the same
+way), up to the cap M that the caller passes.  One sub-step covers the
+whole interval unless its basis reaches M above the tolerance; then the
+sub-step is shortened on that basis until the estimate passes, and
+further sub-steps cover the rest (Expokit's step-size control, Sidje
 1998).  Both return a unit-norm state, mirroring how a non-unitary
 evolution is turned into a physical state.
 
@@ -39,14 +40,13 @@ from math import comb
 from typing import Iterable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .model import FockBasis, HamiltonianMatrix, ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import SpectralDecomposition, decompose, density_profile, ipr
 
-EXPM_COND_CAP = 1e8
 BREAKDOWN_TOL = 1e-14
 KRYLOV_TOL = 1e-12
+TAYLOR_TERMS = 18        # terms of exp(A) at ||A||_1 <= 1: 1/19! < 2^-53
 STEP_SAFETY = 0.9        # Expokit's gamma: aim a sub-step below the length the estimate allows
 MAX_STEP_GROWTH = 5.0    # largest factor by which a sub-step may exceed the one before
 MAX_SUBSTEPS = 10_000    # a step refuses sub-steps shorter than dt / MAX_SUBSTEPS
@@ -166,18 +166,21 @@ def evolve_exact(
 
 
 def _expm_e1(Hm: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt Hm) e1, the first column of the small propagator: by
-    eigendecomposition, with a Pade fallback near defectiveness."""
-    try:
-        lam, vecs = np.linalg.eig(Hm)
-        cond = np.linalg.cond(vecs)
-        if np.isfinite(cond) and cond < EXPM_COND_CAP:
-            e1 = np.zeros(len(lam))
-            e1[0] = 1.0
-            return vecs @ (np.exp(-1j * dt * lam) * np.linalg.solve(vecs, e1))
-    except np.linalg.LinAlgError:
-        pass
-    return scipy.linalg.expm(-1j * dt * np.asarray(Hm))[:, 0]
+    """exp(-i dt Hm) e1, the first column of the small propagator: with
+    A = -i dt Hm and the smallest j >= 0 that gives ||A / 2^j||_1 <= 1,
+    TAYLOR_TERMS terms of exp(A / 2^j), squared j times (Moler & Van Loan,
+    SIAM Review 45, 2003).  The cost grows with log dt, and the accuracy
+    does not depend on the conditioning of Hm's eigenvectors."""
+    A = -1j * dt * np.asarray(Hm)
+    j = max(int(np.frexp(np.abs(A).sum(axis=0).max())[1]), 0)   # 0 for a non-finite norm
+    A /= 2.0 ** j
+    term = expA = np.eye(len(A), dtype=complex)
+    for k in range(1, TAYLOR_TERMS + 1):
+        term = term @ A / k
+        expA = expA + term
+    for _ in range(j):
+        expA = expA @ expA
+    return expA[:, 0]
 
 
 def _krylov_error(y: np.ndarray, beta: float) -> float:
@@ -187,27 +190,30 @@ def _krylov_error(y: np.ndarray, beta: float) -> float:
     return beta * abs(y[-1]) / np.linalg.norm(y)
 
 
-def _krylov_attempt(op, psi: np.ndarray, M: int, dt: float) -> tuple:
-    """One Krylov basis built from psi for a step of dt: the normalized
-    state V_m exp(-i dt H_m) V_m^dagger psi, its error estimate, and m.
+def _krylov_substep(op, psi: np.ndarray, M: int, tau: float, dt: float) -> tuple:
+    """One Krylov sub-step from psi of length t <= tau, in a step of dt:
+    the normalized state V_m exp(-i t H_m) V_m^dagger psi, t, its error
+    estimate (`_krylov_error`), and m.
 
-    The dimension m adapts: the recursion stops at the first m whose
-    a-posteriori error (`_krylov_error`) is at or below KRYLOV_TOL, and M
-    is the largest m it may reach, whatever the estimate there.  The
-    estimate needs the small exponential, so it is taken only once the
-    a-priori proxy prod_k h_{k+1,k} dt / k (the size of the first Taylor
-    term that the m vectors leave out) has fallen to the tolerance; after
-    an estimate above it, the proxy goes on from that estimate.  The
-    recursion also stops when the Arnoldi residual drops below
-    BREAKDOWN_TOL (invariant subspace reached, the truncated propagator
-    is then exact).
+    The recursion stops at the first m whose estimate at tau is at or
+    below KRYLOV_TOL, at the cap M, or at an Arnoldi residual below
+    BREAKDOWN_TOL (an invariant subspace, where the propagator is exact).
+    The estimate is taken only once the a-priori proxy prod_k h_{k+1,k}
+    tau / k (the first Taylor term that the m vectors leave out) has
+    fallen to the tolerance, and goes on from any estimate above it.
+
+    A basis that reaches M above the tolerance is kept: t shrinks on it
+    by `_step_factor`, or halves while the exponential's norm overflows,
+    until the estimate passes (Expokit's loop, Sidje 1998).  A t below
+    dt / MAX_SUBSTEPS (the cap cannot meet the tolerance in practical
+    sub-steps) and a non-finite basis raise FloatingPointError.
     """
     n = len(psi)
     M = min(M, n)
     V = np.zeros((n, M), dtype=complex, order="F")   # contiguous Krylov vectors
     h = np.zeros((M, M), dtype=complex)
     V[:, 0] = psi / np.linalg.norm(psi)
-    err = 1.0      # prod_k h_{k+1,k} dt / k, continued from the last estimate taken
+    err = 1.0      # prod_k h_{k+1,k} tau / k, continued from the last estimate taken
     for j in range(M):
         w = op @ V[:, j]
         Vj = V[:, :j + 1]
@@ -218,19 +224,28 @@ def _krylov_attempt(op, psi: np.ndarray, M: int, dt: float) -> tuple:
             h[:j + 1, j] += coef
         beta = np.linalg.norm(w)
         m = j + 1
-        err *= beta * dt / m
+        err *= beta * tau / m
         last = m == M or beta < BREAKDOWN_TOL
         if last or err <= KRYLOV_TOL:
-            y = _expm_e1(h[:m, :m], dt)
+            y = _expm_e1(h[:m, :m], tau)
             err = _krylov_error(y, beta)
             if last or err <= KRYLOV_TOL:
                 break
         h[m, j] = beta
         V[:, m] = w / beta
-    out = V[:, :m] @ y
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(beta):
         raise FloatingPointError("non-finite entries in Krylov step")
-    return out / np.linalg.norm(out), err, m
+    while not (err <= KRYLOV_TOL and np.isfinite(np.linalg.norm(y))):
+        # an exponential whose norm overflows gives no estimate to scale by: halve
+        tau *= _step_factor(err, m) if np.isfinite(np.linalg.norm(y)) else 0.5
+        if tau * MAX_SUBSTEPS < dt:
+            raise FloatingPointError(
+                f"the Krylov step of {dt:.6g} needs sub-steps below {tau:.3g} at the cap M={m} "
+                f"(estimate {err:.2e} above KRYLOV_TOL): more than {MAX_SUBSTEPS} of them")
+        y = _expm_e1(h[:m, :m], tau)
+        err = _krylov_error(y, beta)
+    out = V[:, :m] @ y
+    return out / np.linalg.norm(out), tau, err, m
 
 
 def _step_factor(err: float, m: int) -> float:
@@ -248,25 +263,14 @@ def arnoldi_step(
     """Evolve psi over dt in Krylov sub-steps; the normalized state.
 
     H may be a HamiltonianMatrix, dense array, or sparse matrix; only
-    mat-vec products are taken.  Each attempt at a sub-step of length tau
-    builds a Krylov basis of adaptive dimension m <= M from the current
-    state (`_krylov_attempt`).  The first attempt covers all of dt, and
-    when it meets KRYLOV_TOL the step is that one attempt.
-
-    An attempt that reaches the cap M with its estimate above KRYLOV_TOL
-    is rejected, never accepted.  tau then shrinks by `_step_factor` at
-    m = M, and the next attempt builds a new basis from the same state,
-    so that m adapts again: shrinking tau on the rejected basis would keep
-    m = M, where the rounding of `_expm_e1` can hold the estimate above
-    the tolerance at every tau.  After an accepted sub-step tau grows by
-    `_step_factor` at the m it used (never shrinking, at most
-    MAX_STEP_GROWTH-fold), and the last sub-step ends on dt.
+    mat-vec products are taken.  Each sub-step (`_krylov_substep`) builds
+    and uses one basis of adaptive dimension m <= M.  The first tries all
+    of dt; each next one is longer by `_step_factor` at the m used (1- to
+    MAX_STEP_GROWTH-fold), and the last ends on dt.
 
     Every call ends.  M must be at least 2, since at m = 1 the estimate
-    is h_21 at every tau.  A rejection that would take tau below
-    dt / MAX_SUBSTEPS raises FloatingPointError, as the cap then cannot
-    meet the tolerance in a practical number of sub-steps (at M = 2 the
-    estimate falls only linearly in tau).  dt=0 returns a copy of psi.
+    is h_21 at every length, and a sub-step shorter than dt / MAX_SUBSTEPS
+    raises FloatingPointError.  dt=0 returns a copy of psi.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
@@ -279,18 +283,11 @@ def arnoldi_step(
     if np.linalg.norm(psi) < 1e-300:
         raise ValueError("zero state")
     left, tau = dt, dt
-    while left > 0:
-        tau = min(tau, left)
-        out, err, m = _krylov_attempt(op, psi, M, tau)
-        if err <= KRYLOV_TOL:
-            psi, left = out, left - tau
+    with np.errstate(over="ignore", invalid="ignore"):   # `_krylov_substep` handles both
+        while left > 0:
+            psi, tau, err, m = _krylov_substep(op, psi, M, min(tau, left), dt)
+            left -= tau
             tau *= min(max(_step_factor(err, m), 1.0), MAX_STEP_GROWTH)
-            continue
-        tau *= _step_factor(err, m)
-        if not tau * MAX_SUBSTEPS >= dt:      # also when the estimate is not a number
-            raise FloatingPointError(
-                f"the Krylov step of {dt:.6g} needs sub-steps below {tau:.3g} at the cap M={m} "
-                f"(estimate {err:.2e} above KRYLOV_TOL): more than {MAX_SUBSTEPS} of them")
     return psi
 
 
@@ -315,7 +312,7 @@ def entanglement_entropy(psi: np.ndarray, basis: FockBasis) -> float:
     # row (one row per right pattern).
     k_of = np.bitwise_count(basis.states & ((1 << cut) - 1))
     blocks = np.split(psi[np.argsort(k_of, kind="stable")], np.cumsum(np.bincount(k_of))[:-1])
-    s = [scipy.linalg.svdvals(block.reshape(-1, comb(cut, k)))
+    s = [np.linalg.svd(block.reshape(-1, comb(cut, k)), compute_uv=False)
          for k, block in enumerate(blocks) if block.size]
     s2 = np.sort(np.concatenate(s))[::-1] ** 2      # descending, as one dense SVD orders them
     s2 = s2[s2 > 1e-16]

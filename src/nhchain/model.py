@@ -75,12 +75,7 @@ class ModelParams:
         if self.V != 0 and self.N is None:
             raise ValueError(f"V={self.V} needs a particle number N: one particle has no interaction")
         if self.N is not None:
-            if not 0 < self.N < self.L:
-                raise ValueError(f"N must satisfy 0 < N < L, got N={self.N}, L={self.L}")
-            if comb(self.L, self.N) > BASIS_SIZE_CAP:
-                raise ValueError(
-                    f"basis size C({self.L},{self.N}) exceeds cap {BASIS_SIZE_CAP}"
-                )
+            _check_sector(self.L, self.N)
 
     @property
     def many_body(self) -> bool:
@@ -166,12 +161,20 @@ def build_single_particle(params: ModelParams) -> HamiltonianMatrix:
     return HamiltonianMatrix(dim=L, entries=H, params=params)
 
 
-def build_fock_basis(L: int, N: int) -> FockBasis:
-    """Enumerate all C(L, N) occupation words, ascending as integers."""
+def _check_sector(L: int, N: int) -> None:
+    """Refuse a Fock sector that cannot be enumerated: N outside 0 < N < L,
+    over 63 sites (occupation words are int64) or over BASIS_SIZE_CAP states."""
     if not 0 < N < L:
-        raise ValueError(f"need 0 < N < L, got N={N}, L={L}")
+        raise ValueError(f"N must satisfy 0 < N < L, got N={N}, L={L}")
+    if L > 63:
+        raise ValueError(f"a Fock sector holds at most 63 sites (its occupation words are int64), got L={L}")
     if comb(L, N) > BASIS_SIZE_CAP:
         raise ValueError(f"basis size C({L},{N}) exceeds cap {BASIS_SIZE_CAP}")
+
+
+def build_fock_basis(L: int, N: int) -> FockBasis:
+    """Enumerate all C(L, N) occupation words, ascending as integers."""
+    _check_sector(L, N)
     words = sorted(
         sum(1 << j for j in occupied) for occupied in combinations(range(L), N)
     )

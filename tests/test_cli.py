@@ -69,6 +69,12 @@ def test_winding_rejects_obc(capsys):
     assert "winding requires periodic boundaries" in capsys.readouterr().err
 
 
+def test_a_fock_sector_beyond_63_sites_is_an_error_line(capsys):
+    assert cli.main(["spectrum", "--L", "64", "--N", "1"]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: ") and "at most 63 sites" in stderr
+
+
 @pytest.mark.parametrize("grid, message", [
     ("1:2", "grid must be 'value' or 'start:stop:step', got '1:2'"),
     ("1:0:1", "empty range: stop 0.0 < start 1.0"),

@@ -162,20 +162,38 @@ def quench_924():
     return H, initial_domain_wall(basis)
 
 
-@pytest.mark.parametrize("dt", [0.05, 0.25])
+def open_chain_60():
+    """The open g = 1 chain at L=60 from a delta at site 45: the skin effect
+    makes its Hessenberg matrices far from normal."""
+    H = build_single_particle(ModelParams(L=60, g=1.0, bc="obc"))
+    return H, initial_localized(60, 45)
+
+
+# (system, Krylov dimensions) per step length; an eigendecomposition was
+# 1.4e-11 to 1.7e-11 off expm on the open chain's H_15
+ESTIMATE_CASES = {
+    0.05: [(quench_924, (6, 8, 10, 16))],
+    0.25: [(quench_924, (6, 8, 10, 16)), (open_chain_60, (15,))],
+    0.5: [(open_chain_60, (15,))],
+    1.0: [(open_chain_60, (15,))],
+}
+
+
+@pytest.mark.parametrize("dt", list(ESTIMATE_CASES))
 def test_krylov_error_estimate_bounds_the_true_error(dt):
-    H, psi = quench_924()
-    exact = scipy.linalg.expm(-1j * dt * H.dense()) @ psi
-    for m in (6, 8, 10, 16):
-        V, hm, beta = fixed_krylov(H.entries, psi, m)
-        y = _expm_e1(hm, dt)
-        assert np.abs(y - scipy.linalg.expm(-1j * dt * hm)[:, 0]).max() < 1e-13
-        true = np.linalg.norm(V @ y - exact) / np.linalg.norm(exact)
-        estimate = _krylov_error(y, beta)
-        # above the rounding floor of both propagators the estimate is an
-        # upper bound, and a tight one (measured 24x to 200x the true error)
-        assert true <= estimate + 1e-13, (m, true, estimate)
-        assert true < 1e-13 or estimate < 1e3 * true, (m, true, estimate)
+    for system, ms in ESTIMATE_CASES[dt]:
+        H, psi = system()
+        exact = scipy.linalg.expm(-1j * dt * H.dense()) @ psi
+        for m in ms:
+            V, hm, beta = fixed_krylov(H.entries, psi, m)
+            y = _expm_e1(hm, dt)
+            assert np.abs(y - scipy.linalg.expm(-1j * dt * hm)[:, 0]).max() <= 1e-14 * np.linalg.norm(y)
+            true = np.linalg.norm(V @ y - exact) / np.linalg.norm(exact)
+            estimate = _krylov_error(y, beta)
+            # above the rounding floor of both propagators the estimate is an
+            # upper bound, and a tight one (measured 24x to 200x the true error)
+            assert true <= estimate + 1e-13, (m, true, estimate)
+            assert true < 1e-13 or estimate < 1e3 * true, (m, true, estimate)
 
 
 class CountingOperator:
@@ -200,9 +218,20 @@ def test_arnoldi_step_stops_below_the_cap_with_the_full_step_answer():
     assert np.abs(out - full).max() <= 1e-11
 
 
+def test_a_step_that_reaches_the_cap_shortens_on_its_basis():
+    # cap 15 is too small for a step of 1.0 on the open g = 1 chain: each
+    # basis built is used, its sub-step shortened until the estimate passes
+    H, psi = open_chain_60()
+    exact = scipy.linalg.expm(-1j * H.dense()) @ psi
+    op = CountingOperator(H.entries)
+    out = arnoldi_step(op, psi, 15, 1.0)
+    assert np.abs(out - exact / np.linalg.norm(exact)).max() <= 1e-12
+    assert op.matvecs <= 100
+
+
 def test_a_step_that_reaches_the_cap_is_split_to_the_tolerance():
-    # one attempt over dt reaches the cap 25 above KRYLOV_TOL: accepted, it
-    # would be 7.4e-10 (dt = 1) and 7.1e-4 (dt = 2) off
+    # one sub-step over all of dt reaches the cap 25 above KRYLOV_TOL:
+    # accepted as it stands, it would be 7.4e-10 (dt = 1) and 7.1e-4 (dt = 2) off
     H, psi = quench_924()
     modes = decompose(H)
     for dt in (1.0, 2.0):
@@ -233,6 +262,22 @@ def test_every_cap_terminates():
         returned.append(M)
     # caps too small for the tolerance raise instead of splitting without end
     assert raised and max(raised) < min(returned) <= 5
+    # so does an interval whose sub-steps would be too many, and at once:
+    # the small exponential's cost grows with log tau, not tau
+    for M in (min(returned), 25):
+        with pytest.raises(FloatingPointError, match="sub-steps below"):
+            arnoldi_step(H, psi, M, 1e5)
+
+
+def test_a_sub_step_whose_exponential_overflows_is_halved():
+    # e^{-i tau H_m} overflows at tau = 1000 on this growing chain: the
+    # sub-step halves on its basis until the norm is finite, then splits
+    basis = build_fock_basis(8, 4)
+    H = build_many_body(ModelParams(L=8, N=4, g=0.5, V=2.0, W=1.0, bc="pbc"), basis)
+    psi = initial_domain_wall(basis)
+    exact = evolve_exact(decompose(H), psi, 1000.0)
+    for M in (25, basis.dim):
+        assert np.abs(arnoldi_step(H, psi, M, 1000.0) - exact).max() <= 1e-11, M
 
 
 def test_hermitian_krylov_matches_expm_over_500_steps():

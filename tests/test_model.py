@@ -219,6 +219,12 @@ def test_params_validation():
     assert BASIS_SIZE_CAP == 10**7
     with pytest.raises(ValueError):
         build_fock_basis(40, 20)
+    for L in (64, 100):     # the occupation words are int64: one bit per site
+        with pytest.raises(ValueError, match="at most 63 sites"):
+            ModelParams(L=L, N=1)
+        with pytest.raises(ValueError, match="at most 63 sites"):
+            build_fock_basis(L, 1)
+    assert build_fock_basis(63, 1).states[-1] == 1 << 62
 
 
 def test_basis_mismatch_rejected():
