@@ -2,19 +2,23 @@
 
 Exit codes: 0 success, 1 validation error (bad flags, inconsistent
 combinations), 2 numerical failure (defective decomposition, ill-defined
-winding).  Results go to --out as CSV; without --out, row data is
-printed to stdout and the one-line summary moves to stderr.  Every
-command but `evolve` and `phase-diagram` (whose series and sweep
-modules write their own files) writes its rows through `_write_rows`.
+winding).  Results go to --out as CSV.  Without --out, `spectrum` and
+`ground-state` print their rows to stdout and the one-line summary to
+stderr, `winding` prints its per-sample lines and the mean `nu = ...`
+only, and `phase-diagram` and `evolve` write `phase_diagram.csv` and
+`evolve.csv`.  Every command but `evolve` and `phase-diagram` (whose
+series and sweep modules write their own files) writes its rows
+through `_write_rows`.
 
 `--config FILE` reads flat `key = value` lines and turns each into the
 flag `--key=value`, placed right after the command name (the preset
 name, for a preset), so argparse checks it like any flag and a flag
 given on the command line wins.
 
-Each preset is a list of declared (panel, file, job) entries run by one
-runner and its own sub-command under `preset`: `_PRESETS` gives each the
-flags it reads with their defaults, and argparse refuses any other.
+Each preset is a sub-command under `preset` that declares (panel, file,
+job) entries; `_PRESETS` gives the flags it reads with their defaults,
+and argparse refuses any other.  Its metadata file maps each CSV written
+to the metadata of the job that wrote it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .dynamics import EvolverConfig, initial_domain_wall, initial_localized, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import BiorthogonalizationError, decompose, density_profile, cdw_order, eigenvalues, ipr
 from .sweep import QUANTITIES, SweepSpec, _effective_bc, _theta0, inclusive_range, run_sweep_to_file
-from .winding import SingularBaseEnergyError, WindingConfig, WindingIllDefinedError, winding_result
+from .winding import WindingConfig, WindingIllDefinedError, winding_result
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,7 +234,8 @@ def cmd_ground_state(args) -> int:
     k = int(np.argmin(decomp.eigenvalues.real))
     e0 = decomp.eigenvalues[k]
     state = decomp.right[:, k]
-    dens = density_profile(state, basis)
+    # biorthogonal: on an open chain with g != 0 the right vector shows the skin pile-up
+    dens = density_profile(state, basis, left_state=decomp.left[k])
     _write_rows(args.out, ["site", "density"], enumerate(dens))
     _summary(f"ground-state: E0={e0.real:.8g}{e0.imag:+.2e}j ipr={ipr(state):.4f} "
              f"o_dw={cdw_order(dens):.4f}" + (f" -> {args.out}" if args.out else ""),
@@ -299,34 +304,10 @@ def _winding_inset(L: int, N: int) -> tuple:
             rows.append((V, cfg.e0, res.nu, res.raw))
         _write_rows(path, ["V", "e0", "nu", "raw"], rows)
 
-    meta = {"inset": {"V": list(V_inset), "e0": cfg.e0, "flux_points": cfg.n_points,
-                      "note": "base energy -4 sits inside the weak-coupling point-gap "
-                              "loops and below the V=5 spectrum, so nu drops 16 -> 0"}}
+    meta = {"V": list(V_inset), "e0": cfg.e0, "flux_points": cfg.n_points,
+            "note": "base energy -4 sits inside the weak-coupling point-gap "
+                    "loops and below the V=5 spectrum, so nu drops 16 -> 0"}
     return write, meta
-
-
-def _run_panels(which: str, out_dir: str, panels: list) -> tuple:
-    """Run the declared jobs of the selected panels, in panel order.
-
-    Returns the files written and each panel's metadata: the union of
-    its jobs' metadata, where a key on which the jobs disagree (fig2 a:
-    the boundary condition) lists one value per job.
-    """
-    files, meta = [], {}
-    for panel in which:
-        described = []
-        for p, name, (write, job_meta) in panels:
-            if p == panel:
-                path = os.path.join(out_dir, name)
-                write(path)
-                files.append(path)
-                described.append(job_meta)
-        merged = {}
-        for key in dict.fromkeys(k for d in described for k in d):
-            values = [d[key] for d in described if key in d]
-            merged[key] = values[0] if all(v == values[0] for v in values) else values
-        meta[panel] = merged
-    return files, meta
 
 
 def _preset_fig1(args) -> tuple:
@@ -405,19 +386,21 @@ _PRESETS = {
 
 def cmd_preset(args) -> int:
     name = args.name
-    if args.which and (set(args.which) - set("abcd") or len(set(args.which)) < len(args.which)):
+    which = args.which or "abcd"
+    if set(which) - set("abcd") or len(set(which)) < len(which):
         raise ValueError("--which takes a subset of 'abcd', each panel once")
     panels, notes = _PRESETS[name][0](args)
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    files, panel_meta = _run_panels(args.which or "abcd", out_dir, panels)
-    meta = {"preset": name, "which": args.which or "abcd", "files": files,
-            "panels": panel_meta, "notes": notes}
-    meta_path = os.path.join(out_dir, f"{name}_metadata.json")
-    with open(meta_path, "w") as fh:
-        json.dump(meta, fh, indent=1)
-    _summary(f"preset {name}: wrote {', '.join(os.path.basename(f) for f in files)} "
-             f"+ {os.path.basename(meta_path)}", to_stderr=False)
+    files = {}      # file name -> the metadata of the job that wrote it, in write order
+    for panel in which:
+        for p, file, (write, meta) in panels:
+            if p == panel:
+                write(os.path.join(out_dir, file))
+                files[file] = meta
+    with open(os.path.join(out_dir, f"{name}_metadata.json"), "w") as fh:
+        json.dump({"preset": name, "which": which, "files": files, "notes": notes}, fh, indent=1)
+    _summary(f"preset {name}: wrote {', '.join(files)} + {name}_metadata.json", to_stderr=False)
     return 0
 
 
@@ -494,8 +477,8 @@ def main(argv=None) -> int:
             at = 2 if args.command == "preset" else 1
             args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         return args.func(args)
-    except (BiorthogonalizationError, WindingIllDefinedError, SingularBaseEnergyError,
-            FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (BiorthogonalizationError, WindingIllDefinedError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -12,8 +12,12 @@ import nhchain.sweep as sweep_mod
 from nhchain import (
     ModelParams,
     WindingIllDefinedError,
+    WindingWarning,
+    build_fock_basis,
+    build_many_body,
     build_single_particle,
     decompose,
+    density_profile,
     eigenvalues,
     ipr_per_state,
     winding_result,
@@ -161,6 +165,21 @@ def test_ground_state_stdout(capsys):
     assert "E0=" in err and "o_dw=" in err
 
 
+@pytest.mark.parametrize("bc, o_dw", [("obc", "0.4555"), ("pbc", "0.0617")])
+def test_ground_state_prints_the_biorthogonal_density(capsys, bc, o_dw):
+    # on the open chain the right vector alone shows the skin pile-up (o_dw 0.3561)
+    argv = ["ground-state", "--L", "9", "--N", "5", "--g", "0.5", "--V", "4", "--bc", bc]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert f"o_dw={o_dw}" in err
+    p = ModelParams(L=9, N=5, g=0.5, V=4.0, bc=bc)
+    basis = build_fock_basis(9, 5)
+    d = decompose(build_many_body(p, basis))
+    k = int(np.argmin(d.eigenvalues.real))
+    dens = density_profile(d.right[:, k], basis, left_state=d.left[k])
+    assert [float(line.split(",")[1]) for line in out.splitlines()] == dens.tolist()
+
+
 def test_flux_requires_pbc():
     assert cli.main(["spectrum", "--L", "8", "--flux", "0.5", "--bc", "obc"]) == 1
 
@@ -219,8 +238,8 @@ def test_preset_reads_its_flags_from_config(tmp_path):
     cfg.write_text("tmax = 1\nL = 20\nwhich = b\n")
     assert cli.main(["preset", "fig3", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
     meta = json.loads((tmp_path / "fig3_metadata.json").read_text())
-    assert meta["which"] == "b"
-    assert (meta["panels"]["b"]["L"], meta["panels"]["b"]["t_max"]) == (20, 1.0)
+    assert meta["which"] == "b" and list(meta["files"]) == ["fig3_b.csv"]
+    assert (meta["files"]["fig3_b.csv"]["L"], meta["files"]["fig3_b.csv"]["t_max"]) == (20, 1.0)
 
 
 # the optional flags each preset reads, besides --L, --which and --out-dir
@@ -315,7 +334,8 @@ def test_preset_fig3_single_panel(tmp_path):
     assert rc == 0
     meta = json.loads((tmp_path / "fig3_metadata.json").read_text())
     assert meta["preset"] == "fig3" and meta["which"] == "a"
-    panel = meta["panels"]["a"]
+    assert list(meta["files"]) == ["fig3_a.csv"]
+    panel = meta["files"]["fig3_a.csv"]
     assert panel["L"] == 40 and panel["bc"] == "pbc" and panel["W"] == 0.0
     rows = read_csv(str(tmp_path / "fig3_a.csv"))
     assert {float(r["t"]) for r in rows} >= {0.0, 2.0}
@@ -338,34 +358,47 @@ def test_preset_fig4_panels(tmp_path):
         assert s[0, 0] == 0.0 and s[0, -1] > 0.0
     assert not (tmp_path / "fig4_b.csv").exists()
     meta = json.loads((tmp_path / "fig4_metadata.json").read_text())
-    assert meta["which"] == "ad" and set(meta["panels"]) == {"a", "d"}
+    assert meta["which"] == "ad" and list(meta["files"]) == ["fig4_a.csv", "fig4_d.csv"]
     common = {"L": 8, "N": 4, "g": 0.5, "V": 2.0, "M": 25, "dt": 0.05, "t_max": 1.0,
               "theta0_samples": 2}
-    assert meta["panels"]["a"] == {**common, "W": 0.5, "bc": "pbc"}
-    assert meta["panels"]["d"] == {**common, "W": 4.0 * np.exp(0.5), "bc": "obc"}
-    assert list(meta["panels"]["a"]) == ["L", "N", "g", "V", "W", "bc", "M", "dt", "t_max",
-                                         "theta0_samples"]
+    assert meta["files"]["fig4_a.csv"] == {**common, "W": 0.5, "bc": "pbc"}
+    assert meta["files"]["fig4_d.csv"] == {**common, "W": 4.0 * np.exp(0.5), "bc": "obc"}
+    assert list(meta["files"]["fig4_a.csv"]) == ["L", "N", "g", "V", "W", "bc", "M", "dt",
+                                                 "t_max", "theta0_samples"]
 
 
 def test_preset_metadata_is_read_off_the_sweeps(tmp_path):
-    rc = cli.main(["preset", "fig1", "--which", "ab", "--L", "5", "--samples", "1",
-                   "--out-dir", str(tmp_path)])
+    # the g = 0 column of the winding panel: a Hermitian chain, whose
+    # winding about e0 = 0 is ill-defined
+    with pytest.warns(WindingWarning, match="phase jump"):
+        rc = cli.main(["preset", "fig1", "--which", "ab", "--L", "5", "--samples", "1",
+                       "--out-dir", str(tmp_path)])
     assert rc == 0
-    panels = json.loads((tmp_path / "fig1_metadata.json").read_text())["panels"]
-    assert panels["a"]["quantities"] == {"ipr_obc": "obc"}
-    assert panels["b"]["quantities"] == {"winding": "pbc"}
-    assert panels["b"]["e0"] == 0.0 and panels["b"]["flux_points"] == 201
-    assert len(panels["a"]["g_grid"]) == 11 and len(panels["a"]["w_grid"]) == 33
-    assert panels["a"]["theta0_samples"] == 1
+    files = json.loads((tmp_path / "fig1_metadata.json").read_text())["files"]
+    assert list(files) == ["fig1_a.csv", "fig1_b.csv"]
+    a, b = files["fig1_a.csv"], files["fig1_b.csv"]
+    assert a["quantities"] == {"ipr_obc": "obc"}
+    assert b["quantities"] == {"winding": "pbc"}
+    assert b["e0"] == 0.0 and b["flux_points"] == 201
+    assert len(a["g_grid"]) == 11 and len(a["w_grid"]) == 33
+    assert a["theta0_samples"] == 1
 
-    rc = cli.main(["preset", "fig2", "--which", "a", "--L", "6", "--samples", "1",
+    rc = cli.main(["preset", "fig2", "--which", "da", "--L", "6", "--samples", "1",
                    "--out-dir", str(tmp_path)])
     assert rc == 0
     meta = json.loads((tmp_path / "fig2_metadata.json").read_text())
-    assert set(meta) == {"preset", "which", "files", "panels", "notes"}
-    a = meta["panels"]["a"]
-    assert a["quantities"] == [{"density": "obc"}, {"density": "pbc"}]   # one per spec
-    assert (a["L"], a["N"], a["g_grid"], a["w_grid"]) == (6, 3, [0.5], [0.5])
+    assert set(meta) == {"preset", "which", "files", "notes"}
+    # one entry per file, in the order written: panels in --which order
+    files = meta["files"]
+    assert list(files) == ["fig2_d.csv", "fig2_d_inset.csv", "fig2_a_obc.csv", "fig2_a_pbc.csv"]
+    for bc in ("obc", "pbc"):
+        a = files[f"fig2_a_{bc}.csv"]
+        assert a["quantities"] == {"density": bc}
+        assert (a["L"], a["N"], a["g_grid"], a["w_grid"]) == (6, 3, [0.5], [0.5])
+    assert files["fig2_d.csv"]["quantities"] == {"o_dw": "obc"}
+    inset = files["fig2_d_inset.csv"]
+    assert set(inset) == {"V", "e0", "flux_points", "note"}
+    assert (inset["V"], inset["e0"], inset["flux_points"]) == ([0.5, 5.0], -4.0, 201)
 
 
 def test_removed_flags_are_rejected(tmp_path):
