@@ -34,7 +34,6 @@ from .winding import (
     WindingConfig,
     WindingIllDefinedError,
     WindingResult,
-    WindingWarning,
     log_det_phase,
     winding_result,
 )

@@ -342,6 +342,8 @@ def run(
     }
     names = list(dict.fromkeys(observables))
     unknown = set(names) - set(measure)
+    if not names:
+        raise ValueError(f"no observables given; known: {', '.join(measure)}")
     if unknown:
         raise ValueError(f"unknown observables: {sorted(unknown)}; known: {', '.join(measure)}")
     if params.many_body and basis is None:

@@ -26,9 +26,10 @@ Every dense solve gets `HamiltonianMatrix.dense()`, which is real when
 the stored entries are, so a matrix at zero flux (every sweep matrix) is
 solved in real arithmetic on all three routes.  A real general solve
 returns real eigenvalues exactly real and complex ones in exact
-conjugate pairs.  At dim 924 (L=12, N=6, periodic) the two-sided real
-solve takes 0.8-1.0 s against 2.3-2.9 s for the complex one (1 BLAS
-thread).
+conjugate pairs, whose gap 2|Im| is checked like any other: a pair just
+off the real axis (|Im| < COLLISION_GAP / 2) is refused.  At dim 924
+(L=12, N=6, periodic) the two-sided real solve takes 0.8-1.0 s against
+2.3-2.9 s for the complex one (1 BLAS thread).
 
 Observables: IPR, Fock-space IPR, imaginary-eigenvalue fraction f_im
 (which needs eigenvalues only), per-site density (right-vector
@@ -51,6 +52,8 @@ from .model import (FockBasis, HamiltonianMatrix, ModelParams, build_fock_basis,
 # (proximity to an exceptional point).
 COLLISION_GAP = 1e-12
 
+# imag_fraction's bound on |Im|.  It decides only for complex input: a real
+# solve refuses a pair with 0 < |Im| <= IM_THRESHOLD as a collision (module docstring).
 IM_THRESHOLD = 1e-13
 
 

@@ -7,7 +7,8 @@ in for random draws so a rerun is bit-identical.  Grid points run one
 after another in grid order, each one's samples in the calling thread
 just before its rows are written.  Individual point failures
 (an ill-defined winding, a defective decomposition) become NaN rows
-with the message in the warnings column, and the sweep moves on.
+with the error in the warnings column, and the sweep moves on; nothing
+else goes into that column, and nothing goes to stderr.
 
 Quantities: `QUANTITIES` maps each name to the boundary condition it is
 forced to (`ipr_obc`, `ipr_pbc`, `winding`), or to None where it takes
@@ -73,7 +74,9 @@ class SweepSpec:
         object.__setattr__(self, "g_grid", tuple(self.g_grid) or (self.base.g,))
         object.__setattr__(self, "v_grid", tuple(self.v_grid) or (self.base.V,))
         object.__setattr__(self, "w_grid", tuple(self.w_grid) or (self.base.W,))
-        object.__setattr__(self, "quantities", tuple(self.quantities))
+        object.__setattr__(self, "quantities", tuple(dict.fromkeys(self.quantities)))
+        if not self.quantities:
+            raise ValueError("quantities must name at least one of " + ", ".join(QUANTITIES))
         if self.theta0_samples < 1:
             raise ValueError("theta0_samples must be >= 1")
         unknown = set(self.quantities) - set(QUANTITIES)
@@ -128,8 +131,8 @@ def _theta0(theta0: float, s: int, S: int) -> float:
 def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> dict:
     """All requested quantities at one (grid point, theta0); never raises.
 
-    Each value comes with its notes: the winding's own diagnostics
-    (WindingResult.warnings) and the error that replaced a failed value.
+    Each value comes with its note: empty, or the error that replaced a
+    failed value with NaN.
     """
     out = {}
     # f_im takes its eigenvalues from a decomposition made anyway at its bc
@@ -148,23 +151,21 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
         return static_observables(get_decomp(bc), basis)
 
     for q in quantities:
-        notes = []
+        note = ""
         bc = _effective_bc(q, params.bc)
         try:
             if q == "f_im":
                 value = imag_fraction(get_decomp(bc) if bc in vector_bcs else eigenvalues(matrix(bc)))
             elif q == "winding":
-                res = winding_result(replace(params, bc="pbc"))
-                value = float(res.nu)
-                notes = list(res.warnings)
+                value = float(winding_result(replace(params, bc="pbc")).nu)
             elif q in ("o_dw", "density"):
                 value = cdw_order(get_density(bc)) if q == "o_dw" else get_density(bc)
             else:   # ipr_obc, ipr_pbc, fock_ipr: the mean over the right eigenvectors
                 value = float(np.mean(ipr_per_state(get_decomp(bc))))
         except Exception as exc:   # keep sweeping; the row carries the reason
-            notes.append(f"{type(exc).__name__}: {exc}")
+            note = f"{type(exc).__name__}: {exc}"
             value = np.full(params.L, np.nan) if q == "density" else float("nan")
-        out[q] = (value, "; ".join(notes))
+        out[q] = (value, note)
     return out
 
 

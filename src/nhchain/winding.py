@@ -1,11 +1,12 @@
 """Spectral winding number over a discretized flux loop.
 
 The winding number counts how often det[H(phi) - E0] encircles zero as
-the boundary twist runs through 2*pi.  The phase differences between
-consecutive flux points are unwrapped assuming each step stays below
-pi.  A grid point whose determinant underflows means E0 collided with
-an eigenvalue there; one retry on a half-step-shifted grid is attempted
-before giving up.
+the boundary twist runs through 2*pi; it exists only when E0 lies in a
+point gap.  The phase differences between consecutive flux points are
+unwrapped into (-pi, pi].  WindingIllDefinedError reports a step above
+pi/2 (an eigenvalue crossed E0, or the grid is too coarse to follow the
+phase) and a determinant that underflows on the grid and again on one
+retry grid shifted by half a step.
 
 `winding_result` factors one matrix per flux loop by LU.  Only the wrap
 bond carries the flux (`model.wrap_hops`), so with z = e^{i phi} and z0
@@ -31,7 +32,6 @@ complex E0 evaluate every point.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -55,11 +55,7 @@ class SingularBaseEnergyError(RuntimeError):
 
 
 class WindingIllDefinedError(RuntimeError):
-    """E0 lies on the spectral curve even after shifting the flux grid."""
-
-
-class WindingWarning(UserWarning):
-    pass
+    """E0 lies on the spectral curve: a phase jump, or singular on two flux grids."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,6 @@ class WindingResult:
     nu: int
     raw: float                  # accumulated phase / (2*pi), unrounded
     steps: np.ndarray = field(repr=False)   # per-step phase differences
-    warnings: list = field(default_factory=list)
 
 
 def _principal(phase):
@@ -129,21 +124,15 @@ def log_det_phase(stack: np.ndarray) -> tuple:
 
 
 def _from_phases(phases: np.ndarray) -> WindingResult:
-    """Unwrapped phase steps around the loop, summed into the winding."""
+    """The winding from the unwrapped flux steps; a step above pi/2 makes it ill-defined."""
     steps = np.remainder(np.diff(phases), 2.0 * np.pi)
     steps[steps > np.pi] -= 2.0 * np.pi
+    jump = np.abs(steps).max()
+    if jump > np.pi / 2:
+        raise WindingIllDefinedError(f"flux step phase jump {jump:.3f} exceeds pi/2: E0 lies on "
+                                     "the spectral curve or the flux grid is too coarse")
     raw = float(steps.sum() / (2.0 * np.pi))
-    nu = int(np.rint(raw))
-    notes = []
-    if np.abs(steps).max() > np.pi / 2:
-        notes.append(
-            f"max flux step phase jump {np.abs(steps).max():.3f} exceeds pi/2; grid may be too coarse"
-        )
-    if abs(raw - nu) > 0.05:
-        notes.append(f"raw winding {raw:.4f} deviates from integer by {abs(raw - nu):.4f}")
-    for msg in notes:
-        warnings.warn(msg, WindingWarning, stacklevel=4)
-    return WindingResult(nu=nu, raw=raw, steps=steps, warnings=notes)
+    return WindingResult(nu=int(np.rint(raw)), raw=raw, steps=steps)
 
 
 def _winding(phases_on: Callable[[np.ndarray], np.ndarray], cfg: WindingConfig) -> WindingResult:
@@ -209,7 +198,7 @@ def winding_result(params: ModelParams, cfg: Optional[WindingConfig] = None) -> 
     N-particle Fock space otherwise.  Factors H(phi0) - E0 once per flux
     grid and takes every flux point's determinant phase from the
     low-rank wrap-bond update (module docstring); `_winding` runs the
-    grid, the retry and the diagnostics.
+    grid, the retry and the phase-jump check.
     """
     if params.bc != "pbc":
         raise ValueError("winding requires periodic boundaries")

@@ -12,7 +12,6 @@ import nhchain.sweep as sweep_mod
 from nhchain import (
     ModelParams,
     WindingIllDefinedError,
-    WindingWarning,
     build_fock_basis,
     build_many_body,
     build_single_particle,
@@ -68,6 +67,14 @@ def test_winding_prints_integer(capsys):
     assert out.strip().splitlines()[-1] == "nu = 1"
 
 
+def test_winding_of_a_closed_gap_is_a_numerical_failure(capsys):
+    # g = 0: the real spectrum crosses E0 = 0 as the flux runs round, so no winding exists
+    assert cli.main(["winding", "--L", "21", "--g", "0", "--W", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert "nu =" not in out
+    assert err.startswith("numerical failure: ") and "phase jump 3.142" in err
+
+
 def test_winding_rejects_obc(capsys):
     assert cli.main(["winding", "--L", "21", "--g", "0.5", "--bc", "obc"]) == 1
     assert "winding requires periodic boundaries" in capsys.readouterr().err
@@ -95,6 +102,7 @@ def test_bad_grid_message_reaches_stderr(tmp_path, capsys, grid, message):
 @pytest.mark.parametrize("argv", [
     ["--L", "8", "--g", "0.5", "--method", "exact", "--observables", "rmax_overlap"],
     ["--L", "8", "--N", "4", "--g", "0.5", "--observables", "fock_ipr"],
+    ["--L", "5", "--observables", ","],
 ])
 def test_evolve_names_the_known_observables(tmp_path, capsys, argv):
     out = tmp_path / "ev.csv"
@@ -273,6 +281,17 @@ def test_phase_diagram_with_resume(tmp_path, capsys):
     assert len(read_csv(str(out))) == n_rows    # nothing re-appended
 
 
+def test_phase_diagram_refuses_no_quantity_and_writes_a_repeated_one_once(tmp_path, capsys):
+    out = tmp_path / "pd.csv"
+    assert cli.main(["phase-diagram", "--L", "5", "--quantities", ",", "--out", str(out)]) == 1
+    assert "quantities must name at least one of" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["phase-diagram", "--L", "5", "--g", "0.5", "--quantities", "f_im,f_im",
+                     "--out", str(out)]) == 0
+    assert "(2 rows written, 0 reused)" in capsys.readouterr().out
+    assert [r["sample"] for r in read_csv(str(out))] == ["0", "avg"]
+
+
 def test_phase_diagram_computes_in_the_main_thread_and_takes_one_thread_only(
         tmp_path, monkeypatch, capsys):
     out = tmp_path / "pd.csv"
@@ -368,12 +387,20 @@ def test_preset_fig4_panels(tmp_path):
 
 
 def test_preset_metadata_is_read_off_the_sweeps(tmp_path):
-    # the g = 0 column of the winding panel: a Hermitian chain, whose
-    # winding about e0 = 0 is ill-defined
-    with pytest.warns(WindingWarning, match="phase jump"):
-        rc = cli.main(["preset", "fig1", "--which", "ab", "--L", "5", "--samples", "1",
-                       "--out-dir", str(tmp_path)])
+    rc = cli.main(["preset", "fig1", "--which", "ab", "--L", "5", "--samples", "1",
+                   "--out-dir", str(tmp_path)])
     assert rc == 0
+    # the g = 0 column of the winding panel is a Hermitian chain, whose
+    # spectrum crosses e0 = 0 as the flux runs round while W <= 2: no winding there
+    rows = read_csv(str(tmp_path / "fig1_b.csv"))
+    closed = [r for r in rows if float(r["g"]) == 0 and float(r["W"]) <= 2]
+    assert len(closed) == 18                  # 9 W values, a sample row and its average each
+    for r in closed:
+        assert r["value"] == "nan" and "WindingIllDefinedError" in r["warnings"]
+        assert "phase jump" in r["warnings"]
+    rest = [r for r in rows if r not in closed]
+    assert len(rest) == 708 and all(r["value"] in ("-1", "0", "1") and not r["warnings"]
+                                    for r in rest)
     files = json.loads((tmp_path / "fig1_metadata.json").read_text())["files"]
     assert list(files) == ["fig1_a.csv", "fig1_b.csv"]
     a, b = files["fig1_a.csv"], files["fig1_b.csv"]

@@ -125,6 +125,22 @@ def test_eigenvalue_collision_found_in_any_order():
             solve(H)
 
 
+@pytest.mark.parametrize("eps", [1e-14, 1e-13, 4e-13, 6e-13])
+def test_a_real_solve_refuses_a_pair_barely_off_the_real_axis(eps):
+    # a real matrix gives a complex pair as exact conjugates, +-i*eps, so the pair's
+    # gap is 2*eps: below COLLISION_GAP / 2 the solve refuses it, and a pair that
+    # passes is far above IM_THRESHOLD, which therefore decides nothing here
+    p = ModelParams(L=2, g=0.5, bc="pbc")
+    H = HamiltonianMatrix(dim=2, entries=np.array([[0.0, 1.0], [-eps**2, 0.0]]), params=p)
+    if 2 * eps < spectral.COLLISION_GAP:
+        for solve in (decompose, eigenvalues):
+            with pytest.raises(BiorthogonalizationError, match="eigenvalue gap"):
+                solve(H)
+    else:
+        assert eps > spectral.IM_THRESHOLD
+        assert imag_fraction(eigenvalues(H)) == imag_fraction(decompose(H)) == 1.0
+
+
 def test_ipr_bounds():
     assert ipr(np.ones(8) / np.sqrt(8)) == pytest.approx(1.0 / 8.0)
     delta = np.zeros(8)

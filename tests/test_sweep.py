@@ -2,7 +2,6 @@
 
 import csv
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ import nhchain.sweep as sweep_mod
 from nhchain import (
     ModelParams,
     SweepSpec,
+    WindingIllDefinedError,
     build_single_particle,
     decompose,
     imag_fraction,
@@ -19,10 +19,10 @@ from nhchain import (
     run_sweep,
     run_sweep_to_file,
     winding_result,
-    WindingResult,
     write_records_csv,
 )
 from dataclasses import replace
+from pathlib import Path
 
 
 def collect(spec):
@@ -179,10 +179,10 @@ def test_resume_refuses_incompatible_file(tmp_path, first, second):
                          theta0_samples=S, quantities=("f_im",), out=out)
 
     run_sweep_to_file(spec(**first))
-    before = open(out).read()
+    before = Path(out).read_text()
     with pytest.raises(ValueError, match="this run has"):
         run_sweep_to_file(spec(**second))
-    assert open(out).read() == before
+    assert Path(out).read_text() == before
 
 
 @pytest.mark.parametrize("malformed, why", [
@@ -240,7 +240,7 @@ def test_resume_accepts_other_grid_and_quantities(tmp_path):
 
 def test_failed_point_becomes_nan_row_with_warning(tmp_path, monkeypatch):
     def boom(params, many_body=False):
-        raise sweep_mod.WindingIllDefinedError("forced failure for test")
+        raise WindingIllDefinedError("forced failure for test")
 
     monkeypatch.setattr(sweep_mod, "winding_result", boom)
     base = ModelParams(L=13, g=0.5, W=1.0, bc="pbc")
@@ -254,22 +254,19 @@ def test_failed_point_becomes_nan_row_with_warning(tmp_path, monkeypatch):
     assert all(np.isfinite(r.value) for r in f_rows)   # other quantities still run
 
 
-def test_warnings_column_holds_each_samples_own_notes_under_threads(monkeypatch):
-    def noisy_winding(params):
-        note = f"note of theta0={params.theta0:.6f}"
-        warnings.warn(note)        # a process-wide warning must not leak into other rows
-        return WindingResult(nu=0, raw=0.0, steps=np.zeros(3), warnings=[note])
+def test_warnings_column_holds_each_samples_own_error(monkeypatch):
+    def ill_defined(params):
+        raise WindingIllDefinedError(f"jump at theta0={params.theta0:.6f}")
 
-    monkeypatch.setattr(sweep_mod, "winding_result", noisy_winding)
+    monkeypatch.setattr(sweep_mod, "winding_result", ill_defined)
     base = ModelParams(L=13, g=0.5, bc="pbc")
     spec = SweepSpec(base=base, w_grid=(0.0, 1.0), theta0_samples=8, quantities=("winding",),
                      out="unused.csv")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")         # the column must not depend on them
-        rows = [r for r in collect(spec) if r.sample != "avg"]
+    rows = [r for r in collect(spec) if r.sample != "avg"]
     assert len(rows) == 16
     for r in rows:
-        assert r.warnings == f"note of theta0={r.theta0:.6f}"
+        assert np.isnan(r.value)
+        assert r.warnings == f"WindingIllDefinedError: jump at theta0={r.theta0:.6f}"
 
 
 def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):
@@ -337,6 +334,10 @@ def test_spec_validation():
         SweepSpec(base=base, quantities=("nonsense",), out="u.csv")
     with pytest.raises(ValueError):
         SweepSpec(base=base, theta0_samples=0, quantities=("f_im",), out="u.csv")
+    with pytest.raises(ValueError, match="at least one of"):
+        SweepSpec(base=base, quantities=(), out="u.csv")
+    # a repeated quantity would write two rows under one key
+    assert SweepSpec(base=base, quantities=("f_im", "winding", "f_im")).quantities == ("f_im", "winding")
     mb = ModelParams(L=8, N=4, g=0.5, bc="pbc")
     with pytest.raises(ValueError):
         SweepSpec(base=base, quantities=("fock_ipr",), out="u.csv")   # needs N

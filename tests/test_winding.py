@@ -1,7 +1,5 @@
 """Point-gap winding numbers from flux-loop determinant phases."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from nhchain import (
     SingularBaseEnergyError,
     WindingConfig,
     WindingIllDefinedError,
-    WindingWarning,
     build_fock_basis,
     build_many_body,
     build_single_particle,
@@ -121,10 +118,8 @@ def test_low_rank_winding_matches_flux_grid():
             builder = lambda phi: build_many_body(p.with_flux(phi), basis).dense()
         else:
             builder = lambda phi: build_single_particle(p.with_flux(phi)).dense()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WindingWarning)
-            fast = _outcome(lambda: winding_result(p, cfg))
-            grid = _outcome(lambda: dense_winding(builder, cfg))
+        fast = _outcome(lambda: winding_result(p, cfg))
+        grid = _outcome(lambda: dense_winding(builder, cfg))
         same = fast[:2] == grid[:2] and (fast[2] is None or abs(fast[2] - grid[2]) <= 1e-9)
         if not same:
             mismatches.append((case, e0, fast, grid))
@@ -199,22 +194,10 @@ def test_hermitian_singular_grid_point_retries():
     assert winding_result(ModelParams(L=4, g=0.0, W=0.0, bc="pbc")).nu == 0
 
 
-def test_hermitian_closed_gap_warns():
-    # eigenvalues sweep across E0 = 0: the pi-sized phase jumps are flagged
-    with pytest.warns(WindingWarning):
+def test_hermitian_closed_gap_is_ill_defined():
+    # eigenvalues sweep across E0 = 0: a pi-sized phase jump, so no winding exists
+    with pytest.raises(WindingIllDefinedError, match="phase jump"):
         winding_result(ModelParams(L=21, g=0.0, W=0.0, bc="pbc"))
-
-
-def test_repeated_warning_is_shown_once_per_location():
-    # the winding itself must not reset Python's once-per-location registry,
-    # or every winding of a sweep repeats the same line on stderr
-    p = ModelParams(L=21, g=0.0, W=0.0, bc="pbc")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        for _ in range(3):
-            winding_result(p)
-    messages = [str(w.message) for w in caught]
-    assert messages and len(messages) == len(set(messages))
 
 
 def test_persistent_singularity_raises():
