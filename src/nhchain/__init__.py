@@ -30,7 +30,6 @@ from .spectral import (
     static_observables,
 )
 from .winding import (
-    SingularBaseEnergyError,
     WindingConfig,
     WindingIllDefinedError,
     WindingResult,

@@ -36,7 +36,7 @@ already precede right-block ones, so the sign is +1 for every word
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Optional
 
 import numpy as np
@@ -74,6 +74,8 @@ class EvolverConfig:
             raise ValueError(f"method must be 'exact' or 'krylov', got {self.method!r}")
         if self.M < 2:
             raise ValueError("M must be >= 2")
+        if not (isfinite(self.dt) and isfinite(self.t_max)):
+            raise ValueError(f"dt and t_max must be finite, got {self.dt} and {self.t_max}")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         if self.t_max < 0:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 from typing import Optional
 
 import numpy as np
@@ -51,8 +51,9 @@ class ModelParams:
     """All Hamiltonian knobs in one immutable record.
 
     `N` selects the many-body sector; leave it None for single-particle
-    work, where V must be 0.  `phi` is reduced to [0, 2*pi) and is
-    meaningful only for periodic boundaries (open boundaries ignore it).
+    work, where V must be 0.  g, V, W, theta0 and phi must be finite.
+    `phi` is reduced to [0, 2*pi) and is meaningful only for periodic
+    boundaries (open boundaries ignore it).
     """
 
     L: int
@@ -67,6 +68,9 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.L < 2:
             raise ValueError(f"L must be >= 2, got {self.L}")
+        for name in ("g", "V", "W", "theta0", "phi"):   # phi before it is reduced
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.bc not in ("obc", "pbc"):
             raise ValueError(f"bc must be 'obc' or 'pbc', got {self.bc!r}")
         if self.W < 0:

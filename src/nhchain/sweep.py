@@ -15,20 +15,25 @@ forced to (`ipr_obc`, `ipr_pbc`, `winding`), or to None where it takes
 the spec's; each row's bc column holds the one it was computed under.
 `density` gives one row per site, named `density:j`.
 
+Rows: `_rows` alone lays out a grid point's rows (each sample's, then
+one `avg` row per name), both those a run writes and, over failed
+samples, `expected_keys`.  A row's key is the text of its first nine
+columns, and a run writes each key once, even at repeated grid values.
+
 Output: `run_sweep_to_file` appends each grid point's rows to the CSV
 as soon as that point finishes, so an interrupted sweep keeps every
-finished point.  A row's key is the text of its first nine columns, and
-`expected_keys` alone says which keys a run writes.  Resume skips grid
-points whose keys are all in the file and refuses a file holding a row
-that this run would not write (another L, N, boundary condition, base
-theta0 or sample count), rather than mix it with the new rows.  A last
-row cut off before its line end is dropped and its point recomputed.
+finished point.  Resume skips grid points whose keys are all in the
+file and refuses a file holding a row that this run would not write
+(another L, N, boundary condition, base theta0 or sample count), rather
+than mix it with the new rows.  A last row cut off before its line end
+is dropped and its point recomputed.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -52,6 +57,8 @@ CSV_COLUMNS = ("L", "N", "g", "V", "W", "theta0", "bc", "sample", "quantity", "v
 
 def inclusive_range(start: float, stop: float, step: float) -> tuple:
     """Grid start, start+step, ..., stop (endpoint included up to rounding)."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"start, stop and step must be finite, got {start}, {stop}, {step}")
     if step <= 0:
         raise ValueError("step must be > 0")
     if stop < start:
@@ -110,17 +117,13 @@ class ResultRecord:
     @property
     def key(self) -> tuple:
         """The row's first nine CSV fields, as written; rows of one run differ in it."""
-        return _key(self.L, self.N, self.g, self.V, self.W, self.theta0, self.bc,
-                    self.sample, self.quantity)
+        return (str(self.L), "" if self.N is None else str(self.N), _num(self.g), _num(self.V),
+                _num(self.W), "" if self.theta0 is None else format(self.theta0, ".17g"),
+                self.bc, self.sample, self.quantity)
 
 
 def _num(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def _key(L, N, g, V, W, theta0, bc, sample, quantity) -> tuple:
-    return (str(L), "" if N is None else str(N), _num(g), _num(V), _num(W),
-            "" if theta0 is None else format(theta0, ".17g"), bc, sample, quantity)
 
 
 def _theta0(theta0: float, s: int, S: int) -> float:
@@ -132,7 +135,7 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
     """All requested quantities at one (grid point, theta0); never raises.
 
     Each value comes with its note: empty, or the error that replaced a
-    failed value with NaN.
+    failed value with NaN (one NaN for a whole density profile).
     """
     out = {}
     # f_im takes its eigenvalues from a decomposition made anyway at its bc
@@ -164,7 +167,7 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
                 value = float(np.mean(ipr_per_state(get_decomp(bc))))
         except Exception as exc:   # keep sweeping; the row carries the reason
             note = f"{type(exc).__name__}: {exc}"
-            value = np.full(params.L, np.nan) if q == "density" else float("nan")
+            value = float("nan")
         out[q] = (value, note)
     return out
 
@@ -179,45 +182,37 @@ def _names(quantity: str, L: int) -> list:
     return [f"density:{j}" for j in range(L)] if quantity == "density" else [quantity]
 
 
-def _sample_rows(spec: SweepSpec, g: float, V: float, W: float, s: int, results: dict) -> list:
-    base = spec.base
-    theta0 = _theta0(base.theta0, s, spec.theta0_samples)
-    rows = []
-    for q in spec.quantities:
-        value, notes = results[q]   # density: a length-L profile, NaN-filled on failure
-        bc = _effective_bc(q, base.bc)
-        for name, v in zip(_names(q, base.L), np.atleast_1d(value)):
-            rows.append(ResultRecord(base.L, base.N, g, V, W, theta0, bc,
-                                     str(s), name, float(v), notes))
-    return rows
+def _rows(spec: SweepSpec, g: float, V: float, W: float, quantities: Sequence[str],
+          results: Sequence[dict]) -> list:
+    """A grid point's rows for `quantities`: each sample's in turn, then each name's average.
 
-
-def _average_rows(spec: SweepSpec, g: float, V: float, W: float, sample_rows: list) -> list:
-    by_quantity: dict = {}
-    for r in sample_rows:
-        by_quantity.setdefault(r.quantity, []).append(r)
-    rows = []
-    for q, group in by_quantity.items():   # insertion order mirrors the sample rows
-        values = np.array([r.value for r in group], dtype=float)
-        finite = values[np.isfinite(values)]
-        mean = float(np.mean(finite)) if finite.size else float("nan")
-        notes = "; ".join(sorted({r.warnings for r in group if r.warnings}))
-        rows.append(ResultRecord(spec.base.L, spec.base.N, g, V, W, None,
-                                 group[0].bc, "avg", q, mean, notes))
+    results[s][q] is sample s's (value, note) for quantity q; a density
+    value is a length-L profile, or one NaN for the whole profile.  An
+    average row holds the mean of the samples' finite values and their
+    distinct notes.
+    """
+    base, S = spec.base, spec.theta0_samples
+    layout = [(q, _effective_bc(q, base.bc), _names(q, base.L)) for q in quantities]
+    table = {q: np.empty((S, len(names))) for q, _, names in layout}   # [s, j]: sample s, name j
+    for q, s in product(quantities, range(S)):
+        table[q][s] = results[s][q][0]   # a failed density's one NaN fills its row
+    rows = [ResultRecord(base.L, base.N, g, V, W, _theta0(base.theta0, s, S), bc, str(s),
+                         name, float(v), results[s][q][1])
+            for s in range(S) for q, bc, names in layout for name, v in zip(names, table[q][s])]
+    for q, bc, names in layout:
+        notes = "; ".join(sorted({r[q][1] for r in results} - {""}))
+        for name, column in zip(names, table[q].T):
+            finite = column[np.isfinite(column)]
+            mean = float(np.mean(finite)) if finite.size else float("nan")
+            rows.append(ResultRecord(base.L, base.N, g, V, W, None, bc, "avg", name, mean, notes))
     return rows
 
 
 def expected_keys(spec: SweepSpec, g: float, V: float, W: float, quantities: Sequence[str]) -> set:
-    """Keys of the rows that `quantities` contribute at one grid point of `spec`."""
-    base, S = spec.base, spec.theta0_samples
-    keys = set()
-    for q in quantities:
-        bc = _effective_bc(q, base.bc)
-        for name in _names(q, base.L):
-            for s in range(S):
-                keys.add(_key(base.L, base.N, g, V, W, _theta0(base.theta0, s, S), bc, str(s), name))
-            keys.add(_key(base.L, base.N, g, V, W, None, bc, "avg", name))
-    return keys
+    """Keys of the rows that `quantities` contribute at one grid point of `spec`:
+    those `_rows` lays out for S failed samples."""
+    failed = [dict.fromkeys(quantities, (float("nan"), ""))] * spec.theta0_samples
+    return {r.key for r in _rows(spec, g, V, W, quantities, failed)}
 
 
 def _check_compatible(spec: SweepSpec, rows: Sequence[list]) -> None:
@@ -262,21 +257,19 @@ def _point_rows(spec: SweepSpec, have: set) -> Iterator[list]:
     """Each grid point's rows not already in `have`, one list per point, in grid order.
 
     Points whose rows are all in `have` are skipped; partially covered
-    points are recomputed and only their missing rows are returned.  A
-    point is computed only when its rows are asked for.
+    points are recomputed and only their missing rows are returned, and
+    added to `have`.  A point is computed only when its rows are asked for.
     """
     base, S = spec.base, spec.theta0_samples
     basis = build_fock_basis(base.L, base.N) if base.many_body else None
     for g, V, W in product(spec.g_grid, spec.v_grid, spec.w_grid):
         if expected_keys(spec, g, V, W, spec.quantities) <= have:
             continue
-        point_rows = []
-        for s in range(S):
-            params = replace(base, g=g, V=V, W=W, theta0=_theta0(base.theta0, s, S))
-            results = _evaluate_sample(params, spec.quantities, basis)
-            point_rows.extend(_sample_rows(spec, g, V, W, s, results))
-        rows = point_rows + _average_rows(spec, g, V, W, point_rows)
-        yield [r for r in rows if r.key not in have]
+        results = [_evaluate_sample(replace(base, g=g, V=V, W=W, theta0=_theta0(base.theta0, s, S)),
+                                    spec.quantities, basis) for s in range(S)]
+        rows = [r for r in _rows(spec, g, V, W, spec.quantities, results) if r.key not in have]
+        have.update(r.key for r in rows)   # a grid value repeated up to rounding writes nothing twice
+        yield rows
 
 
 def run_sweep(spec: SweepSpec) -> Iterator[ResultRecord]:

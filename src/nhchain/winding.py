@@ -50,12 +50,8 @@ DET_FLOOR = 1e-300
 BATCH_BYTES = 8 << 20
 
 
-class SingularBaseEnergyError(RuntimeError):
-    """det[H(phi) - E0] underflowed: E0 collides with an eigenvalue."""
-
-
 class WindingIllDefinedError(RuntimeError):
-    """E0 lies on the spectral curve: a phase jump, or singular on two flux grids."""
+    """E0 lies on the spectral curve: a phase jump, or det[H(phi) - E0] underflowed."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ def _checked_lu(A: np.ndarray, e0: complex):
     lu, piv, _ = getrf(np.asarray_chkfinite(A), overwrite_a=True)
     mags = np.abs(np.diag(lu))
     if np.any(mags < DET_FLOOR) or not np.all(np.isfinite(mags)):
-        raise SingularBaseEnergyError(f"pivot underflow at e0={e0}")
+        raise WindingIllDefinedError(f"pivot underflow at e0={e0}")
     return lu, piv
 
 
@@ -110,7 +106,7 @@ def log_det_phase(stack: np.ndarray) -> tuple:
     """(log|det|, principal phase) of each matrix of a stack (..., n, n).
 
     One batched determinant call; both results are arrays of shape (...).
-    SingularBaseEnergyError is raised when any member's |det| drops
+    WindingIllDefinedError is raised when any member's |det| drops
     below DET_FLOOR.
     """
     if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
@@ -119,7 +115,7 @@ def log_det_phase(stack: np.ndarray) -> tuple:
         raise ValueError("array must not contain infs or NaNs")
     sign, logabs = np.linalg.slogdet(stack)
     if not np.all(np.isfinite(logabs)) or np.any(np.exp(logabs) < DET_FLOOR):
-        raise SingularBaseEnergyError("determinant underflow in a stack member")
+        raise WindingIllDefinedError("determinant underflow in a stack member")
     return logabs, _principal(np.angle(sign))
 
 
@@ -146,7 +142,7 @@ def _winding(phases_on: Callable[[np.ndarray], np.ndarray], cfg: WindingConfig) 
     for offset in (0.0, np.pi / n):
         try:
             phases = phases_on(2.0 * np.pi * np.arange(n + 1) / n + offset)
-        except SingularBaseEnergyError as exc:
+        except WindingIllDefinedError as exc:   # an underflow; a phase jump (below) is not retried
             error = exc
             continue
         return _from_phases(phases)

@@ -99,6 +99,22 @@ def test_bad_grid_message_reaches_stderr(tmp_path, capsys, grid, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--L", "5", "--dt", "0.1", "--tmax", "inf"], "dt and t_max must be finite"),
+    (["evolve", "--L", "5", "--dt", "inf", "--tmax", "1"], "dt and t_max must be finite"),
+    (["phase-diagram", "--L", "5", "--W", "0:inf:1"], "argument --W: start, stop and step must be finite"),
+    (["phase-diagram", "--L", "5", "--g", "inf"], "g must be finite"),
+    (["phase-diagram", "--L", "5", "--W", "1", "--samples", "2", "--theta0", "nan"],
+     "theta0 must be finite"),
+], ids=["evolve-tmax", "evolve-dt", "phase-diagram-grid", "phase-diagram-g", "phase-diagram-theta0"])
+def test_non_finite_numbers_are_an_error_line(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stderr.startswith("error: ") and message in stderr and stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--L", "8", "--g", "0.5", "--method", "exact", "--observables", "rmax_overlap"],
     ["--L", "8", "--N", "4", "--g", "0.5", "--observables", "fock_ipr"],

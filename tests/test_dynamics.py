@@ -433,6 +433,13 @@ def test_evolver_config_validation():
         EvolverConfig(t_max=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["dt", "t_max"])
+def test_evolver_config_refuses_non_finite_times(name, value):
+    with pytest.raises(ValueError, match="dt and t_max must be finite"):
+        EvolverConfig(**{name: value})
+
+
 def test_series_csv_round_trip(tmp_path):
     series = ObservableSeries(t=np.array([0.0, 0.5]), blocks={"ipr": np.array([[0.25], [0.5]])})
     path = tmp_path / "series.csv"

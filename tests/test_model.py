@@ -227,6 +227,13 @@ def test_params_validation():
     assert build_fock_basis(63, 1).states[-1] == 1 << 62
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["g", "V", "W", "theta0", "phi"])
+def test_params_refuse_non_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ModelParams(L=4, N=2, bc="pbc", **{name: value})
+
+
 def test_basis_mismatch_rejected():
     basis = build_fock_basis(6, 3)
     with pytest.raises(ValueError):

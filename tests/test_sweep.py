@@ -45,6 +45,14 @@ def test_inclusive_range():
         inclusive_range(1.0, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("start, stop, step", [
+    (0.0, np.inf, 1.0), (-np.inf, 0.0, 1.0), (np.nan, 1.0, 0.5), (0.0, 1.0, np.inf),
+])
+def test_inclusive_range_refuses_non_finite_numbers(start, stop, step):
+    with pytest.raises(ValueError, match="start, stop and step must be finite"):
+        inclusive_range(start, stop, step)
+
+
 def test_degenerate_sweep_matches_direct_evaluation():
     base = ModelParams(L=21, g=0.5, W=1.0, theta0=0.0, bc="pbc")
     spec = SweepSpec(base=base, theta0_samples=1,
@@ -267,6 +275,49 @@ def test_warnings_column_holds_each_samples_own_error(monkeypatch):
     for r in rows:
         assert np.isnan(r.value)
         assert r.warnings == f"WindingIllDefinedError: jump at theta0={r.theta0:.6f}"
+
+
+@pytest.mark.parametrize("quantities", [tuple(sweep_mod.QUANTITIES),
+                                        tuple(reversed(sweep_mod.QUANTITIES))])
+def test_a_run_writes_exactly_the_expected_keys(monkeypatch, quantities):
+    # sample 1's winding fails, and so does every quantity (density too) that
+    # decomposes at periodic boundaries; its open-boundary IPR does not
+    failing = sweep_mod._theta0(0.0, 1, 2)
+
+    def winding_fails_for_sample_1(params):
+        if params.theta0 == failing:
+            raise WindingIllDefinedError("forced failure for test")
+        return winding_result(params)
+
+    def pbc_decompose_fails_for_sample_1(H):
+        if H.params.theta0 == failing and H.params.bc == "pbc":
+            raise np.linalg.LinAlgError("forced failure for test")
+        return decompose(H)
+
+    monkeypatch.setattr(sweep_mod, "winding_result", winding_fails_for_sample_1)
+    monkeypatch.setattr(sweep_mod, "decompose", pbc_decompose_fails_for_sample_1)
+    spec = SweepSpec(base=ModelParams(L=6, N=3, g=0.5, V=1.0, bc="pbc"), w_grid=(0.5, 1.5),
+                     theta0_samples=2, quantities=quantities)
+    rows = collect(spec)
+    failed = {r.quantity for r in rows if r.sample == "1" and np.isnan(r.value)}
+    assert failed == {*spec.quantities, *(f"density:{j}" for j in range(6))} - {"density", "ipr_obc"}
+    for W in spec.w_grid:
+        keys = [r.key for r in rows if r.W == W]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == sweep_mod.expected_keys(spec, 0.5, 1.0, W, quantities)
+
+
+@pytest.mark.parametrize("w_grid", [
+    (0.5, 0.5, 0.5000000000000001),
+    inclusive_range(0.0, 1e-13, 1e-14),    # eleven values, each written as 0
+], ids=["repeated", "rounded"])
+def test_a_key_is_written_once(tmp_path, w_grid):
+    out = tmp_path / "sweep.csv"
+    spec = SweepSpec(base=ModelParams(L=8, g=0.5, bc="pbc"), w_grid=w_grid, quantities=("f_im",),
+                     out=str(out))
+    assert run_sweep_to_file(spec) == (2, 0)
+    assert [row[7] for row in read_rows(out)] == ["0", "avg"]
+    assert run_sweep_to_file(spec) == (0, 2)
 
 
 def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):

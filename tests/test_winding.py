@@ -7,7 +7,6 @@ import nhchain.winding as winding_mod
 
 from nhchain import (
     ModelParams,
-    SingularBaseEnergyError,
     WindingConfig,
     WindingIllDefinedError,
     build_fock_basis,
@@ -54,7 +53,7 @@ def test_log_det_phase_matches_eigenvalue_product():
 
 
 def test_log_det_phase_singular_rejected():
-    with pytest.raises(SingularBaseEnergyError):
+    with pytest.raises(WindingIllDefinedError):
         log_det_phase(np.zeros((1, 3, 3), dtype=complex))
 
 
@@ -78,7 +77,7 @@ def test_log_det_phase_stack_matches_loop():
 
 def test_log_det_phase_stack_singular_member_rejected():
     stack = np.stack([np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)])
-    with pytest.raises(SingularBaseEnergyError):
+    with pytest.raises(WindingIllDefinedError):
         log_det_phase(stack)
 
 
