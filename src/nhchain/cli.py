@@ -6,9 +6,9 @@ winding).  Results go to --out as CSV.  Without --out, `spectrum` and
 `ground-state` print their rows to stdout and the one-line summary to
 stderr, `winding` prints its per-sample lines and the mean `nu = ...`
 only, and `phase-diagram` and `evolve` write `phase_diagram.csv` and
-`evolve.csv`.  Every command but `evolve` and `phase-diagram` (whose
-series and sweep modules write their own files) writes its rows
-through `_write_rows`.
+`evolve.csv`.  `evolve` and fig3 write through `dynamics`, and
+`phase-diagram`, fig1, fig2 and fig4 through `sweep`; every other
+command and job writes its rows through `_write_rows`.
 
 `--config FILE` reads flat `key = value` lines and turns each into the
 flag `--key=value`, placed right after the command name (the preset
@@ -251,7 +251,8 @@ def cmd_ground_state(args) -> int:
 
 def _sweep(spec: SweepSpec) -> tuple:
     """Job: run the sweep into the file.  Metadata: each quantity with
-    the bc it is computed under, the grids, and the disorder sampling."""
+    the bc it is computed under, the grids, the disorder sampling, and
+    the Krylov settings of a time grid."""
     base = spec.base
     meta = {"quantities": {q: _effective_bc(q, base.bc) for q in spec.quantities},
             "L": base.L, "N": base.N, "g_grid": list(spec.g_grid), "v_grid": list(spec.v_grid),
@@ -260,6 +261,8 @@ def _sweep(spec: SweepSpec) -> tuple:
     if "winding" in spec.quantities:
         cfg = WindingConfig()      # the sweep's winding runs with the defaults
         meta.update(e0=cfg.e0, flux_points=cfg.n_points)
+    if spec.evolver is not None:
+        meta.update(M=spec.evolver.M, dt=spec.evolver.dt, t_max=spec.evolver.t_max)
     return (lambda path: run_sweep_to_file(replace(spec, out=path))), meta
 
 
@@ -270,25 +273,6 @@ def _wave_packet(params: ModelParams, config: EvolverConfig, j0: int) -> tuple:
 
     meta = {"L": params.L, "g": params.g, "W": params.W, "bc": params.bc, "j0": j0,
             "M": config.M, "dt": config.dt, "t_max": config.t_max}
-    return write, meta
-
-
-def _entanglement_traces(params: ModelParams, config: EvolverConfig, S: int) -> tuple:
-    """Job: the entanglement entropy after a domain-wall start, for each
-    disorder phase theta0 = 2*pi*s/S (s < S) over time, then the sample mean."""
-    def write(path):
-        basis = build_fock_basis(params.L, params.N)
-        series = [run(replace(params, theta0=_theta0(params.theta0, s, S)), config,
-                      initial_domain_wall(basis), ("s_ee",), basis=basis) for s in range(S)]
-        # (len(t), S): the mean along each contiguous row adds the samples in order
-        stack = np.column_stack([x.blocks["s_ee"][:, 0] for x in series])
-        columns = [(str(s), stack[:, s]) for s in range(S)] + [("avg", stack.mean(axis=1))]
-        _write_rows(path, ["sample", "t", "s_ee"],
-                    [(sample, t, v) for sample, values in columns
-                     for t, v in zip(series[0].t, values)])
-
-    meta = {k: getattr(params, k) for k in ("L", "N", "g", "V", "W", "bc")}
-    meta.update(M=config.M, dt=config.dt, t_max=config.t_max, theta0_samples=S)
     return write, meta
 
 
@@ -365,8 +349,8 @@ def _preset_fig4(args) -> tuple:
     w_crit = 2.0 * 2.0 * np.exp(g)
     config = EvolverConfig(method="krylov", dt=args.dt, t_max=args.tmax, record_stride=5)
     panels = [(panel, f"fig4_{panel}.csv",
-               _entanglement_traces(ModelParams(L=L, N=N, g=g, V=2.0, W=W, bc=bc), config,
-                                    args.samples))
+               _sweep(SweepSpec(base=ModelParams(L=L, N=N, g=g, V=2.0, W=W, bc=bc),
+                                theta0_samples=args.samples, quantities=("s_ee",), evolver=config)))
               for panel, (bc, W) in zip("abcd", (("pbc", 0.5), ("obc", 0.5),
                                                   ("pbc", w_crit), ("obc", w_crit)))]
     notes = [f"this run: L={L}, N={N} (dim {comb(L, N)}); published setting: L=18, N=8 "

@@ -83,6 +83,25 @@ class EvolverConfig:
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
 
+    def record_grid(self) -> tuple:
+        """The record times t = k * dt for k = 0, stride, 2*stride, ..., plus
+        a last record at t_max, and the interval up to each record after the
+        first.  When t_max is not a multiple of dt (to 1e-9 relative), the
+        last interval is shortened to end on it.  An interval is a whole
+        number of dt, not a difference of two times."""
+        k_last = int(round(self.t_max / self.dt))
+        off_grid = abs(k_last * self.dt - self.t_max) > 1e-9 * self.t_max
+        if off_grid:
+            # whole multiples of dt up to the last one below t_max, then t_max itself
+            k_last = int(self.t_max // self.dt) + 1
+        record_at = sorted({*range(0, k_last + 1, self.record_stride), k_last})
+        times = np.array(record_at) * self.dt
+        intervals = np.diff(record_at) * self.dt
+        if off_grid:
+            times[-1] = self.t_max
+            intervals[-1] = self.t_max - times[-2]
+        return times, intervals
+
 
 @dataclass
 class ObservableSeries:
@@ -328,14 +347,10 @@ def run(
     observables: Iterable[str] = ("density",),
     basis: Optional[FockBasis] = None,
 ) -> ObservableSeries:
-    """Evolve `initial` to t_max, recording observables on a time grid.
-
-    The grid is t = k * dt for k = 0, stride, 2*stride, ..., plus a last
-    record at t_max: when t_max is not a multiple of dt (to 1e-9
-    relative), the last record interval is shortened to end on it.  The
-    Krylov method takes one `arnoldi_step` per record interval, and the
-    exact method evaluates each record time from `initial`; either way
-    the state is normalized at every record.
+    """Evolve `initial` to t_max, recording observables at the times of
+    `config.record_grid()`.  The Krylov method takes one `arnoldi_step`
+    per record interval, and the exact method evaluates each record time
+    from `initial`; either way the state is normalized at every record.
     """
     measure = {   # basis is bound below, before the first record
         "density": lambda psi: density_profile(psi, basis),
@@ -361,19 +376,8 @@ def run(
 
     decomp = decompose(H) if config.method == "exact" else None
 
-    dt = config.dt
-    k_last = int(round(config.t_max / dt))
-    off_grid = abs(k_last * dt - config.t_max) > 1e-9 * config.t_max
-    if off_grid:
-        # whole multiples of dt up to the last one below t_max, then t_max itself
-        k_last = int(config.t_max // dt) + 1
-    record_at = sorted({*range(0, k_last + 1, config.record_stride), k_last})
-    times = np.array(record_at) * dt
-    intervals = np.diff(record_at) * dt      # one Krylov step each
-    if off_grid:
-        times[-1] = config.t_max
-        intervals[-1] = config.t_max - times[-2]
-    blocks = {name: np.empty((len(record_at), params.L if name == "density" else 1))
+    times, intervals = config.record_grid()
+    blocks = {name: np.empty((len(times), params.L if name == "density" else 1))
               for name in names}
 
     psi0 = np.asarray(initial, dtype=complex)

@@ -13,7 +13,9 @@ else goes into that column, and nothing goes to stderr.
 Quantities: `QUANTITIES` maps each name to the boundary condition it is
 forced to (`ipr_obc`, `ipr_pbc`, `winding`), or to None where it takes
 the spec's; each row's bc column holds the one it was computed under.
-`density` gives one row per site, named `density:j`.
+`density` gives one row per site, named `density:j`, and `s_ee` (the
+half-chain entanglement entropy after a domain-wall quench) one per
+record time t of the spec's `evolver`, named `s_ee:t`.
 
 Rows: `_rows` alone lays out a grid point's rows (each sample's, then
 one `avg` row per name), both those a run writes and, over failed
@@ -24,8 +26,8 @@ Output: `run_sweep_to_file` appends each grid point's rows to the CSV
 as soon as that point finishes, so an interrupted sweep keeps every
 finished point.  Resume skips grid points whose keys are all in the
 file and refuses a file holding a row that this run would not write
-(another L, N, boundary condition, base theta0 or sample count), rather
-than mix it with the new rows.  A last row cut off before its line end
+(another L, N, boundary condition, base theta0, sample count or record
+time), rather than mix it with the new rows.  A last row cut off before its line end
 is dropped and its point recomputed.
 """
 
@@ -37,20 +39,21 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .dynamics import EvolverConfig, initial_domain_wall, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import cdw_order, decompose, eigenvalues, imag_fraction, ipr_per_state, static_observables
 from .winding import winding_result
 
 # Each quantity and the boundary condition it is computed under (None: the spec's).
 QUANTITIES = {"ipr_obc": "obc", "ipr_pbc": "pbc", "f_im": None, "winding": "pbc",
-              "fock_ipr": None, "o_dw": None, "density": None}
+              "fock_ipr": None, "o_dw": None, "density": None, "s_ee": None}
 
 CSV_COLUMNS = ("L", "N", "g", "V", "W", "theta0", "bc", "sample", "quantity", "value", "warnings")
 
@@ -76,6 +79,7 @@ class SweepSpec:
     theta0_samples: int = 1
     quantities: Sequence[str] = ("f_im",)
     out: Optional[str] = None
+    evolver: Optional[EvolverConfig] = None   # the time grid of s_ee; None for a static sweep
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g_grid", tuple(self.g_grid) or (self.base.g,))
@@ -89,9 +93,11 @@ class SweepSpec:
         unknown = set(self.quantities) - set(QUANTITIES)
         if unknown:
             raise ValueError(f"unknown quantities: {sorted(unknown)}")
-        needs_filling = {"fock_ipr", "o_dw"} & set(self.quantities)
+        needs_filling = {"fock_ipr", "o_dw", "s_ee"} & set(self.quantities)
         if needs_filling and not self.base.many_body:
             raise ValueError(f"{sorted(needs_filling)} require a particle number N")
+        if ("s_ee" in self.quantities) != (self.evolver is not None):
+            raise ValueError("s_ee needs a time grid (evolver), and no other quantity reads one")
         if any(self.v_grid) and not self.base.many_body:
             raise ValueError("a nonzero V in v_grid needs a particle number N: "
                              "one particle has no interaction")
@@ -131,15 +137,15 @@ def _theta0(theta0: float, s: int, S: int) -> float:
     return theta0 + 2.0 * np.pi * s / S
 
 
-def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> dict:
-    """All requested quantities at one (grid point, theta0); never raises.
+def _evaluate_sample(params: ModelParams, spec: SweepSpec, basis) -> dict:
+    """The spec's quantities at one (grid point, theta0); never raises.
 
     Each value comes with its note: empty, or the error that replaced a
-    failed value with NaN (one NaN for a whole density profile).
+    failed value with NaN (one NaN for a whole profile).
     """
     out = {}
     # f_im takes its eigenvalues from a decomposition made anyway at its bc
-    vector_bcs = {_effective_bc(q, params.bc) for q in quantities if q not in ("f_im", "winding")}
+    vector_bcs = {_effective_bc(q, params.bc) for q in spec.quantities if q not in ("f_im", "winding", "s_ee")}
 
     def matrix(bc):
         p = replace(params, bc=bc)
@@ -153,7 +159,7 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
     def get_density(bc):
         return static_observables(get_decomp(bc), basis)
 
-    for q in quantities:
+    for q in spec.quantities:
         note = ""
         bc = _effective_bc(q, params.bc)
         try:
@@ -163,6 +169,8 @@ def _evaluate_sample(params: ModelParams, quantities: Sequence[str], basis) -> d
                 value = float(winding_result(replace(params, bc="pbc")).nu)
             elif q in ("o_dw", "density"):
                 value = cdw_order(get_density(bc)) if q == "o_dw" else get_density(bc)
+            elif q == "s_ee":
+                value = run(params, spec.evolver, initial_domain_wall(basis), (q,), basis).blocks[q][:, 0]
             else:   # ipr_obc, ipr_pbc, fock_ipr: the mean over the right eigenvectors
                 value = float(np.mean(ipr_per_state(get_decomp(bc))))
         except Exception as exc:   # keep sweeping; the row carries the reason
@@ -177,9 +185,13 @@ def _effective_bc(quantity: str, base_bc: str) -> str:
     return QUANTITIES.get(quantity) or base_bc
 
 
-def _names(quantity: str, L: int) -> list:
-    """The row names of a quantity: density has one row per site."""
-    return [f"density:{j}" for j in range(L)] if quantity == "density" else [quantity]
+def _names(quantity: str, spec: SweepSpec) -> list:
+    """The row names of a quantity: density has one row per site, s_ee one per record time."""
+    if quantity == "s_ee":
+        if spec.evolver is None:   # s_ee rows of a resumed file, in a run without a time grid
+            raise ValueError("s_ee rows need a time grid, and this run has none")
+        return [f"s_ee:{_num(t)}" for t in spec.evolver.record_grid()[0]]
+    return [f"density:{j}" for j in range(spec.base.L)] if quantity == "density" else [quantity]
 
 
 def _rows(spec: SweepSpec, g: float, V: float, W: float, quantities: Sequence[str],
@@ -187,15 +199,15 @@ def _rows(spec: SweepSpec, g: float, V: float, W: float, quantities: Sequence[st
     """A grid point's rows for `quantities`: each sample's in turn, then each name's average.
 
     results[s][q] is sample s's (value, note) for quantity q; a density
-    value is a length-L profile, or one NaN for the whole profile.  An
-    average row holds the mean of the samples' finite values and their
+    or s_ee value is a profile, one value per name, or one NaN for all.
+    An average row holds the mean of the samples' finite values and their
     distinct notes.
     """
     base, S = spec.base, spec.theta0_samples
-    layout = [(q, _effective_bc(q, base.bc), _names(q, base.L)) for q in quantities]
+    layout = [(q, _effective_bc(q, base.bc), _names(q, spec)) for q in quantities]
     table = {q: np.empty((S, len(names))) for q, _, names in layout}   # [s, j]: sample s, name j
     for q, s in product(quantities, range(S)):
-        table[q][s] = results[s][q][0]   # a failed density's one NaN fills its row
+        table[q][s] = results[s][q][0]   # a failed profile's one NaN fills its row
     rows = [ResultRecord(base.L, base.N, g, V, W, _theta0(base.theta0, s, S), bc, str(s),
                          name, float(v), results[s][q][1])
             for s in range(S) for q, bc, names in layout for name, v in zip(names, table[q][s])]
@@ -208,19 +220,20 @@ def _rows(spec: SweepSpec, g: float, V: float, W: float, quantities: Sequence[st
     return rows
 
 
-def expected_keys(spec: SweepSpec, g: float, V: float, W: float, quantities: Sequence[str]) -> set:
-    """Keys of the rows that `quantities` contribute at one grid point of `spec`:
-    those `_rows` lays out for S failed samples."""
+def expected_keys(spec: SweepSpec, g, V, W, quantities: Sequence[str]) -> set:
+    """Keys of the rows that `quantities` contribute at one grid point of `spec`
+    (g, V and W as numbers or as written): those `_rows` lays out for S failed samples."""
     failed = [dict.fromkeys(quantities, (float("nan"), ""))] * spec.theta0_samples
-    return {r.key for r in _rows(spec, g, V, W, quantities, failed)}
+    return {r.key for r in _rows(spec, float(g), float(V), float(W), quantities, failed)}
 
 
-def _check_compatible(spec: SweepSpec, rows: Sequence[list]) -> None:
+def _check_compatible(spec: SweepSpec, rows: Sequence[list], keys_at) -> None:
     """Raise ValueError unless every CSV row (header excluded) could have come from `spec`.
 
-    A row must have every column, and its key must be one that
-    `expected_keys` gives at the row's own grid point and quantity: grid
-    points and quantities may differ from the spec's, nothing else may.
+    A row must have every column, and its key must be one that `keys_at`
+    (the spec's `expected_keys`, cached) gives at the row's own grid
+    point and quantity: grid points and quantities may differ from the
+    spec's, nothing else may.
     An average row must come with all S of its sample rows, which is
     what tells a file with fewer samples apart.
     """
@@ -231,19 +244,17 @@ def _check_compatible(spec: SweepSpec, rows: Sequence[list]) -> None:
         raise ValueError(f"{spec.out}: row ({fields}) {why}; this run has L={base.L}, "
                          f"N={base.N}, bc={base.bc}, theta0={base.theta0}, {S} samples")
 
-    expected = {}   # (g, V, W, quantity) -> expected_keys there
     for row in rows:
         if len(row) != len(CSV_COLUMNS):
             refuse(row, f"has {len(row)} fields, not {len(CSV_COLUMNS)}")
-        point = (*row[2:5], row[8].split(":")[0])
-        if point not in expected:
-            g, V, W, q = point
-            try:   # like an unknown quantity, a g, V or W that is no number matches no key
-                expected[point] = expected_keys(spec, float(g), float(V), float(W),
-                                                [q] if q in QUANTITIES else [])
-            except ValueError:
-                expected[point] = set()
-        if tuple(row[:9]) not in expected[point]:
+        q = row[8].split(":")[0]
+        # the run's own quantities are laid out together, as `_point_rows` asks for them
+        quantities = spec.quantities if q in spec.quantities else (q,) if q in QUANTITIES else ()
+        try:   # like an unknown quantity, a g, V or W that is no number matches no key
+            known = tuple(row[:9]) in keys_at(*row[2:5], quantities)
+        except ValueError:   # so do s_ee rows in a run without a time grid
+            known = False
+        if not known:
             refuse(row, "is not a row this run writes")
     # every sample row is now one of this run's, so S distinct ones make an average whole
     keys = {tuple(row[:9]) for row in rows}
@@ -253,7 +264,7 @@ def _check_compatible(spec: SweepSpec, rows: Sequence[list]) -> None:
             refuse(row, f"is an average over other than {S} samples")
 
 
-def _point_rows(spec: SweepSpec, have: set) -> Iterator[list]:
+def _point_rows(spec: SweepSpec, have: set, keys_at) -> Iterator[list]:
     """Each grid point's rows not already in `have`, one list per point, in grid order.
 
     Points whose rows are all in `have` are skipped; partially covered
@@ -263,10 +274,10 @@ def _point_rows(spec: SweepSpec, have: set) -> Iterator[list]:
     base, S = spec.base, spec.theta0_samples
     basis = build_fock_basis(base.L, base.N) if base.many_body else None
     for g, V, W in product(spec.g_grid, spec.v_grid, spec.w_grid):
-        if expected_keys(spec, g, V, W, spec.quantities) <= have:
+        if keys_at(_num(g), _num(V), _num(W), spec.quantities) <= have:
             continue
         results = [_evaluate_sample(replace(base, g=g, V=V, W=W, theta0=_theta0(base.theta0, s, S)),
-                                    spec.quantities, basis) for s in range(S)]
+                                    spec, basis) for s in range(S)]
         rows = [r for r in _rows(spec, g, V, W, spec.quantities, results) if r.key not in have]
         have.update(r.key for r in rows)   # a grid value repeated up to rounding writes nothing twice
         yield rows
@@ -274,7 +285,7 @@ def _point_rows(spec: SweepSpec, have: set) -> Iterator[list]:
 
 def run_sweep(spec: SweepSpec) -> Iterator[ResultRecord]:
     """Yield records grid point by grid point, in grid order."""
-    for rows in _point_rows(spec, set()):
+    for rows in _point_rows(spec, set(), cache(partial(expected_keys, spec))):
         yield from rows
 
 
@@ -310,10 +321,11 @@ def run_sweep_to_file(spec: SweepSpec, threads: int = 1) -> tuple:
     header, *rows = list(csv.reader(io.StringIO(data[:end].decode(), newline=""))) or [CSV_COLUMNS]
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"{spec.out}: header {header} is not {list(CSV_COLUMNS)}")
-    _check_compatible(spec, rows)
+    keys_at = cache(partial(expected_keys, spec))   # each grid point's keys are laid out once
+    _check_compatible(spec, rows, keys_at)
     if end < len(data):
         os.truncate(spec.out, end)
     written = 0
-    for point in _point_rows(spec, {tuple(row[:9]) for row in rows}):
+    for point in _point_rows(spec, {tuple(row[:9]) for row in rows}, keys_at):
         written += write_records_csv(point, spec.out)
     return written, len(rows)

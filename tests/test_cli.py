@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nhchain.cli as cli
+import nhchain.dynamics as dynamics_mod
 import nhchain.sweep as sweep_mod
 from nhchain import (
     ModelParams,
@@ -302,6 +303,11 @@ def test_phase_diagram_refuses_no_quantity_and_writes_a_repeated_one_once(tmp_pa
     assert cli.main(["phase-diagram", "--L", "5", "--quantities", ",", "--out", str(out)]) == 1
     assert "quantities must name at least one of" in capsys.readouterr().err
     assert not out.exists()
+    # phase-diagram has no time flags, so no time grid for an entropy trace
+    assert cli.main(["phase-diagram", "--L", "6", "--N", "3", "--quantities", "s_ee",
+                     "--out", str(out)]) == 1
+    assert "error: s_ee needs a time grid" in capsys.readouterr().err
+    assert not out.exists()
     assert cli.main(["phase-diagram", "--L", "5", "--g", "0.5", "--quantities", "f_im,f_im",
                      "--out", str(out)]) == 0
     assert "(2 rows written, 0 reused)" in capsys.readouterr().out
@@ -381,25 +387,83 @@ def test_preset_fig4_panels(tmp_path):
     rc = cli.main(["preset", "fig4", "--L", "8", "--samples", "2", "--tmax", "1",
                    "--which", "ad", "--out-dir", str(tmp_path)])
     assert rc == 0
-    T = 5   # t = 0, 0.25, ..., 1: every 5th step of dt = 0.05
-    for panel in "ad":
+    names = [f"s_ee:{t}" for t in ("0", "0.25", "0.5", "0.75", "1")]   # every 5th step of dt = 0.05
+    for panel, bc in zip("ad", ("pbc", "obc")):
         rows = read_csv(str(tmp_path / f"fig4_{panel}.csv"))
-        assert list(rows[0]) == ["sample", "t", "s_ee"]
-        assert [r["sample"] for r in rows] == ["0"] * T + ["1"] * T + ["avg"] * T
-        s = np.array([float(r["s_ee"]) for r in rows]).reshape(3, T)
-        t = np.array([float(r["t"]) for r in rows]).reshape(3, T)
-        assert np.all(t == t[0]) and np.allclose(t[0], np.linspace(0.0, 1.0, T))
+        assert [r["sample"] for r in rows] == ["0"] * 5 + ["1"] * 5 + ["avg"] * 5
+        assert [r["quantity"] for r in rows] == names * 3
+        assert {(r["L"], r["N"], r["g"], r["V"], r["bc"], r["warnings"]) for r in rows} == {
+            ("8", "4", "0.5", "2", bc, "")}
+        assert [r["theta0"] for r in rows[::5]] == ["0", format(np.pi, ".17g"), ""]
+        s = np.array([float(r["value"]) for r in rows]).reshape(3, 5)
         assert np.allclose(s[2], s[:2].mean(axis=0), rtol=0, atol=1e-15)
         assert s[0, 0] == 0.0 and s[0, -1] > 0.0
     assert not (tmp_path / "fig4_b.csv").exists()
     meta = json.loads((tmp_path / "fig4_metadata.json").read_text())
     assert meta["which"] == "ad" and list(meta["files"]) == ["fig4_a.csv", "fig4_d.csv"]
-    common = {"L": 8, "N": 4, "g": 0.5, "V": 2.0, "M": 25, "dt": 0.05, "t_max": 1.0,
-              "theta0_samples": 2}
-    assert meta["files"]["fig4_a.csv"] == {**common, "W": 0.5, "bc": "pbc"}
-    assert meta["files"]["fig4_d.csv"] == {**common, "W": 4.0 * np.exp(0.5), "bc": "obc"}
-    assert list(meta["files"]["fig4_a.csv"]) == ["L", "N", "g", "V", "W", "bc", "M", "dt",
-                                                 "t_max", "theta0_samples"]
+    common = {"L": 8, "N": 4, "g_grid": [0.5], "v_grid": [2.0], "theta0": 0.0,
+              "theta0_samples": 2, "M": 25, "dt": 0.05, "t_max": 1.0}
+    assert meta["files"]["fig4_a.csv"] == {**common, "quantities": {"s_ee": "pbc"}, "w_grid": [0.5]}
+    assert meta["files"]["fig4_d.csv"] == {**common, "quantities": {"s_ee": "obc"},
+                                           "w_grid": [4.0 * np.exp(0.5)]}
+    assert list(meta["files"]["fig4_a.csv"]) == ["quantities", "L", "N", "g_grid", "v_grid", "w_grid",
+                                                 "theta0", "theta0_samples", "M", "dt", "t_max"]
+
+
+def test_preset_fig4_resumes_to_the_bytes_of_an_uninterrupted_run(tmp_path, monkeypatch, capsys):
+    argv = ["preset", "fig4", "--L", "8", "--samples", "2", "--tmax", "1", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    files = {panel: (tmp_path / f"fig4_{panel}.csv").read_bytes() for panel in "abcd"}
+
+    def evaluate(*args):
+        raise AssertionError("a finished panel was evaluated again")
+
+    monkeypatch.setattr(sweep_mod, "_evaluate_sample", evaluate)
+    assert cli.main(argv) == 0
+    assert {panel: (tmp_path / f"fig4_{panel}.csv").read_bytes() for panel in "abcd"} == files
+    monkeypatch.undo()
+
+    # killed anywhere inside its rows, a panel resumes to the same bytes
+    data = files["d"]
+    rows_start = data.index(b"\r\n") + 2
+    for cut in (rows_start, rows_start + 1, len(data) // 2, len(data) - 3):
+        (tmp_path / "fig4_d.csv").write_bytes(data[:cut])
+        assert cli.main(argv + ["--which", "d"]) == 0
+        assert (tmp_path / "fig4_d.csv").read_bytes() == data
+
+    # a static sweep has no time grid, so it lays out no s_ee row: refused, not a traceback
+    capsys.readouterr()
+    out = tmp_path / "fig4_a.csv"
+    assert cli.main(["phase-diagram", "--L", "8", "--N", "4", "--g", "0.5", "--V", "2", "--W", "0.5",
+                     "--bc", "pbc", "--samples", "2", "--quantities", "f_im", "--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stderr.startswith("error: ") and "quantity=s_ee:0) is not a row this run writes" in stderr
+    assert stdout == "" and out.read_bytes() == files["a"]
+
+
+def test_preset_fig4_keeps_going_past_a_failed_sample(tmp_path, monkeypatch):
+    failing = sweep_mod._theta0(0.0, 1, 2)
+    step = dynamics_mod.arnoldi_step
+
+    def step_fails_for_sample_1(H, psi, M, dt):
+        if H.params.theta0 == failing:
+            raise FloatingPointError(f"forced failure at theta0={failing:.6f}")
+        return step(H, psi, M, dt)
+
+    monkeypatch.setattr(dynamics_mod, "arnoldi_step", step_fails_for_sample_1)
+    assert cli.main(["preset", "fig4", "--L", "8", "--samples", "2", "--tmax", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+    reason = f"FloatingPointError: forced failure at theta0={failing:.6f}"
+    for panel in "abcd":
+        rows = read_csv(str(tmp_path / f"fig4_{panel}.csv"))
+        first, failed, avg = (rows[k:k + 5] for k in (0, 5, 10))
+        assert all(r["value"] == "nan" and r["warnings"] == reason for r in failed)
+        assert all(r["value"] != "nan" and r["warnings"] == "" for r in first)
+        # each average is the one finite sample's value, with the failed sample's reason
+        assert [r["value"] for r in avg] == [r["value"] for r in first]
+        assert all(r["warnings"] == reason for r in avg)
+    meta = json.loads((tmp_path / "fig4_metadata.json").read_text())
+    assert list(meta["files"]) == [f"fig4_{panel}.csv" for panel in "abcd"]
 
 
 def test_preset_metadata_is_read_off_the_sweeps(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 import nhchain.sweep as sweep_mod
 from nhchain import (
+    EvolverConfig,
     ModelParams,
     SweepSpec,
     WindingIllDefinedError,
@@ -92,8 +93,7 @@ def test_one_thread_computes_in_the_calling_thread(monkeypatch):
     monkeypatch.setattr(sweep_mod, "_evaluate_sample", recording)
     spec = SweepSpec(base=ModelParams(L=8, g=0.5, bc="pbc"), w_grid=(0.0, 1.0),
                      theta0_samples=2, quantities=("f_im",), out="unused.csv")
-    points = sweep_mod._point_rows(spec, set())
-    next(points)
+    next(run_sweep(spec))
     assert seen == [threading.main_thread()] * 2       # the second point is not computed yet
 
 
@@ -281,7 +281,8 @@ def test_warnings_column_holds_each_samples_own_error(monkeypatch):
                                         tuple(reversed(sweep_mod.QUANTITIES))])
 def test_a_run_writes_exactly_the_expected_keys(monkeypatch, quantities):
     # sample 1's winding fails, and so does every quantity (density too) that
-    # decomposes at periodic boundaries; its open-boundary IPR does not
+    # decomposes at periodic boundaries; its open-boundary IPR and its
+    # entropy trace, which decomposes nothing, do not
     failing = sweep_mod._theta0(0.0, 1, 2)
 
     def winding_fails_for_sample_1(params):
@@ -297,10 +298,12 @@ def test_a_run_writes_exactly_the_expected_keys(monkeypatch, quantities):
     monkeypatch.setattr(sweep_mod, "winding_result", winding_fails_for_sample_1)
     monkeypatch.setattr(sweep_mod, "decompose", pbc_decompose_fails_for_sample_1)
     spec = SweepSpec(base=ModelParams(L=6, N=3, g=0.5, V=1.0, bc="pbc"), w_grid=(0.5, 1.5),
-                     theta0_samples=2, quantities=quantities)
+                     theta0_samples=2, quantities=quantities, evolver=EvolverConfig(dt=0.1, t_max=0.2))
     rows = collect(spec)
     failed = {r.quantity for r in rows if r.sample == "1" and np.isnan(r.value)}
-    assert failed == {*spec.quantities, *(f"density:{j}" for j in range(6))} - {"density", "ipr_obc"}
+    assert failed == ({*spec.quantities, *(f"density:{j}" for j in range(6))}
+                      - {"density", "ipr_obc", "s_ee"})
+    assert {r.quantity for r in rows if r.quantity.startswith("s_ee")} == {"s_ee:0", "s_ee:0.1", "s_ee:0.2"}
     for W in spec.w_grid:
         keys = [r.key for r in rows if r.W == W]
         assert len(keys) == len(set(keys))
@@ -397,5 +400,13 @@ def test_spec_validation():
         SweepSpec(base=base, v_grid=(0.0, 1.0), out="u.csv")          # V needs N too
     assert SweepSpec(base=base, v_grid=(0.0,), out="u.csv").v_grid == (0.0,)
     assert SweepSpec(base=mb, v_grid=(0.0, 1.0), out="u.csv").v_grid == (0.0, 1.0)
+    grid = EvolverConfig(dt=0.1, t_max=0.2)
+    with pytest.raises(ValueError, match="require a particle number N"):
+        SweepSpec(base=base, quantities=("s_ee",), evolver=grid)
+    with pytest.raises(ValueError, match="s_ee needs a time grid"):
+        SweepSpec(base=mb, quantities=("s_ee",))
+    with pytest.raises(ValueError, match="no other quantity reads one"):    # accepted, then ignored
+        SweepSpec(base=mb, quantities=("f_im",), evolver=grid)
+    assert SweepSpec(base=mb, quantities=("f_im", "s_ee"), evolver=grid).evolver == grid
     with pytest.raises(ValueError, match="zero flux"):    # it would be built at phi = 0
         SweepSpec(base=replace(base, W=1.0, phi=1.3), quantities=("f_im", "ipr_pbc"))
