@@ -262,7 +262,8 @@ def _sweep(spec: SweepSpec) -> tuple:
         cfg = WindingConfig()      # the sweep's winding runs with the defaults
         meta.update(e0=cfg.e0, flux_points=cfg.n_points)
     if spec.evolver is not None:
-        meta.update(M=spec.evolver.M, dt=spec.evolver.dt, t_max=spec.evolver.t_max)
+        meta.update(M=spec.evolver.M, dt=spec.evolver.dt, t_max=spec.evolver.t_max,
+                    record_stride=spec.evolver.record_stride)
     return (lambda path: run_sweep_to_file(replace(spec, out=path))), meta
 
 
@@ -413,7 +414,9 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=_sample_count, default=1)
     # sweeps run in the calling thread; kept for bench/workloads.py, which passes 1
     p.add_argument("--threads", type=int, choices=(1,), default=1)
-    p.add_argument("--quantities", default="f_im", help="comma list of " + ",".join(QUANTITIES))
+    # a phase diagram has no time grid, which s_ee needs
+    p.add_argument("--quantities", default="f_im",
+                   help="comma list of " + ",".join(q for q in QUANTITIES if q != "s_ee"))
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("evolve", help="time evolution with observable recording")

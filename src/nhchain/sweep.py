@@ -239,10 +239,13 @@ def _check_compatible(spec: SweepSpec, rows: Sequence[list], keys_at) -> None:
     """
     base, S = spec.base, spec.theta0_samples
 
+    grid = "" if spec.evolver is None else (f", dt={spec.evolver.dt}, record_stride="
+                                            f"{spec.evolver.record_stride}, t_max={spec.evolver.t_max}")
+
     def refuse(row, why):
         fields = ", ".join(f"{c}={v}" for c, v in zip(CSV_COLUMNS, row[:9]))
         raise ValueError(f"{spec.out}: row ({fields}) {why}; this run has L={base.L}, "
-                         f"N={base.N}, bc={base.bc}, theta0={base.theta0}, {S} samples")
+                         f"N={base.N}, bc={base.bc}, theta0={base.theta0}, {S} samples{grid}")
 
     for row in rows:
         if len(row) != len(CSV_COLUMNS):

@@ -13,21 +13,31 @@ bond carries the flux (`model.wrap_hops`), so with z = e^{i phi} and z0
 the first grid point,
 
     H(phi) - E0 = A + U D(z) V^T,   A = H(phi0) - E0,
-    D(z) = diag((z - z0) * a_+, (1/z - 1/z0) * a_-),
+    D(z) = diag((z - z0) * a_+, (1/z - 1/z0) * a_-)
+         = (z - z0) * diag(a_+, -a_- / (z * z0)),
 
 where U and V select the rows and columns of the 2r wrap hops (r per
 direction: 1 for one particle, C(L-2, N-1) in the Fock basis) and a_+-
 are their amplitudes per unit twist.  The matrix determinant lemma
 gives det[H(phi) - E0] = det A * det(I + D(z) M) with the 2r x 2r
-matrix M = V^T A^{-1} U, so each flux point costs one small determinant
-(`log_det_phase` takes a stack of them at once, in log form so that no
-dimension overflows) and the phase of det A cancels in the step
-differences.  On the unshifted grid (phi0 = 0) with real E0, A is real:
-it is factored in real arithmetic and M is real.  H(-phi) is then the
-conjugate of H(phi), so det at 2*pi - phi is the conjugate of det at
-phi and only the half loop 0 <= phi <= pi is evaluated; grid point
-n - k takes the negated phase of point k.  The half-step retry grid and
-complex E0 evaluate every point.
+matrix M = V^T A^{-1} U, and pulling diag(1, z0/z) out of D(z) gives
+
+    det(I + D(z) M) = (z0/z)^r * det(I + (z - z0) X),
+    X = diag(0, I_r / z0) + diag(a_+ I_r, -a_- I_r / z0^2) M.
+
+X is reduced once per flux loop to upper Hessenberg form by an
+orthogonal similarity, which leaves every det(I + s X) unchanged and is
+backward stable.  `log_det_phase` then takes all the flux points'
+determinants at once by Gaussian elimination with partial pivoting,
+O(r^2) per point, in log form so that no dimension overflows; the
+factor (z0/z)^r adds -r (phi - phi0) to each phase exactly, and the
+phase of det A cancels in the step differences.  On the unshifted grid
+(phi0 = 0) with real E0, A is real: it is factored in real arithmetic
+and M and X are real.  H(-phi) is then the conjugate of H(phi), so det
+at 2*pi - phi is the conjugate of det at phi and only the half loop
+0 <= phi <= pi is evaluated; grid point n - k takes the negated phase
+of point k.  The half-step retry grid and complex E0 evaluate every
+point.
 """
 
 from __future__ import annotations
@@ -43,11 +53,6 @@ from .model import (FockBasis, ModelParams, build_fock_basis, build_many_body, b
                     wrap_hops)
 
 DET_FLOOR = 1e-300
-
-# Largest stack of flux-point determinants handed to log_det_phase at
-# once: a whole single-particle grid (the 101 points of the half loop at
-# a real base energy, all 202 at a complex one), two at dim 924.
-BATCH_BYTES = 8 << 20
 
 
 class WindingIllDefinedError(RuntimeError):
@@ -102,21 +107,44 @@ def _shifted(A: np.ndarray, e0: complex) -> np.ndarray:
     return A
 
 
-def log_det_phase(stack: np.ndarray) -> tuple:
-    """(log|det|, principal phase) of each matrix of a stack (..., n, n).
+def log_det_phase(hess: np.ndarray, shifts: np.ndarray) -> tuple:
+    """(log|det|, principal phase) of I + s * hess for each shift s.
 
-    One batched determinant call; both results are arrays of shape (...).
-    WindingIllDefinedError is raised when any member's |det| drops
-    below DET_FLOOR.
+    `hess` is an n x n upper Hessenberg matrix (entries below the first
+    subdiagonal are not read); both results have the shape of the 1-d
+    `shifts`.  Gaussian elimination with partial pivoting runs for all
+    shifts at once: below the working row only row k + 1 has an entry
+    in column k, so those two rows alone compete for the k-th pivot and
+    each shift costs O(n^2).  WindingIllDefinedError is raised when any
+    |det| drops below DET_FLOOR.
     """
-    if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2]:
-        raise ValueError("need a stack of square matrices, shape (..., n, n)")
-    if not np.all(np.isfinite(stack)):
+    hess, shifts = np.asarray(hess), np.asarray(shifts, dtype=complex)
+    if hess.ndim != 2 or hess.shape[0] != hess.shape[1] or hess.size == 0 or shifts.ndim != 1:
+        raise ValueError("need a square matrix, n >= 1, and a 1-d array of shifts")
+    if not (np.isfinite(hess).all() and np.isfinite(shifts).all()):
         raise ValueError("array must not contain infs or NaNs")
-    sign, logabs = np.linalg.slogdet(stack)
-    if not np.all(np.isfinite(logabs)) or np.any(np.exp(logabs) < DET_FLOOR):
-        raise WindingIllDefinedError("determinant underflow in a stack member")
-    return logabs, _principal(np.angle(sign))
+    n = len(hess)
+    pivots = np.empty((n, len(shifts)), dtype=complex)
+    swaps = np.zeros(len(shifts), dtype=int)          # each row swap flips the determinant's sign
+    # a zero pivot turns log|det| non-finite, which is checked below
+    with np.errstate(all="ignore"):
+        row = np.multiply.outer(shifts, hess[0])      # the working row, from column k on
+        row[:, 0] += 1.0
+        for k in range(n - 1):
+            below = shifts * hess[k + 1, k]              # row k + 1 of I + s * hess at column k
+            swap = np.abs(below) > np.abs(row[:, 0])
+            pivots[k] = pivot = np.where(swap, below, row[:, 0])
+            swaps += swap
+            m = np.where(swap, row[:, 0], below) / pivot
+            # the row left over: a * (working row) + b * (row k + 1), past column k
+            a, b = np.where(swap, 1.0, -m), np.where(swap, -m, 1.0)
+            row = a[:, None] * row[:, 1:] + np.multiply.outer(b * shifts, hess[k + 1, k + 1:])
+            row[:, 0] += b
+        pivots[n - 1] = row[:, 0]
+        logabs = np.log(np.abs(pivots)).sum(axis=0)
+    if not (np.isfinite(logabs).all() and logabs.min() >= np.log(DET_FLOOR)):
+        raise WindingIllDefinedError("determinant underflow at a flux point")
+    return logabs, _principal(np.angle(pivots).sum(axis=0) + np.pi * swaps)
 
 
 def _from_phases(phases: np.ndarray) -> WindingResult:
@@ -172,19 +200,17 @@ def _low_rank_phases(
     U = np.zeros((H.dim, len(rows)), dtype=A.dtype, order="F")
     U[rows, k] = 1.0
     M = lu_solve(lu_piv, U, trans=1, overwrite_b=True)[cols]     # V^T A^{-1} U
-    del A, H, lu_piv, U          # free the full-dimension arrays before the batches
+    del A, H, lu_piv, U          # free the full-dimension arrays before the flux points
 
     z = np.exp(1j * np.remainder(grid, 2.0 * np.pi))   # the flux as ModelParams reduces it
-    d = np.empty((len(grid), len(rows)), dtype=complex)
-    d[:, :len(rows_p)] = ((z - z[0]) * amp_p)[:, None]
-    d[:, len(rows_p):] = ((1.0 / z - 1.0 / z[0]) * amp_m)[:, None]
-    phases = np.empty(len(grid))
-    batch = max(1, BATCH_BYTES // (16 * M.size))       # complex stack members
-    for start in range(0, len(grid), batch):
-        stack = d[start:start + batch, :, None] * M          # D(z) M, one per flux point
-        stack[:, k, k] += 1.0
-        phases[start:start + batch] = log_det_phase(stack)[1]
-    return phases
+    r = len(rows_p)
+    X = np.repeat([amp_p, -amp_m / z[0] ** 2], r)[:, None] * M
+    X[k[r:], k[r:]] += 1.0 / z[0]
+    if not np.iscomplexobj(M):       # then z0 = 1 and the imaginary parts are exact zeros
+        X = X.real
+    # a 2 x 2 X (one particle) already is Hessenberg
+    hess = X if len(X) <= 2 else scipy.linalg.hessenberg(X, overwrite_a=True)
+    return log_det_phase(hess, z - z[0])[1] - r * (grid - grid[0])
 
 
 def winding_result(params: ModelParams, cfg: Optional[WindingConfig] = None) -> WindingResult:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import threading
 
 import numpy as np
@@ -11,7 +12,9 @@ import nhchain.cli as cli
 import nhchain.dynamics as dynamics_mod
 import nhchain.sweep as sweep_mod
 from nhchain import (
+    EvolverConfig,
     ModelParams,
+    SweepSpec,
     WindingIllDefinedError,
     build_fock_basis,
     build_many_body,
@@ -98,6 +101,25 @@ def test_bad_grid_message_reaches_stderr(tmp_path, capsys, grid, message):
     stdout, stderr = capsys.readouterr()
     assert f"argument --W: {message}" in stderr and stdout == ""
     assert not out.exists()
+
+
+def test_phase_diagram_help_lists_the_quantities_it_accepts(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["phase-diagram", "--help"])
+    assert exit_.value.code == 0
+    listed = re.search(r"comma list of\s+(\S+)", capsys.readouterr().out).group(1).split(",")
+    accepted = []
+    for q in sweep_mod.QUANTITIES:      # a phase-diagram spec: a Fock sector and no time grid
+        try:
+            SweepSpec(base=ModelParams(L=8, N=4), quantities=(q,))
+        except ValueError:
+            continue
+        accepted.append(q)
+    assert listed == accepted and "s_ee" not in listed
+    out = tmp_path / "pd.csv"
+    assert cli.main(["phase-diagram", "--L", "8", "--N", "4", "--quantities", "s_ee",
+                     "--out", str(out)]) == 1
+    assert "s_ee needs a time grid" in capsys.readouterr().err and not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -402,12 +424,26 @@ def test_preset_fig4_panels(tmp_path):
     meta = json.loads((tmp_path / "fig4_metadata.json").read_text())
     assert meta["which"] == "ad" and list(meta["files"]) == ["fig4_a.csv", "fig4_d.csv"]
     common = {"L": 8, "N": 4, "g_grid": [0.5], "v_grid": [2.0], "theta0": 0.0,
-              "theta0_samples": 2, "M": 25, "dt": 0.05, "t_max": 1.0}
+              "theta0_samples": 2, "M": 25, "dt": 0.05, "t_max": 1.0, "record_stride": 5}
     assert meta["files"]["fig4_a.csv"] == {**common, "quantities": {"s_ee": "pbc"}, "w_grid": [0.5]}
     assert meta["files"]["fig4_d.csv"] == {**common, "quantities": {"s_ee": "obc"},
                                            "w_grid": [4.0 * np.exp(0.5)]}
     assert list(meta["files"]["fig4_a.csv"]) == ["quantities", "L", "N", "g_grid", "v_grid", "w_grid",
-                                                 "theta0", "theta0_samples", "M", "dt", "t_max"]
+                                                 "theta0", "theta0_samples", "M", "dt", "t_max",
+                                                 "record_stride"]
+
+
+def test_preset_fig4_metadata_rebuilds_the_row_names(tmp_path):
+    # t_max off the record grid: records every 0.25, then one at t_max
+    assert cli.main(["preset", "fig4", "--L", "6", "--samples", "1", "--tmax", "0.6",
+                     "--which", "a", "--out-dir", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "fig4_metadata.json").read_text())["files"]["fig4_a.csv"]
+    grid = EvolverConfig(M=meta["M"], dt=meta["dt"], t_max=meta["t_max"],
+                         record_stride=meta["record_stride"])
+    names = [f"s_ee:{sweep_mod._num(t)}" for t in grid.record_grid()[0]]
+    assert names == ["s_ee:0", "s_ee:0.25", "s_ee:0.5", "s_ee:0.6"]
+    rows = read_csv(str(tmp_path / "fig4_a.csv"))
+    assert [r["quantity"] for r in rows] == names * 2      # sample 0, then avg
 
 
 def test_preset_fig4_resumes_to_the_bytes_of_an_uninterrupted_run(tmp_path, monkeypatch, capsys):

@@ -193,6 +193,19 @@ def test_resume_refuses_incompatible_file(tmp_path, first, second):
     assert Path(out).read_text() == before
 
 
+def test_resume_refusal_names_the_time_grid(tmp_path):
+    out = str(tmp_path / "quench.csv")
+    spec = SweepSpec(base=ModelParams(L=6, N=3, g=0.5, V=1.0, bc="pbc"), quantities=("s_ee",),
+                     evolver=EvolverConfig(dt=0.1, t_max=0.2), out=out)
+    run_sweep_to_file(spec)
+    before = Path(out).read_text()
+    # records at 0, 0.08, 0.16 and 0.2 have no row s_ee:0.1
+    with pytest.raises(ValueError, match=r"quantity=s_ee:0\.1\) is not a row this run writes; .*"
+                                         r"1 samples, dt=0\.08, record_stride=1, t_max=0\.2$"):
+        run_sweep_to_file(replace(spec, evolver=EvolverConfig(dt=0.08, t_max=0.2)))
+    assert Path(out).read_text() == before
+
+
 @pytest.mark.parametrize("malformed, why", [
     (lambda f: f[:1], "has 1 fields, not 11"),
     (lambda f: f[:10], "has 10 fields, not 11"),

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import nhchain.winding as winding_mod
 
@@ -27,58 +28,85 @@ def dense_winding(builder, cfg=None):
         phases = []
         for phi in grid:
             H = builder(phi)
-            phases.append(log_det_phase((H - cfg.e0 * np.eye(len(H)))[None])[1][0])
+            sign, logabs = np.linalg.slogdet(H - cfg.e0 * np.eye(len(H)))
+            if not logabs >= np.log(winding_mod.DET_FLOOR):
+                raise WindingIllDefinedError(f"determinant underflow at phi={phi}")
+            phases.append(np.angle(sign))
         return np.array(phases)
 
     return winding_mod._winding(phases_on, cfg)
 
 
+def _assert_matches_slogdet(hess, shifts):
+    mags, phases = log_det_phase(hess, shifts)
+    sign, logabs = np.linalg.slogdet(np.eye(len(hess)) + shifts[:, None, None] * hess)
+    assert mags.shape == phases.shape == shifts.shape
+    assert np.abs(mags - logabs).max() <= 1e-12
+    assert np.abs(np.angle(np.exp(1j * phases) / sign)).max() <= 1e-12
+    assert np.all((-np.pi < phases) & (phases <= np.pi))
+
+
 def test_log_det_phase_scalars():
-    mag, phase = log_det_phase(np.array([[[3.0]], [[-2.0]]]))
-    assert mag == pytest.approx(np.log([3.0, 2.0]))
+    mag, phase = log_det_phase(np.array([[2.0]]), np.array([1.0, -2.0]))
+    assert mag == pytest.approx(np.log([3.0, 3.0]))
     assert phase == pytest.approx([0.0, np.pi])
-    mag, phase = log_det_phase(np.diag([1.0j, 1.0j])[None])
-    assert mag == pytest.approx([0.0], abs=1e-15)
-    assert phase == pytest.approx([np.pi])   # det = -1
+    mag, phase = log_det_phase(np.array([[1.0j]]), np.array([1.0, 2.0j]))
+    assert mag == pytest.approx([np.log(np.sqrt(2.0)), 0.0])
+    assert phase == pytest.approx([np.pi / 4, np.pi])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 40])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_log_det_phase_matches_slogdet(n, dtype):
+    rng = np.random.default_rng(n)
+    hess = rng.normal(size=(n, n)).astype(dtype)
+    if dtype is complex:
+        hess += 1j * rng.normal(size=(n, n))
+    hess = np.triu(hess, -1)
+    # a small diagonal and large shifts put the larger entry of each
+    # pivot column below the working row, so rows are swapped
+    hess[np.diag_indices(n)] *= 1e-3
+    shifts = np.concatenate([[0.0, 1e-3, -0.5 + 0.2j], 10.0 * np.exp(2j * np.pi * rng.random(20))])
+    _assert_matches_slogdet(hess, shifts)
+    # an exact zero on the leading pivot: only a row swap can proceed
+    hess[0, 0] = -1.0
+    _assert_matches_slogdet(hess, np.array([1.0, 1.0 + 1e-9j]))
 
 
 def test_log_det_phase_matches_eigenvalue_product():
     p = ModelParams(L=8, g=0.4, W=0.9, theta0=0.3, bc="pbc", phi=0.3)
-    A = build_single_particle(p).dense() - (0.2 + 0.1j) * np.eye(8)
-    mag, phase = log_det_phase(A[None])
-    det = np.prod(np.linalg.eigvals(A))
-    assert mag.shape == phase.shape == (1,)
+    X = build_single_particle(p).dense()
+    hess = scipy.linalg.hessenberg(X)
+    s = 0.2 + 0.1j
+    mag, phase = log_det_phase(hess, np.array([s]))
+    det = np.prod(np.linalg.eigvals(np.eye(8) + s * X))
     assert mag[0] == pytest.approx(np.log(np.abs(det)), rel=1e-12)
     assert np.angle(det) == pytest.approx(phase[0], abs=1e-12)
 
 
 def test_log_det_phase_singular_rejected():
-    with pytest.raises(WindingIllDefinedError):
-        log_det_phase(np.zeros((1, 3, 3), dtype=complex))
-
-
-def test_log_det_phase_takes_only_a_stack_of_square_matrices():
-    for bad in (np.eye(3), np.ones((2, 3, 4))):
-        with pytest.raises(ValueError):
-            log_det_phase(bad)
-
-
-def test_log_det_phase_stack_matches_loop():
-    rng = np.random.default_rng(7)
-    stack = rng.normal(size=(3, 4, 6, 6)) + 1j * rng.normal(size=(3, 4, 6, 6))
-    mags, phases = log_det_phase(stack)
-    assert mags.shape == phases.shape == (3, 4)
-    for i, j in np.ndindex(3, 4):
-        det = np.prod(np.linalg.eigvals(stack[i, j]))
-        assert mags[i, j] == pytest.approx(np.log(np.abs(det)), abs=1e-12)
-        assert abs(np.angle(np.exp(1j * phases[i, j]) / det)) < 1e-12
-        assert -np.pi < phases[i, j] <= np.pi
+    hess = np.array([[1.0, 1.0], [2.0, 0.0]])       # det(I + s hess) = (1 - s)(1 + 2s)
+    for singular in (1.0, -0.5):                    # without and with a row swap
+        with pytest.raises(WindingIllDefinedError):
+            log_det_phase(hess, np.array([0.0, 0.3, singular, 2.0]))
+    with pytest.raises(WindingIllDefinedError):     # a zero pivot column: 0/0 in the elimination
+        log_det_phase(-np.eye(3), np.array([0.5, 1.0]))
 
 
 def test_log_det_phase_stack_singular_member_rejected():
-    stack = np.stack([np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)])
+    # the second shift of the stack makes I + s hess the zero matrix
     with pytest.raises(WindingIllDefinedError):
-        log_det_phase(stack)
+        log_det_phase(np.eye(3, dtype=complex), np.array([0.0, -1.0]))
+
+
+def test_log_det_phase_rejects_bad_input():
+    for hess, shifts in ((np.ones((2, 3)), [1.0]), (np.ones((1, 2, 2)), [1.0]),
+                         (np.ones((0, 0)), [1.0]), (np.eye(2), [[1.0]])):
+        with pytest.raises(ValueError, match="square matrix"):
+            log_det_phase(hess, np.array(shifts))
+    for hess, shifts in ((np.array([[np.nan]]), [1.0]), (np.eye(2), [1.0, np.inf])):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            log_det_phase(hess, np.array(shifts))
 
 
 # Small chains on which the low-rank route of winding_result must agree
@@ -126,13 +154,13 @@ def test_low_rank_winding_matches_flux_grid():
 
 
 def _counting_log_det_phase(monkeypatch):
-    """Patch log_det_phase to count the stack members it is handed."""
+    """Patch log_det_phase to count the flux points (shifts) it is handed."""
     members = [0]
     original = winding_mod.log_det_phase
 
-    def counting(stack):
-        members[0] += int(np.prod(stack.shape[:-2]))
-        return original(stack)
+    def counting(hess, shifts):
+        members[0] += len(shifts)
+        return original(hess, shifts)
 
     monkeypatch.setattr(winding_mod, "log_det_phase", counting)
     return members
