@@ -2,48 +2,46 @@
 
 The winding number counts how often det[H(phi) - E0] encircles zero as
 the boundary twist runs through 2*pi; it exists only when E0 lies in a
-point gap.  The phase differences between consecutive flux points are
-unwrapped into (-pi, pi].  WindingIllDefinedError reports a step above
-pi/2 (an eigenvalue crossed E0, or the grid is too coarse to follow the
-phase) and a determinant that underflows on the grid and again on one
-retry grid shifted by half a step.
+point gap.  The phase differences between consecutive points of the
+grid phi_k = 2*pi*k/n are unwrapped into (-pi, pi].
+WindingIllDefinedError reports a step above pi/2 (an eigenvalue crossed
+E0, or the grid is too coarse to follow the phase) and a determinant
+that underflows, at phi = 0 or at any other flux point.
 
 `winding_result` factors one matrix per flux loop by LU.  Only the wrap
-bond carries the flux (`model.wrap_hops`), so with z = e^{i phi} and z0
-the first grid point,
+bond carries the flux (`model.wrap_hops`), so with z = e^{i phi},
 
-    H(phi) - E0 = A + U D(z) V^T,   A = H(phi0) - E0,
-    D(z) = diag((z - z0) * a_+, (1/z - 1/z0) * a_-)
-         = (z - z0) * diag(a_+, -a_- / (z * z0)),
+    H(phi) - E0 = A + U D(z) V^T,   A = H(0) - E0,
+    D(z) = diag((z - 1) * a_+, (1/z - 1) * a_-)
+         = (z - 1) * diag(a_+, -a_- / z),
 
 where U and V select the rows and columns of the 2r wrap hops (r per
 direction: 1 for one particle, C(L-2, N-1) in the Fock basis) and a_+-
 are their amplitudes per unit twist.  The matrix determinant lemma
 gives det[H(phi) - E0] = det A * det(I + D(z) M) with the 2r x 2r
-matrix M = V^T A^{-1} U, and pulling diag(1, z0/z) out of D(z) gives
+matrix M = V^T A^{-1} U, and pulling diag(1, 1/z) out of D(z) gives
 
-    det(I + D(z) M) = (z0/z)^r * det(I + (z - z0) X),
-    X = diag(0, I_r / z0) + diag(a_+ I_r, -a_- I_r / z0^2) M.
+    det(I + D(z) M) = z^{-r} * det(I + (z - 1) X),
+    X = diag(0, I_r) + diag(a_+ I_r, -a_- I_r) M.
 
 X is reduced once per flux loop to upper Hessenberg form by an
 orthogonal similarity, which leaves every det(I + s X) unchanged and is
 backward stable.  `log_det_phase` then takes all the flux points'
 determinants at once by Gaussian elimination with partial pivoting,
 O(r^2) per point, in log form so that no dimension overflows; the
-factor (z0/z)^r adds -r (phi - phi0) to each phase exactly, and the
-phase of det A cancels in the step differences.  On the unshifted grid
-(phi0 = 0) with real E0, A is real: it is factored in real arithmetic
-and M and X are real.  H(-phi) is then the conjugate of H(phi), so det
-at 2*pi - phi is the conjugate of det at phi and only the half loop
-0 <= phi <= pi is evaluated; grid point n - k takes the negated phase
-of point k.  The half-step retry grid and complex E0 evaluate every
+factor z^{-r} adds -r phi to each phase exactly, and the phase of det A
+cancels in the step differences.  With real E0, A is real: it is
+factored in real arithmetic and M and X are real.  H(-phi) is then the
+conjugate of H(phi), so det at 2*pi - phi is the conjugate of det at
+phi and only the half loop 0 <= phi <= pi is evaluated; grid point
+n - k takes the negated phase of point k.  A complex E0 evaluates every
 point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -67,6 +65,8 @@ class WindingConfig:
     def __post_init__(self) -> None:
         if self.n_points < 3:
             raise ValueError(f"n_points must be >= 3, got {self.n_points}")
+        if not np.isfinite(self.e0):
+            raise ValueError(f"e0 must be finite, got {self.e0}")
 
 
 @dataclass
@@ -92,7 +92,8 @@ def _checked_lu(A: np.ndarray, e0: complex):
     lu, piv, _ = getrf(np.asarray_chkfinite(A), overwrite_a=True)
     mags = np.abs(np.diag(lu))
     if np.any(mags < DET_FLOOR) or not np.all(np.isfinite(mags)):
-        raise WindingIllDefinedError(f"pivot underflow at e0={e0}")
+        raise WindingIllDefinedError(f"E0={e0} is an eigenvalue of H(0) (pivot underflow in its LU), "
+                                     "so it lies on the spectral curve")
     return lu, piv
 
 
@@ -149,8 +150,7 @@ def log_det_phase(hess: np.ndarray, shifts: np.ndarray) -> tuple:
 
 def _from_phases(phases: np.ndarray) -> WindingResult:
     """The winding from the unwrapped flux steps; a step above pi/2 makes it ill-defined."""
-    steps = np.remainder(np.diff(phases), 2.0 * np.pi)
-    steps[steps > np.pi] -= 2.0 * np.pi
+    steps = _principal(np.diff(phases))
     jump = np.abs(steps).max()
     if jump > np.pi / 2:
         raise WindingIllDefinedError(f"flux step phase jump {jump:.3f} exceeds pi/2: E0 lies on "
@@ -159,42 +159,18 @@ def _from_phases(phases: np.ndarray) -> WindingResult:
     return WindingResult(nu=int(np.rint(raw)), raw=raw, steps=steps)
 
 
-def _winding(phases_on: Callable[[np.ndarray], np.ndarray], cfg: WindingConfig) -> WindingResult:
-    """Winding from det phases on the n_points + 1 flux grid [phi0, phi0 + 2*pi].
-
-    Retries once on a grid shifted by half a step if any point is
-    singular; a second singular pass means E0 sits on the spectral curve
-    and the winding is reported ill-defined.
-    """
-    n = cfg.n_points
-    for offset in (0.0, np.pi / n):
-        try:
-            phases = phases_on(2.0 * np.pi * np.arange(n + 1) / n + offset)
-        except WindingIllDefinedError as exc:   # an underflow; a phase jump (below) is not retried
-            error = exc
-            continue
-        return _from_phases(phases)
-    raise WindingIllDefinedError(
-        f"E0={cfg.e0} lies on the spectral curve (singular on two flux grids)"
-    ) from error
-
-
-def _low_rank_phases(
-    params: ModelParams,
-    basis: Optional[FockBasis],
-    cfg: WindingConfig,
-    grid: np.ndarray,
-) -> np.ndarray:
-    """Phases of det[H(phi) - E0] / det[H(grid[0]) - E0] over the grid."""
-    ref = params.with_flux(grid[0])
+def _low_rank_phases(params: ModelParams, basis: Optional[FockBasis], e0: complex,
+                     phi: np.ndarray) -> np.ndarray:
+    """Phases of det[H(phi) - E0] / det[H(0) - E0] at the fluxes 0 <= phi <= 2*pi."""
+    ref = params.with_flux(0.0)
     H = build_single_particle(ref) if basis is None else build_many_body(ref, basis)
-    A = _shifted(H.dense(), cfg.e0)              # real LU and real M when H and E0 are real
+    A = _shifted(H.dense(), e0)              # real LU and real M when H and E0 are real
     # A.T is Fortran-ordered, so it is factored in place; trans=1 below
     # then solves with A itself.
-    lu_piv = _checked_lu(A.T, cfg.e0)
+    lu_piv = _checked_lu(A.T, e0)
 
     # at phi = 0 the amplitudes are the coefficients of z and 1/z
-    (rows_p, cols_p, amp_p), (rows_m, cols_m, amp_m) = wrap_hops(params.with_flux(0.0), basis)
+    (rows_p, cols_p, amp_p), (rows_m, cols_m, amp_m) = wrap_hops(ref, basis)
     rows, cols = np.concatenate([rows_p, rows_m]), np.concatenate([cols_p, cols_m])
     k = np.arange(len(rows))
     U = np.zeros((H.dim, len(rows)), dtype=A.dtype, order="F")
@@ -202,40 +178,34 @@ def _low_rank_phases(
     M = lu_solve(lu_piv, U, trans=1, overwrite_b=True)[cols]     # V^T A^{-1} U
     del A, H, lu_piv, U          # free the full-dimension arrays before the flux points
 
-    z = np.exp(1j * np.remainder(grid, 2.0 * np.pi))   # the flux as ModelParams reduces it
     r = len(rows_p)
-    X = np.repeat([amp_p, -amp_m / z[0] ** 2], r)[:, None] * M
-    X[k[r:], k[r:]] += 1.0 / z[0]
-    if not np.iscomplexobj(M):       # then z0 = 1 and the imaginary parts are exact zeros
-        X = X.real
+    X = np.repeat(np.real([amp_p, -amp_m]), r)[:, None] * M
+    X[k[r:], k[r:]] += 1.0
     # a 2 x 2 X (one particle) already is Hessenberg
     hess = X if len(X) <= 2 else scipy.linalg.hessenberg(X, overwrite_a=True)
-    return log_det_phase(hess, z - z[0])[1] - r * (grid - grid[0])
+    z = np.exp(1j * np.remainder(phi, 2.0 * np.pi))   # the flux as ModelParams reduces it
+    return log_det_phase(hess, z - 1.0)[1] - r * phi
 
 
 def winding_result(params: ModelParams, cfg: Optional[WindingConfig] = None) -> WindingResult:
     """Integer winding number of the model at base energy cfg.e0, with diagnostics.
 
     The sector follows params.N: one particle when it is None, the
-    N-particle Fock space otherwise.  Factors H(phi0) - E0 once per flux
-    grid and takes every flux point's determinant phase from the
-    low-rank wrap-bond update (module docstring); `_winding` runs the
-    grid, the retry and the phase-jump check.
+    N-particle Fock space otherwise.  Factors H(0) - E0 once and takes
+    every flux point's determinant phase from the low-rank wrap-bond
+    update (module docstring); `_from_phases` checks the phase jumps.
     """
     if params.bc != "pbc":
         raise ValueError("winding requires periodic boundaries")
     basis = build_fock_basis(params.L, params.N) if params.many_body else None
     cfg = cfg or WindingConfig()
-
-    def phases_on(grid: np.ndarray) -> np.ndarray:
-        if grid[0] != 0.0 or np.imag(cfg.e0) != 0.0:
-            return _low_rank_phases(params, basis, cfg, grid)
-        # H(0) - E0 is real, so the phase at 2*pi - phi is minus that at phi
-        n = len(grid) - 1
-        half = _low_rank_phases(params, basis, cfg, grid[:n // 2 + 1])
-        phases = np.empty(n + 1)
-        phases[:n // 2 + 1] = half
-        phases[n - np.arange(n // 2 + 1)] = -half
-        return phases
-
-    return _winding(phases_on, cfg)
+    n = cfg.n_points
+    phi = 2.0 * np.pi * np.arange(n + 1) / n
+    if np.imag(cfg.e0) != 0.0:
+        return _from_phases(_low_rank_phases(params, basis, cfg.e0, phi))
+    # H(0) - E0 is real, so the phase at 2*pi - phi is minus that at phi
+    half = _low_rank_phases(params, basis, cfg.e0, phi[:n // 2 + 1])
+    phases = np.empty(n + 1)
+    phases[:n // 2 + 1] = half
+    phases[n - np.arange(n // 2 + 1)] = -half
+    return _from_phases(phases)

@@ -79,6 +79,25 @@ def test_winding_of_a_closed_gap_is_a_numerical_failure(capsys):
     assert err.startswith("numerical failure: ") and "phase jump 3.142" in err
 
 
+def test_winding_at_an_eigenvalue_of_h0_is_a_numerical_failure(capsys):
+    # the Hermitian ring at L=4 has E0 = 0 in its zero-flux spectrum: E0 is on the spectral curve
+    assert cli.main(["winding", "--L", "4", "--g", "0", "--W", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert "nu =" not in out
+    assert err.startswith("numerical failure: E0=0.0 is an eigenvalue of H(0)")
+    assert "lies on the spectral curve" in err
+
+
+def test_phase_diagram_writes_nan_winding_rows_at_an_eigenvalue_of_h0(tmp_path):
+    out = tmp_path / "pd.csv"
+    assert cli.main(["phase-diagram", "--L", "4", "--g", "0", "--W", "0", "--quantities", "winding",
+                     "--out", str(out)]) == 0
+    rows = read_csv(str(out))
+    assert rows and all(r["value"] == "nan" for r in rows)
+    assert all("WindingIllDefinedError" in r["warnings"] and "eigenvalue of H(0)" in r["warnings"]
+               for r in rows)
+
+
 def test_winding_rejects_obc(capsys):
     assert cli.main(["winding", "--L", "21", "--g", "0.5", "--bc", "obc"]) == 1
     assert "winding requires periodic boundaries" in capsys.readouterr().err
@@ -129,7 +148,12 @@ def test_phase_diagram_help_lists_the_quantities_it_accepts(tmp_path, capsys):
     (["phase-diagram", "--L", "5", "--g", "inf"], "g must be finite"),
     (["phase-diagram", "--L", "5", "--W", "1", "--samples", "2", "--theta0", "nan"],
      "theta0 must be finite"),
-], ids=["evolve-tmax", "evolve-dt", "phase-diagram-grid", "phase-diagram-g", "phase-diagram-theta0"])
+    (["winding", "--L", "8", "--g", "0.5", "--W", "1", "--e0", "nan"], "e0 must be finite"),
+    (["winding", "--L", "8", "--g", "0.5", "--W", "1", "--e0", "inf"], "e0 must be finite"),
+    (["winding", "--L", "8", "--g", "0.5", "--W", "1", "--e0", "1e400"], "e0 must be finite"),
+    (["winding", "--L", "8", "--g", "0.5", "--W", "1", "--e0", "nanj"], "e0 must be finite"),
+], ids=["evolve-tmax", "evolve-dt", "phase-diagram-grid", "phase-diagram-g", "phase-diagram-theta0",
+        "winding-e0-nan", "winding-e0-inf", "winding-e0-overflow", "winding-e0-imag-nan"])
 def test_non_finite_numbers_are_an_error_line(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--out", str(out)]) == 1

@@ -19,22 +19,18 @@ from nhchain import (
 
 
 def dense_winding(builder, cfg=None):
-    """Reference winding: one dense determinant of H(phi) - E0 per flux
-    point, for a map phi -> dense matrix, through the package's grid,
-    retry and diagnostics (`_winding`)."""
+    """Reference winding: one dense determinant of H(phi) - E0 per point
+    of the flux grid phi_k = 2*pi*k/n, for a map phi -> dense matrix,
+    through the package's phase-jump check (`_from_phases`)."""
     cfg = cfg or WindingConfig()
-
-    def phases_on(grid):
-        phases = []
-        for phi in grid:
-            H = builder(phi)
-            sign, logabs = np.linalg.slogdet(H - cfg.e0 * np.eye(len(H)))
-            if not logabs >= np.log(winding_mod.DET_FLOOR):
-                raise WindingIllDefinedError(f"determinant underflow at phi={phi}")
-            phases.append(np.angle(sign))
-        return np.array(phases)
-
-    return winding_mod._winding(phases_on, cfg)
+    phases = []
+    for phi in 2.0 * np.pi * np.arange(cfg.n_points + 1) / cfg.n_points:
+        H = builder(phi)
+        sign, logabs = np.linalg.slogdet(H - cfg.e0 * np.eye(len(H)))
+        if not logabs >= np.log(winding_mod.DET_FLOOR):
+            raise WindingIllDefinedError(f"determinant underflow at phi={phi}")
+        phases.append(np.angle(sign))
+    return winding_mod._from_phases(np.array(phases))
 
 
 def _assert_matches_slogdet(hess, shifts):
@@ -113,8 +109,8 @@ def test_log_det_phase_rejects_bad_input():
 # with one dense determinant per flux point: one particle for every L
 # (at L=2 the wrap and bulk bonds join the same two sites), Fock sectors
 # up to N=5 (both wrap signs, through N parity), both signs of g, real
-# and complex E0, and two chains singular at phi = 0 that need the
-# half-step retry.
+# and complex E0, and two Hermitian rings whose E0 is an eigenvalue of
+# H(0): E0 lies on the spectral curve, so both routes must raise.
 SMALL_CASES = (
     [dict(L=L, g=g, W=1.1, e0=e0) for L in range(2, 22)
      for g, e0 in ((0.5, 0.0), (-0.3, 0.3 - 0.2j))]
@@ -184,18 +180,45 @@ def test_real_base_energy_evaluates_half_the_loop(monkeypatch, case):
 
     basis = build_fock_basis(p.L, p.N) if p.many_body else None
     grid = 2.0 * np.pi * np.arange(202) / 201
-    full = winding_mod._low_rank_phases(p, basis, WindingConfig(e0=-0.5), grid)
+    full = winding_mod._low_rank_phases(p, basis, -0.5, grid)
     assert np.abs(np.angle(np.exp(1j * (phases[0] - full)))).max() <= 1e-12
 
 
-def test_complex_base_energy_and_retry_evaluate_every_point(monkeypatch):
+def test_complex_base_energy_evaluates_every_point(monkeypatch):
     members = _counting_log_det_phase(monkeypatch)
     winding_result(ModelParams(L=13, g=0.5, W=1.0, bc="pbc"), WindingConfig(e0=0.3 - 0.2j))
     assert members[0] == 202
-    members[0] = 0
-    # singular at phi = 0, so only the half-step grid reaches the determinants
-    assert winding_result(ModelParams(L=4, g=0.0, W=0.0, bc="pbc")).nu == 0
-    assert members[0] == 202
+
+
+@pytest.mark.parametrize("case, e0, singular", [
+    (dict(L=13, g=0.5, W=1.0), -0.5, False),
+    (dict(L=9, N=4, g=0.5, V=1.5, W=0.7), 0.3 - 0.2j, False),
+    (dict(L=4, g=0.0, W=0.0), 0.0, True),
+    (dict(L=6, N=3, g=0.0, W=0.0), 0.0, True),
+])
+def test_one_reference_build_and_one_lu_per_winding(monkeypatch, case, e0, singular):
+    # one flux grid from one reference point: H(0) is built and factored
+    # once, also when E0 is one of its eigenvalues (no second grid)
+    calls = {"build": 0, "lu": 0}
+
+    def counted(name, key):
+        original = getattr(winding_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(winding_mod, name, wrapper)
+
+    counted("build_many_body" if "N" in case else "build_single_particle", "build")
+    counted("_checked_lu", "lu")
+    p, cfg = ModelParams(bc="pbc", **case), WindingConfig(e0=e0)
+    if singular:
+        with pytest.raises(WindingIllDefinedError, match="eigenvalue of H"):
+            winding_result(p, cfg)
+    else:
+        winding_result(p, cfg)
+    assert calls == {"build": 1, "lu": 1}
 
 
 def test_winding_transition_single_particle():
@@ -216,9 +239,14 @@ def test_winding_antisymmetric_in_g():
     assert plus == 1 and minus == -1
 
 
-def test_hermitian_singular_grid_point_retries():
-    # Phi = 0 makes det(H) vanish exactly; the shifted grid resolves it
-    assert winding_result(ModelParams(L=4, g=0.0, W=0.0, bc="pbc")).nu == 0
+def test_e0_on_the_spectrum_of_h0_is_ill_defined():
+    # E0 = 0 is an eigenvalue of H(0), so it lies on the spectral curve:
+    # no winding exists, by the low-rank route or the dense reference
+    p = ModelParams(L=4, g=0.0, W=0.0, bc="pbc")
+    with pytest.raises(WindingIllDefinedError, match="eigenvalue of H"):
+        winding_result(p)
+    with pytest.raises(WindingIllDefinedError):
+        dense_winding(lambda phi: build_single_particle(p.with_flux(phi)).dense())
 
 
 def test_hermitian_closed_gap_is_ill_defined():
@@ -248,6 +276,9 @@ def test_many_body_winding_half_filling():
 def test_config_validation():
     with pytest.raises(ValueError):
         WindingConfig(n_points=2)
+    for e0 in (np.nan, np.inf, -np.inf, 1e400, complex(0.0, np.nan), complex(1.0, -np.inf)):
+        with pytest.raises(ValueError, match="e0 must be finite"):
+            WindingConfig(e0=e0)
 
 
 def test_result_reports_raw_and_steps():
