@@ -35,11 +35,12 @@ already precede right-block ones, so the sign is +1 for every word
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, isfinite
 from typing import Iterable, Optional
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .model import FockBasis, HamiltonianMatrix, ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import SpectralDecomposition, decompose, density_profile, ipr
@@ -284,10 +285,12 @@ def arnoldi_step(
     """Evolve psi over dt in Krylov sub-steps; the normalized state.
 
     H may be a HamiltonianMatrix, dense array, or sparse matrix; only
-    mat-vec products are taken.  Each sub-step (`_krylov_substep`) builds
-    and uses one basis of adaptive dimension m <= M.  The first tries all
-    of dt; each next one is longer by `_step_factor` at the m used (1- to
-    MAX_STEP_GROWTH-fold), and the last ends on dt.
+    mat-vec products are taken, in H's own storage (nothing is converted
+    here: `run` hands it CSR entries for every chain).  Each sub-step
+    (`_krylov_substep`) builds and uses one basis of adaptive dimension
+    m <= M.  The first tries all of dt; each next one is longer by
+    `_step_factor` at the m used (1- to MAX_STEP_GROWTH-fold), and the
+    last ends on dt.
 
     Every call ends.  M must be at least 2, since at m = 1 the estimate
     is h_21 at every length, and a sub-step shorter than dt / MAX_SUBSTEPS
@@ -349,8 +352,10 @@ def run(
 ) -> ObservableSeries:
     """Evolve `initial` to t_max, recording observables at the times of
     `config.record_grid()`.  The Krylov method takes one `arnoldi_step`
-    per record interval, and the exact method evaluates each record time
-    from `initial`; either way the state is normalized at every record.
+    per record interval on the Hamiltonian's entries as CSR (made once per
+    run; single-particle entries are stored dense for the dense solvers),
+    and the exact method evaluates each record time from `initial`;
+    either way the state is normalized at every record.
     """
     measure = {   # basis is bound below, before the first record
         "density": lambda psi: density_profile(psi, basis),
@@ -374,7 +379,12 @@ def run(
         H = build_single_particle(params)
         basis = None
 
-    decomp = decompose(H) if config.method == "exact" else None
+    if config.method == "exact":
+        decomp = decompose(H)
+    else:
+        # the Krylov steps take only mat-vecs: CSR for both chains, converted
+        # once per run (a Fock chain's CSR is shared, not copied)
+        H = replace(H, entries=sparse.csr_matrix(H.entries))
 
     times, intervals = config.record_grid()
     blocks = {name: np.empty((len(times), params.L if name == "density" else 1))

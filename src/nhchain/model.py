@@ -45,13 +45,17 @@ BASIS_SIZE_CAP = 10**7
 
 TWO_PI = 2.0 * np.pi
 
+# The largest |g| whose hop amplitude e^|g| is a finite float.
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class ModelParams:
     """All Hamiltonian knobs in one immutable record.
 
     `N` selects the many-body sector; leave it None for single-particle
-    work, where V must be 0.  g, V, W, theta0 and phi must be finite.
+    work, where V must be 0.  g, V, W, theta0 and phi must be finite,
+    and e^|g| too.
     `phi` is reduced to [0, 2*pi) and is meaningful only for periodic
     boundaries (open boundaries ignore it).
     """
@@ -71,6 +75,8 @@ class ModelParams:
         for name in ("g", "V", "W", "theta0", "phi"):   # phi before it is reduced
             if not isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if abs(self.g) > LOG_FLOAT_MAX:
+            raise ValueError(f"g={self.g:g} is too large: e^|g| overflows")
         if self.bc not in ("obc", "pbc"):
             raise ValueError(f"bc must be 'obc' or 'pbc', got {self.bc!r}")
         if self.W < 0:

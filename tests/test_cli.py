@@ -162,6 +162,13 @@ def test_non_finite_numbers_are_an_error_line(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["winding", "spectrum", "evolve"])
+def test_a_g_whose_hop_overflows_is_an_error_line(capsys, command):
+    assert cli.main([command, "--L", "8", "--g", "800", "--W", "1"]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert stderr == "error: g=800 is too large: e^|g| overflows\n" and stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["--L", "8", "--g", "0.5", "--method", "exact", "--observables", "rmax_overlap"],
     ["--L", "8", "--N", "4", "--g", "0.5", "--observables", "fock_ipr"],

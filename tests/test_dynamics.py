@@ -9,6 +9,7 @@ import scipy.linalg
 
 from nhchain import (
     EvolverConfig,
+    HamiltonianMatrix,
     ModelParams,
     ObservableSeries,
     arnoldi_step,
@@ -16,6 +17,7 @@ from nhchain import (
     build_many_body,
     build_single_particle,
     decompose,
+    density_profile,
     entanglement_entropy,
     evolve_exact,
     initial_domain_wall,
@@ -304,6 +306,52 @@ def test_default_cap_takes_a_delta_start_step_to_the_tolerance(monkeypatch):
     run(p, EvolverConfig(dt=0.2, t_max=0.2), psi0)
     exact = scipy.linalg.expm(-0.2j * build_single_particle(p).dense()) @ psi0
     assert np.abs(states[-1] - exact / np.linalg.norm(exact)).max() <= 1e-12
+
+
+def test_run_takes_every_krylov_step_on_one_csr_operator(monkeypatch):
+    # both chains reach arnoldi_step as CSR, converted once per run; a Fock
+    # chain's CSR is the builder's own arrays, not a copy
+    built, seen = [], []
+    build, step = dynamics.build_many_body, dynamics.arnoldi_step
+
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recording(H, *args):
+        seen.append(H)
+        return step(H, *args)
+
+    monkeypatch.setattr(dynamics, "build_many_body", building)
+    monkeypatch.setattr(dynamics, "arnoldi_step", recording)
+    config = EvolverConfig(dt=0.1, t_max=0.3)
+    p = ModelParams(L=8, g=0.5, W=1.0, bc="pbc")
+    run(p, config, initial_localized(8, 3))
+    basis = build_fock_basis(8, 4)
+    run(replace(p, N=4, V=2.0), config, initial_domain_wall(basis), basis=basis)
+    one, fock = seen[:3], seen[3:]
+    assert len(fock) == 3 and all(H is one[0] for H in one) and all(H is fock[0] for H in fock)
+    for H in (one[0], fock[0]):
+        assert isinstance(H, HamiltonianMatrix) and H.is_sparse and H.entries.format == "csr"
+    assert one[0].params == p and one[0].entries.nnz == 3 * 8
+    assert all(np.shares_memory(getattr(fock[0].entries, a), getattr(built[0].entries, a))
+               for a in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+@pytest.mark.parametrize("W", [0.0, 5.4])
+def test_csr_krylov_run_matches_steps_on_the_dense_matrix(bc, W):
+    # fig3 at L=60: the delta start near the right end, g=1, dt=0.2 to t=40
+    p = ModelParams(L=60, g=1.0, W=W, bc=bc)
+    config = EvolverConfig(dt=0.2, t_max=40.0)
+    psi = initial_localized(60, 58)
+    got = run(p, config, psi).blocks["density"]
+    H = build_single_particle(p).dense()
+    expect = [density_profile(psi)]
+    for dt in config.record_grid()[1]:
+        psi = arnoldi_step(H, psi, config.M, dt)
+        expect.append(density_profile(psi))
+    assert got.shape == (201, 60) and np.abs(got - np.array(expect)).max() <= 1e-12
 
 
 def test_krylov_tracks_exact_over_window():

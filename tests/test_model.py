@@ -234,6 +234,13 @@ def test_params_refuse_non_finite_numbers(name, value):
         ModelParams(L=4, N=2, bc="pbc", **{name: value})
 
 
+@pytest.mark.parametrize("g", [800.0, -800.0, 710.0])
+def test_params_refuse_a_g_whose_hop_overflows(g):
+    with pytest.raises(ValueError, match=rf"^g={g:g} is too large: e\^\|g\| overflows$"):
+        ModelParams(L=4, g=g)
+    assert np.isfinite(build_single_particle(ModelParams(L=4, g=np.sign(g) * 709.0)).entries).all()
+
+
 def test_basis_mismatch_rejected():
     basis = build_fock_basis(6, 3)
     with pytest.raises(ValueError):
