@@ -343,9 +343,9 @@ def _preset_fig3(args) -> tuple:
 
 
 def _preset_fig4(args) -> tuple:
-    """Entanglement growth from the half-filled domain wall."""
+    """Entanglement growth from the domain wall (half filling unless --N)."""
     L = args.L
-    N = L // 2
+    N = L // 2 if args.N is None else args.N
     g = 0.5
     w_crit = 2.0 * 2.0 * np.exp(g)
     config = EvolverConfig(method="krylov", dt=args.dt, t_max=args.tmax, record_stride=5)
@@ -360,12 +360,13 @@ def _preset_fig4(args) -> tuple:
     return panels, notes
 
 
-# name -> (declaration, {flag: default} for the flags it reads besides --which, --out-dir)
+# name -> (declaration, {flag: default} for the flags it reads besides --which, --out-dir);
+# fig4's N defaults to L // 2
 _PRESETS = {
     "fig1": (_preset_fig1, {"L": 89, "samples": 10}),
     "fig2": (_preset_fig2, {"L": 12, "samples": 3}),
     "fig3": (_preset_fig3, {"L": 600, "dt": 0.2, "tmax": 40.0}),
-    "fig4": (_preset_fig4, {"L": 12, "dt": 0.05, "tmax": 100.0, "samples": 5}),
+    "fig4": (_preset_fig4, {"L": 12, "N": None, "dt": 0.05, "tmax": 100.0, "samples": 5}),
 }
 
 
@@ -445,8 +446,9 @@ def build_parser() -> _Parser:
         p.add_argument("--which", default=None, help="panel subset, e.g. 'a' or 'bd'")
         p.add_argument("--out-dir", default=None)
         for flag, default in flags.items():
-            p.add_argument(f"--{flag}", type=_sample_count if flag == "samples" else type(default),
-                           default=default, help=f"default {default}")
+            kind = {"samples": _sample_count, "N": int}.get(flag, type(default))
+            p.add_argument(f"--{flag}", type=kind, default=default,
+                           help="default L // 2" if flag == "N" else f"default {default}")
         p.add_argument("--config", default=None)
         p.set_defaults(func=cmd_preset)
 

@@ -235,14 +235,15 @@ def _krylov_substep(op, psi: np.ndarray, M: int, tau: float, dt: float) -> tuple
     V = np.zeros((n, M), dtype=complex, order="F")   # contiguous Krylov vectors
     h = np.zeros((M, M), dtype=complex)
     V[:, 0] = psi / np.linalg.norm(psi)
+    scratch = np.empty(n, dtype=complex)   # conj(w), then Vj @ coef: only op @ V[:, j] allocates in the loop
     err = 1.0      # prod_k h_{k+1,k} tau / k, continued from the last estimate taken
     for j in range(M):
         w = op @ V[:, j]
         Vj = V[:, :j + 1]
         for _ in range(2):       # the second pass recovers orthogonality lost to cancellation
             # (w^H Vj)^* = Vj^H w without an n x (j+1) conjugate copy of Vj
-            coef = (w.conj() @ Vj).conj()
-            w -= Vj @ coef
+            coef = np.matmul(np.conjugate(w, out=scratch), Vj).conj()
+            w -= np.matmul(Vj, coef, out=scratch)
             h[:j + 1, j] += coef
         beta = np.linalg.norm(w)
         m = j + 1
@@ -254,7 +255,7 @@ def _krylov_substep(op, psi: np.ndarray, M: int, tau: float, dt: float) -> tuple
             if last or err <= KRYLOV_TOL:
                 break
         h[m, j] = beta
-        V[:, m] = w / beta
+        np.divide(w, beta, out=V[:, m])
     if not np.isfinite(beta):
         raise FloatingPointError("non-finite entries in Krylov step")
     while not (err <= KRYLOV_TOL and np.isfinite(np.linalg.norm(y))):

@@ -29,7 +29,6 @@ Conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 from math import comb, isfinite
 from typing import Optional
 
@@ -183,12 +182,21 @@ def _check_sector(L: int, N: int) -> None:
 
 
 def build_fock_basis(L: int, N: int) -> FockBasis:
-    """Enumerate all C(L, N) occupation words, ascending as integers."""
+    """Enumerate all C(L, N) occupation words, ascending as integers.
+
+    One pass over the sites: words[k] holds the ascending k-particle words
+    on the sites seen so far, and site j appends words[k-1] with bit j
+    set.  Every appended word exceeds every word already in words[k], so
+    the concatenation stays ascending; k runs downwards so that words[k-1]
+    is still the previous site's, and only counts that can reach N are
+    kept.
+    """
     _check_sector(L, N)
-    words = sorted(
-        sum(1 << j for j in occupied) for occupied in combinations(range(L), N)
-    )
-    return FockBasis(L=L, N=N, states=np.array(words, dtype=np.int64))
+    words = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * N
+    for site in range(L):
+        for k in range(min(site + 1, N), max(1, N - (L - site - 1)) - 1, -1):
+            words[k] = np.concatenate((words[k], words[k - 1] | (1 << site)))
+    return FockBasis(L=L, N=N, states=words[N])
 
 
 def _bond_hops(states: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:

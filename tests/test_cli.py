@@ -322,12 +322,12 @@ def test_preset_reads_its_flags_from_config(tmp_path):
 
 # the optional flags each preset reads, besides --L, --which and --out-dir
 PRESET_FLAGS = {"fig1": {"--samples"}, "fig2": {"--samples"},
-                "fig3": {"--dt", "--tmax"}, "fig4": {"--dt", "--tmax", "--samples"}}
+                "fig3": {"--dt", "--tmax"}, "fig4": {"--N", "--dt", "--tmax", "--samples"}}
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_FLAGS))
 def test_preset_refuses_flags_it_does_not_read(tmp_path, name, capsys):
-    values = {"--M": "3", "--dt": "0.1", "--tmax": "1", "--samples": "1", "--threads": "1"}
+    values = {"--M": "3", "--N": "3", "--dt": "0.1", "--tmax": "1", "--samples": "1", "--threads": "1"}
     for flag in sorted(set(values) - PRESET_FLAGS[name]):
         out_dir = tmp_path / flag.strip("-")
         assert cli.main(["preset", name, "--L", "6", flag, values[flag],
@@ -462,6 +462,23 @@ def test_preset_fig4_panels(tmp_path):
     assert list(meta["files"]["fig4_a.csv"]) == ["quantities", "L", "N", "g_grid", "v_grid", "w_grid",
                                                  "theta0", "theta0_samples", "M", "dt", "t_max",
                                                  "record_stride"]
+
+
+def test_preset_fig4_takes_a_particle_number(tmp_path, capsys):
+    assert cli.main(["preset", "fig4", "--L", "8", "--N", "3", "--samples", "1", "--tmax", "0.5",
+                     "--which", "a", "--out-dir", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "fig4_metadata.json").read_text())
+    assert meta["files"]["fig4_a.csv"]["L"] == 8 and meta["files"]["fig4_a.csv"]["N"] == 3
+    assert meta["notes"][0].startswith("this run: L=8, N=3 (dim 56);")
+    rows = read_csv(str(tmp_path / "fig4_a.csv"))
+    assert {(r["L"], r["N"]) for r in rows} == {("8", "3")}
+    capsys.readouterr()
+    for N in ("0", "8", "-1"):
+        out_dir = tmp_path / f"N{N}"
+        assert cli.main(["preset", "fig4", "--L", "8", "--N", N, "--out-dir", str(out_dir)]) == 1
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and stderr == f"error: N must satisfy 0 < N < L, got N={N}, L=8\n"
+        assert not out_dir.exists()
 
 
 def test_preset_fig4_metadata_rebuilds_the_row_names(tmp_path):

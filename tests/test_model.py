@@ -1,5 +1,6 @@
 """Hamiltonian construction: conventions, enumeration, validation."""
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -52,6 +53,21 @@ def test_fock_enumeration_ascending():
     assert basis.dim == 6
     assert list(basis.states) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
     assert list(np.searchsorted(basis.states, basis.states)) == list(range(6))
+
+
+def combinations_basis(L, N):
+    """Reference enumeration: every N-subset of the sites as a word, sorted."""
+    return np.array(sorted(sum(1 << j for j in occupied) for occupied in combinations(range(L), N)),
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("L, N", [(L, N) for L in range(2, 15) for N in range(1, L)]
+                         + [(40, 3), (63, 1), (63, 62)])
+def test_fock_basis_matches_the_combinations_enumeration(L, N):
+    states = build_fock_basis(L, N).states
+    assert states.dtype == np.int64
+    assert np.array_equal(states, combinations_basis(L, N))
+    assert np.all(np.diff(states) > 0)
 
 
 def test_potential_profile():
@@ -217,7 +233,7 @@ def test_params_validation():
         ModelParams(L=6, V=3.0)   # one particle: V would be ignored
     assert ModelParams(L=6, N=3, V=3.0).V == 3.0
     assert BASIS_SIZE_CAP == 10**7
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^basis size C\(40,20\) exceeds cap 10000000$"):
         build_fock_basis(40, 20)
     for L in (64, 100):     # the occupation words are int64: one bit per site
         with pytest.raises(ValueError, match="at most 63 sites"):
