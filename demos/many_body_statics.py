@@ -27,7 +27,7 @@ from nhchain import (
     build_many_body,
     cdw_order,
     decompose,
-    density_profile,
+    ground_state,
     static_observables,
     winding_result,
 )
@@ -47,9 +47,7 @@ def ground_o_dw(length, V):
     n = (length + 1) // 2
     basis = build_fock_basis(length, n)
     p = ModelParams(L=length, N=n, g=0.5, V=V, W=0.0, bc="obc")
-    d = decompose(build_many_body(p, basis))
-    k = int(np.argmin(d.eigenvalues.real))
-    return cdw_order(density_profile(d.right[:, k], basis, left_state=d.left[k]))
+    return cdw_order(ground_state(decompose(build_many_body(p, basis)), basis)[2])
 
 
 def main():

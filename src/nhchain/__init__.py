@@ -24,6 +24,7 @@ from .spectral import (
     decompose,
     density_profile,
     eigenvalues,
+    ground_state,
     imag_fraction,
     ipr,
     ipr_per_state,

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dynamics import EvolverConfig, initial_domain_wall, initial_localized, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
-from .spectral import BiorthogonalizationError, decompose, density_profile, cdw_order, eigenvalues, ipr
+from .spectral import BiorthogonalizationError, cdw_order, decompose, eigenvalues, ground_state, ipr
 from .sweep import QUANTITIES, SweepSpec, _effective_bc, _theta0, inclusive_range, run_sweep_to_file
 from .winding import WindingConfig, WindingIllDefinedError, winding_result
 
@@ -85,18 +85,12 @@ def _add_model_flags(p: _Parser, grid: bool = False, flux: bool = True) -> None:
     else:   # the command builds at zero flux or runs the whole flux loop
         p.set_defaults(flux=None)
     p.add_argument("--config", default=None, help="flat key=value file; explicit flags win")
-
-
-def _add_io_flags(p: _Parser) -> None:
     p.add_argument("--out", default=None)
 
 
 def _model_params(args) -> ModelParams:
     if args.L is None:
         raise ValueError("--L is required")
-    bc = args.bc or "obc"
-    if args.flux is not None and bc == "obc":
-        raise ValueError("--flux only applies under --bc pbc")
 
     def one(x, fallback):   # a grid flag builds the matrix at its first value
         if x is None:
@@ -105,9 +99,17 @@ def _model_params(args) -> ModelParams:
 
     return ModelParams(
         L=args.L, N=args.N, g=one(args.g, 0.0), V=one(args.V, 0.0),
-        W=one(args.W, 0.0), theta0=args.theta0, bc=bc,
-        phi=args.flux if args.flux is not None else 0.0,
+        W=one(args.W, 0.0), theta0=args.theta0, bc=args.bc or "obc",
+        phi=one(args.flux, 0.0),
     )
+
+
+def _chain(params: ModelParams) -> tuple:
+    """The model matrix of `params` and its Fock basis (None for one particle)."""
+    if not params.many_body:
+        return build_single_particle(params), None
+    basis = build_fock_basis(params.L, params.N)
+    return build_many_body(params, basis), basis
 
 
 def _summary(line: str, to_stderr: bool) -> None:
@@ -151,12 +153,7 @@ def _config_flags(path: str) -> list:
 
 def cmd_spectrum(args) -> int:
     params = _model_params(args)
-    if params.many_body:
-        basis = build_fock_basis(params.L, params.N)
-        H = build_many_body(params, basis)
-    else:
-        H = build_single_particle(params)
-    w = eigenvalues(H)
+    w = eigenvalues(_chain(params)[0])
     _write_rows(args.out, ["index", "re", "im"], [(i, z.real, z.imag) for i, z in enumerate(w)])
     _summary(f"spectrum: dim={len(w)} bc={params.bc} "
              f"max|Im|={np.abs(w.imag).max():.3e}"
@@ -223,19 +220,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_ground_state(args) -> int:
-    params = _model_params(args)
-    if params.many_body:
-        basis = build_fock_basis(params.L, params.N)
-        H = build_many_body(params, basis)
-    else:
-        basis = None
-        H = build_single_particle(params)
-    decomp = decompose(H)
-    k = int(np.argmin(decomp.eigenvalues.real))
-    e0 = decomp.eigenvalues[k]
-    state = decomp.right[:, k]
-    # biorthogonal: on an open chain with g != 0 the right vector shows the skin pile-up
-    dens = density_profile(state, basis, left_state=decomp.left[k])
+    H, basis = _chain(_model_params(args))
+    e0, state, dens = ground_state(decompose(H), basis)
     _write_rows(args.out, ["site", "density"], enumerate(dens))
     _summary(f"ground-state: E0={e0.real:.8g}{e0.imag:+.2e}j ipr={ipr(state):.4f} "
              f"o_dw={cdw_order(dens):.4f}" + (f" -> {args.out}" if args.out else ""),
@@ -398,12 +384,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="eigenvalues as (index, re, im) rows")
     _add_model_flags(p)
-    _add_io_flags(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("winding", help="spectral winding number")
     _add_model_flags(p, flux=False)
-    _add_io_flags(p)
     p.add_argument("--e0", type=complex, default=0.0, help="base energy")
     p.add_argument("--points", type=int, default=WindingConfig.n_points, help="flux grid points")
     p.add_argument("--samples", type=_sample_count, default=1, help="theta0 samples")
@@ -411,7 +395,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("phase-diagram", help="sweep grids of (g, V, W)")
     _add_model_flags(p, grid=True, flux=False)
-    _add_io_flags(p)
     p.add_argument("--samples", type=_sample_count, default=1)
     # sweeps run in the calling thread; kept for bench/workloads.py, which passes 1
     p.add_argument("--threads", type=int, choices=(1,), default=1)
@@ -422,7 +405,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evolve", help="time evolution with observable recording")
     _add_model_flags(p)
-    _add_io_flags(p)
     p.add_argument("--method", choices=("exact", "krylov"), default="krylov")
     p.add_argument("--dt", type=float, default=EvolverConfig.dt,
                    help="unit of the record grid t = k*dt, not the propagator's step: "
@@ -436,7 +418,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ground-state", help="lowest-Re-energy eigenstate density profile")
     _add_model_flags(p)
-    _add_io_flags(p)
     p.set_defaults(func=cmd_ground_state)
 
     presets = sub.add_parser("preset", help="canned study reproductions (fig1..fig4)")

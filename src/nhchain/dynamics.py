@@ -369,16 +369,14 @@ def run(
         raise ValueError(f"no observables given; known: {', '.join(measure)}")
     if unknown:
         raise ValueError(f"unknown observables: {sorted(unknown)}; known: {', '.join(measure)}")
-    if params.many_body and basis is None:
-        basis = build_fock_basis(params.L, params.N)
-    if not params.many_body and "s_ee" in names:
-        raise ValueError("s_ee needs a many-body state")
-
     if params.many_body:
+        if basis is None:
+            basis = build_fock_basis(params.L, params.N)
         H = build_many_body(params, basis)
+    elif basis is not None or "s_ee" in names:
+        raise ValueError("a one-particle chain takes no Fock basis and has no s_ee")
     else:
         H = build_single_particle(params)
-        basis = None
 
     if config.method == "exact":
         decomp = decompose(H)

@@ -28,7 +28,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb, isfinite
 from typing import Optional
 
@@ -55,8 +55,8 @@ class ModelParams:
     `N` selects the many-body sector; leave it None for single-particle
     work, where V must be 0.  g, V, W, theta0 and phi must be finite,
     and e^|g| too.
-    `phi` is reduced to [0, 2*pi) and is meaningful only for periodic
-    boundaries (open boundaries ignore it).
+    `phi` is reduced to [0, 2*pi); an open chain has no wrap bond to
+    twist, so it refuses a nonzero one.
     """
 
     L: int
@@ -81,6 +81,8 @@ class ModelParams:
         if self.W < 0:
             raise ValueError(f"W must be >= 0, got {self.W}")
         object.__setattr__(self, "phi", float(np.remainder(self.phi, TWO_PI)))
+        if self.phi and self.bc == "obc":
+            raise ValueError(f"a flux (phi={self.phi:g}) needs bc='pbc': an open chain has no wrap bond")
         if self.V != 0 and self.N is None:
             raise ValueError(f"V={self.V} needs a particle number N: one particle has no interaction")
         if self.N is not None:
@@ -89,9 +91,6 @@ class ModelParams:
     @property
     def many_body(self) -> bool:
         return self.N is not None
-
-    def with_flux(self, phi: float) -> "ModelParams":
-        return replace(self, phi=phi)
 
 
 @dataclass(frozen=True)

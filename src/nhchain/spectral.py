@@ -32,9 +32,9 @@ off the real axis (|Im| < COLLISION_GAP / 2) is refused.  At dim 924
 2.3-2.9 s for the complex one (1 BLAS thread).
 
 Observables: IPR, Fock-space IPR, imaginary-eigenvalue fraction f_im
-(which needs eigenvalues only), per-site density (right-vector
-expectation by default, biorthogonal variant behind a flag), and the
-staggered charge-density-wave order parameter.
+(which needs eigenvalues only), the right-vector per-site density, the
+ground state with its biorthogonal density, and the staggered
+charge-density-wave order parameter.
 """
 
 from __future__ import annotations
@@ -202,24 +202,30 @@ def imag_fraction(spectrum) -> float:
     return float(np.mean(np.abs(np.imag(w)) > IM_THRESHOLD))
 
 
-def density_profile(
-    state: np.ndarray,
-    basis: Optional[FockBasis] = None,
-    left_state: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def _site_sum(weights: np.ndarray, basis: Optional[FockBasis]) -> np.ndarray:
+    """Per-site totals of per-state weights (the weights themselves for one particle)."""
+    return weights if basis is None else basis.occupations().T @ weights
+
+
+def density_profile(state: np.ndarray, basis: Optional[FockBasis] = None) -> np.ndarray:
     """Per-site occupation of a normalized state, or of each column of a
     matrix of states.
 
     Single-particle (no basis): |psi_j|^2.  Many-body: sum of |c_s|^2
-    over states occupying site j.  Passing `left_state` (the matching
-    left eigenvector) switches to the biorthogonal expectation
-    Re(sum_s l_s c_s n_j(s)) instead of the right-vector default.
+    over states occupying site j.
     """
-    if left_state is not None:
-        weights = (np.asarray(left_state) * np.asarray(state)).real
-    else:
-        weights = _weights(state)
-    return weights if basis is None else basis.occupations().T @ weights
+    return _site_sum(_weights(state), basis)
+
+
+def ground_state(decomp: SpectralDecomposition, basis: Optional[FockBasis] = None) -> tuple:
+    """The lowest-Re eigenvalue E0, its right vector and its biorthogonal
+    per-site density Re(sum_s l_s c_s n_j(s)).
+
+    On an open chain with g != 0 the right vector alone shows the skin
+    pile-up; the biorthogonal density is that of the g = 0 chain.
+    """
+    right = decomp.right[:, 0]      # eigenvalues ascend in Re
+    return decomp.eigenvalues[0], right, _site_sum((decomp.left[0] * right).real, basis)
 
 
 def cdw_order(density: np.ndarray) -> float:

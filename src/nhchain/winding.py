@@ -40,7 +40,7 @@ point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -162,7 +162,7 @@ def _from_phases(phases: np.ndarray) -> WindingResult:
 def _low_rank_phases(params: ModelParams, basis: Optional[FockBasis], e0: complex,
                      phi: np.ndarray) -> np.ndarray:
     """Phases of det[H(phi) - E0] / det[H(0) - E0] at the fluxes 0 <= phi <= 2*pi."""
-    ref = params.with_flux(0.0)
+    ref = replace(params, phi=0.0)
     H = build_single_particle(ref) if basis is None else build_many_body(ref, basis)
     A = _shifted(H.dense(), e0)              # real LU and real M when H and E0 are real
     # A.T is Fortran-ordered, so it is factored in place; trans=1 below

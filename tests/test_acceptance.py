@@ -31,9 +31,9 @@ from nhchain import (
     build_single_particle,
     cdw_order,
     decompose,
-    density_profile,
     entanglement_entropy,
     evolve_exact,
+    ground_state,
     imag_fraction,
     initial_domain_wall,
     initial_localized,
@@ -230,9 +230,7 @@ def test_08_cdw_onset_and_winding_drop(acceptance):
     def ground_o_dw(L, V):
         basis = build_fock_basis(L, (L + 1) // 2)
         p = ModelParams(L=L, N=(L + 1) // 2, g=0.5, V=V, W=0.0, bc="obc")
-        d = decompose(build_many_body(p, basis))
-        k = int(np.argmin(d.eigenvalues.real))
-        return float(cdw_order(density_profile(d.right[:, k], basis, left_state=d.left[k])))
+        return float(cdw_order(ground_state(decompose(build_many_body(p, basis)), basis)[2]))
 
     o1 = np.array([ground_o_dw(L, 1.0) for L in lengths])
     o4 = np.array([ground_o_dw(L, 4.0) for L in lengths])

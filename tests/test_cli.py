@@ -20,7 +20,6 @@ from nhchain import (
     build_many_body,
     build_single_particle,
     decompose,
-    density_profile,
     eigenvalues,
     ipr_per_state,
     winding_result,
@@ -254,12 +253,13 @@ def test_ground_state_prints_the_biorthogonal_density(capsys, bc, o_dw):
     basis = build_fock_basis(9, 5)
     d = decompose(build_many_body(p, basis))
     k = int(np.argmin(d.eigenvalues.real))
-    dens = density_profile(d.right[:, k], basis, left_state=d.left[k])
+    dens = basis.occupations().T @ (d.left[k] * d.right[:, k]).real
     assert [float(line.split(",")[1]) for line in out.splitlines()] == dens.tolist()
 
 
-def test_flux_requires_pbc():
+def test_flux_requires_pbc(capsys):
     assert cli.main(["spectrum", "--L", "8", "--flux", "0.5", "--bc", "obc"]) == 1
+    assert "needs bc='pbc'" in capsys.readouterr().err     # ModelParams refuses it
 
 
 def test_unknown_flag_and_missing_length():

@@ -444,6 +444,8 @@ def test_run_validation():
         run(p, cfg, psi0, ("bogus",))
     with pytest.raises(ValueError):
         run(p, cfg, psi0, ("s_ee",))            # needs a many-body state
+    with pytest.raises(ValueError, match="takes no Fock basis"):    # it would be ignored
+        run(p, cfg, psi0, basis=build_fock_basis(8, 1))
     with pytest.raises(ValueError, match="known: density, ipr, s_ee"):
         run(p, cfg, psi0, ("rmax_overlap",))    # no observable of run: decompose gives the modes
     with pytest.raises(ValueError, match="known: density, ipr, s_ee"):

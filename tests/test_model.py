@@ -1,5 +1,6 @@
 """Hamiltonian construction: conventions, enumeration, validation."""
 
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -146,10 +147,11 @@ def test_flux_reduced_modulo_two_pi():
     assert np.allclose(Ha, Hb, atol=1e-14)   # reduction mod 2*pi costs a few ulps
 
 
-def test_obc_ignores_flux():
-    Ha = build_single_particle(ModelParams(L=6, g=0.2, bc="obc", phi=0.0)).dense()
-    Hb = build_single_particle(ModelParams(L=6, g=0.2, bc="obc", phi=1.1)).dense()
-    assert np.array_equal(Ha, Hb)
+def test_obc_refuses_flux():
+    # an open chain has no wrap bond: a flux would be accepted and then ignored
+    assert ModelParams(L=6, g=0.2, bc="obc", phi=2.0 * np.pi).phi == 0.0    # reduces to no flux
+    with pytest.raises(ValueError, match="needs bc='pbc'"):
+        ModelParams(L=6, g=0.2, bc="obc", phi=1.1)
 
 
 def test_many_body_matches_loop_oracle():
@@ -182,8 +184,8 @@ def test_wrap_hops_are_the_only_flux_dependence(L, N):
     def build(q):
         return (build_many_body(q, basis) if N else build_single_particle(q)).dense()
 
-    expected = build(p.with_flux(0.0)).astype(complex)    # real at zero flux
-    for (rows, cols, amp), (_, _, amp0) in zip(wrap_hops(p, basis), wrap_hops(p.with_flux(0.0), basis)):
+    expected = build(replace(p, phi=0.0)).astype(complex)    # real at zero flux
+    for (rows, cols, amp), (_, _, amp0) in zip(wrap_hops(p, basis), wrap_hops(replace(p, phi=0.0), basis)):
         assert len(rows) == len(set(rows)) == len(set(cols)) == (comb(L - 2, N - 1) if N else 1)
         expected[rows, cols] += amp - amp0
     assert np.abs(build(p) - expected).max() < 1e-14

@@ -22,6 +22,7 @@ from nhchain import (
     decompose,
     density_profile,
     eigenvalues,
+    ground_state,
     imag_fraction,
     ipr,
     ipr_per_state,
@@ -188,17 +189,16 @@ def test_density_profile_biorthogonal_ground_state():
     # Fock basis, so the biorthogonal density is the Hermitian (g=0) one.
     basis = build_fock_basis(8, 4)
 
-    def ground_density(g, W, left):
+    def ground(g, W):
         p = ModelParams(L=8, N=4, g=g, V=2.0, W=W, theta0=0.3, bc="obc")
-        d = decompose(build_many_body(p, basis))
-        k = int(np.argmin(d.eigenvalues.real))
-        return density_profile(d.right[:, k], basis, left_state=d.left[k] if left else None)
+        return ground_state(decompose(build_many_body(p, basis)), basis)
 
-    dens = ground_density(0.5, 0.7, left=True)
-    assert np.allclose(dens, ground_density(0.0, 0.7, left=False), atol=1e-10)
+    _, _, dens = ground(0.5, 0.7)
+    _, right0, _ = ground(0.0, 0.7)
+    assert np.allclose(dens, density_profile(right0, basis), atol=1e-10)
     assert dens.sum() == pytest.approx(4.0, abs=1e-12)
     # even L, W=0: reflection swaps the sublattices of the unique ground state
-    clean = ground_density(0.5, 0.0, left=True)
+    clean = ground(0.5, 0.0)[2]
     assert abs(np.sum((-1.0) ** np.arange(8) * clean)) < 1e-12
 
 

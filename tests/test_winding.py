@@ -1,5 +1,7 @@
 """Point-gap winding numbers from flux-loop determinant phases."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -138,9 +140,9 @@ def test_low_rank_winding_matches_flux_grid():
         cfg = WindingConfig(e0=e0)
         if p.many_body:
             basis = build_fock_basis(p.L, p.N)
-            builder = lambda phi: build_many_body(p.with_flux(phi), basis).dense()
+            builder = lambda phi: build_many_body(replace(p, phi=phi), basis).dense()
         else:
-            builder = lambda phi: build_single_particle(p.with_flux(phi)).dense()
+            builder = lambda phi: build_single_particle(replace(p, phi=phi)).dense()
         fast = _outcome(lambda: winding_result(p, cfg))
         grid = _outcome(lambda: dense_winding(builder, cfg))
         same = fast[:2] == grid[:2] and (fast[2] is None or abs(fast[2] - grid[2]) <= 1e-9)
@@ -246,7 +248,7 @@ def test_e0_on_the_spectrum_of_h0_is_ill_defined():
     with pytest.raises(WindingIllDefinedError, match="eigenvalue of H"):
         winding_result(p)
     with pytest.raises(WindingIllDefinedError):
-        dense_winding(lambda phi: build_single_particle(p.with_flux(phi)).dense())
+        dense_winding(lambda phi: build_single_particle(replace(p, phi=phi)).dense())
 
 
 def test_hermitian_closed_gap_is_ill_defined():
