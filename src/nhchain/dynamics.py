@@ -377,6 +377,9 @@ def run(
         raise ValueError("a one-particle chain takes no Fock basis and has no s_ee")
     else:
         H = build_single_particle(params)
+    psi0 = np.asarray(initial, dtype=complex)
+    if psi0.shape != (H.dim,) or not np.any(psi0):
+        raise ValueError(f"initial must be a nonzero state of shape ({H.dim},), got shape {psi0.shape}")
 
     if config.method == "exact":
         decomp = decompose(H)
@@ -389,7 +392,6 @@ def run(
     blocks = {name: np.empty((len(times), params.L if name == "density" else 1))
               for name in names}
 
-    psi0 = np.asarray(initial, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     psi = psi0
     for row, t in enumerate(times):

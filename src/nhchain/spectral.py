@@ -9,17 +9,18 @@ parameters:
 * Open boundaries with g != 0: the chain is gauge equivalent to a
   Hermitian one via the diagonal similarity D = diag(e^{-g S}), with S
   the site index (single-particle) or the summed occupied-site index
-  (many-body).  Every open-chain hop changes S by +-1, so D^{-1} H D is
-  exactly the g = 0 chain: the route solves that real symmetric matrix
-  and maps its eigenvectors back with D.  The spectrum is exactly real
-  and the left/right pair exactly biorthogonal, where a general solver
-  would return spurious complex parts.
+  (many-body).  Every open-chain hop H[r, c] is -e^{g (S[c] - S[r])}, so
+  D^{-1} H D is H with every hop set to -1, exactly the g = 0 chain: the
+  route checks each hop, solves that real symmetric matrix and maps its
+  eigenvectors back with D.  The spectrum is exactly real and the
+  left/right pair exactly biorthogonal, where a general solver would
+  return spurious complex parts.
 * Everything else (periodic, g != 0): a general two-sided solve with the
   left/right overlap rescaled; eigenvalue collisions below 1e-12 are
   reported instead of silently mispairing.
 
 `eigenvalues` takes the same three routes without eigenvectors:
-`eigvalsh` of the matrix or of its g = 0 chain, and otherwise `eigvals`
+`eigvalsh` of the matrix or of its gauged form, and otherwise `eigvals`
 followed by the same collision check.
 
 Every dense solve gets `HamiltonianMatrix.dense()`, which is real when
@@ -39,14 +40,13 @@ charge-density-wave order parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .model import (FockBasis, HamiltonianMatrix, ModelParams, build_fock_basis,
-                    build_many_body, build_single_particle)
+from .model import FockBasis, HamiltonianMatrix, build_fock_basis
 
 # Eigenvalue pairs closer than this cannot be reliably biorthogonalized
 # (proximity to an exceptional point).
@@ -131,28 +131,33 @@ def _decompose_general(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, right=vr, left=left)
 
 
-def _gauge_free(params: ModelParams) -> tuple:
-    """D^{-1} H D of the open chain `params`, which is its g = 0 matrix
-    (dense and real), and the weights S of D = diag(e^{-g S})."""
-    p = replace(params, g=0.0)
-    if p.many_body:
-        basis = build_fock_basis(p.L, p.N)
-        return build_many_body(p, basis).dense(), basis.site_weight()
-    return build_single_particle(p).dense(), np.arange(p.L, dtype=float)
+def _gauge_free(H: HamiltonianMatrix) -> tuple:
+    """D^{-1} H D of the open chain H and the weights S of D = diag(e^{-g S}).
+
+    Every hop H[r, c] must be -e^{g (S[c] - S[r])} exactly, as the builders
+    make it, so that D^{-1} H D is H with every hop set to -1."""
+    p = H.params
+    S = build_fock_basis(p.L, p.N).site_weight() if p.many_body else np.arange(p.L, dtype=float)
+    A = H.dense()
+    rows, cols = np.nonzero(A)
+    hop = rows != cols
+    rows, cols = rows[hop], cols[hop]
+    gauged = np.array_equal(A[rows, cols], -np.exp(p.g * (S[cols] - S[rows])))
+    A[rows, cols] = -1.0
+    if not (gauged and np.isrealobj(A) and np.array_equal(A, A.T)):
+        raise ValueError(f"H is not an open chain of g={p.g:g}: a hop is not -e^(g (S[c] - S[r])), "
+                         "or D^-1 H D is not real symmetric")
+    return A, S
 
 
 def decompose(H: HamiltonianMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition with biorthogonal left/right pairing.
-
-    The open-chain route (g != 0) solves the g = 0 chain of H.params,
-    so H must be the model matrix of its params there.
-    """
+    """Full eigendecomposition with biorthogonal left/right pairing."""
     p = H.params
     if p.g == 0.0:
         # Hermitian for any W and flux: the twist enters conjugately.
         return _decompose_hermitian(H.dense())
     if p.bc == "obc":
-        return _decompose_similarity(*_gauge_free(p), p.g)
+        return _decompose_similarity(*_gauge_free(H), p.g)
     return _decompose_general(H.dense())
 
 
@@ -167,7 +172,7 @@ def eigenvalues(H: HamiltonianMatrix) -> np.ndarray:
     if p.g == 0.0:
         return scipy.linalg.eigvalsh(H.dense()).astype(complex)
     if p.bc == "obc":
-        return scipy.linalg.eigvalsh(_gauge_free(p)[0]).astype(complex)
+        return scipy.linalg.eigvalsh(_gauge_free(H)[0]).astype(complex)
     w = scipy.linalg.eigvals(H.dense())
     _check_gap(w)
     return w[np.lexsort((w.imag, w.real))]

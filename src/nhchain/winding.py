@@ -181,10 +181,8 @@ def _low_rank_phases(params: ModelParams, basis: Optional[FockBasis], e0: comple
     r = len(rows_p)
     X = np.repeat(np.real([amp_p, -amp_m]), r)[:, None] * M
     X[k[r:], k[r:]] += 1.0
-    # a 2 x 2 X (one particle) already is Hessenberg
-    hess = X if len(X) <= 2 else scipy.linalg.hessenberg(X, overwrite_a=True)
     z = np.exp(1j * np.remainder(phi, 2.0 * np.pi))   # the flux as ModelParams reduces it
-    return log_det_phase(hess, z - 1.0)[1] - r * phi
+    return log_det_phase(scipy.linalg.hessenberg(X, overwrite_a=True), z - 1.0)[1] - r * phi
 
 
 def winding_result(params: ModelParams, cfg: Optional[WindingConfig] = None) -> WindingResult:

@@ -454,6 +454,10 @@ def test_run_validation():
     with pytest.raises(ValueError, match="known: density, ipr, s_ee"):
         run(ModelParams(L=6, N=3, g=0.5, bc="pbc"), cfg, initial_domain_wall(basis),
             ("fock_ipr",), basis=basis)         # ipr under a second name
+    for method in ("krylov", "exact"):
+        for bad in (np.zeros(8), psi0[:-1]):    # refused before any step or decomposition
+            with pytest.raises(ValueError, match=r"nonzero state of shape \(8,\)"):
+                run(p, replace(cfg, method=method), bad)
 
 
 def test_krylov_run_needs_no_spectrum(monkeypatch):

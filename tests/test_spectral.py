@@ -66,6 +66,55 @@ def test_similarity_route_biorthogonal_fock(L):
     assert biorth_residual(decompose(build_many_body(p, basis))) <= 1e-10
 
 
+# ------------------------------------------------ the open-chain gauge
+
+def _build(p):
+    return build_many_body(p, build_fock_basis(p.L, p.N)) if p.many_body else build_single_particle(p)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize("L, N", [(2, None), (21, None), (89, None), (3, 1), (9, 5), (12, 6)])
+def test_gauged_open_chain_is_the_g0_build_bit_for_bit(L, N):
+    # the stored ipr_obc references sit near W = 2e^g, where the last bits decide
+    for g in (0.1, 0.5, 1.0, -0.7):
+        for W in (0.0, 3.0625):
+            for V in ((0.0, 2.0) if N else (0.0,)):
+                p = ModelParams(L=L, N=N, g=g, V=V, W=W, theta0=0.3, bc="obc")
+                A, _ = spectral._gauge_free(_build(p))
+                assert _same_bits(A, _build(replace(p, g=0.0)).dense()), p
+
+
+@pytest.mark.parametrize("L, N", [(13, None), (8, 4)])
+def test_open_chain_route_solves_the_entries_it_is_handed(L, N):
+    # entries built at W = 1 under params that say W = 0 are solved as W = 1
+    p = ModelParams(L=L, N=N, g=0.5, V=1.0 if N else 0.0, W=1.0, theta0=0.3, bc="obc")
+    built = _build(p)
+    H = replace(built, params=replace(p, W=0.0))
+    assert np.array_equal(eigenvalues(H), eigenvalues(built))
+    d, ref = decompose(H), decompose(built)
+    for field in ("eigenvalues", "right", "left"):
+        assert np.array_equal(getattr(d, field), getattr(ref, field))
+    assert not np.allclose(eigenvalues(H), eigenvalues(_build(replace(p, W=0.0))))
+
+
+@pytest.mark.parametrize("N", [None, 4])
+def test_open_chain_route_refuses_entries_off_the_gauge(N):
+    p = ModelParams(L=8, N=N, g=0.5, V=1.0 if N else 0.0, W=1.0, bc="obc")
+    built = _build(p)
+    dense = built.entries.toarray() if N else built.entries
+    one_way = dense.copy()
+    one_way[1, 0] = 0.0                                      # a hop without its reverse
+    for H in (replace(_build(replace(p, g=0.6)), params=p),  # hops of g = 0.6 under g = 0.5
+              replace(built, entries=one_way),
+              replace(built, entries=dense + 1e-3j * np.eye(built.dim))):   # a complex diagonal
+        for solve in (decompose, eigenvalues):
+            with pytest.raises(ValueError, match="is not an open chain of g=0.5"):
+                solve(H)
+
+
 def _multiset_distance(a, b):
     """Largest |a_i - b_pi(i)| under the best one-to-one matching pi."""
     cost = np.abs(a[:, None] - b[None, :])
