@@ -121,11 +121,24 @@ class FockBasis:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """A built Hamiltonian together with the parameters that produced it."""
+    """A built Hamiltonian together with the parameters that produced it.
+
+    `dim` must be the size of the params' sector (L, or C(L, N)) and
+    `entries` dim x dim: the solvers index site weights by H's indices.
+    """
 
     dim: int
     entries: object             # ndarray (single-particle) or scipy CSR (many-body)
     params: ModelParams
+
+    def __post_init__(self) -> None:
+        p = self.params
+        size = comb(p.L, p.N) if p.many_body else p.L
+        if self.dim != size:
+            sector = f"C(L, N) = C({p.L}, {p.N})" if p.many_body else f"L = {p.L}"
+            raise ValueError(f"dim={self.dim} does not match the params' sector size {sector}")
+        if self.entries.shape != (size, size):
+            raise ValueError(f"entries of shape {self.entries.shape}, need ({size}, {size})")
 
     @property
     def is_sparse(self) -> bool:

@@ -28,14 +28,16 @@ X is reduced once per flux loop to upper Hessenberg form by an
 orthogonal similarity, which leaves every det(I + s X) unchanged and is
 backward stable.  `log_det_phase` then takes all the flux points'
 determinants at once by Gaussian elimination with partial pivoting,
-O(r^2) per point, in log form so that no dimension overflows; the
-factor z^{-r} adds -r phi to each phase exactly, and the phase of det A
-cancels in the step differences.  With real E0, A is real: it is
-factored in real arithmetic and M and X are real.  H(-phi) is then the
-conjugate of H(phi), so det at 2*pi - phi is the conjugate of det at
-phi and only the half loop 0 <= phi <= pi is evaluated; grid point
-n - k takes the negated phase of point k.  A complex E0 evaluates every
-point.
+O(r^2) per point, in log form so that no dimension overflows.  Its
+working row is one C-ordered (columns left, shifts) block updated in
+place, because strided slices and a fresh temporary per column cost
+several times the arithmetic.  The factor z^{-r} adds -r phi to each
+phase exactly, and the phase of det A cancels in the step differences.
+With real E0, A is real: it is factored in real arithmetic and M and X
+are real.  H(-phi) is then the conjugate of H(phi), so det at
+2*pi - phi is the conjugate of det at phi and only the half loop
+0 <= phi <= pi is evaluated; grid point n - k takes the negated phase
+of point k.  A complex E0 evaluates every point.
 """
 
 from __future__ import annotations
@@ -116,8 +118,12 @@ def log_det_phase(hess: np.ndarray, shifts: np.ndarray) -> tuple:
     `shifts`.  Gaussian elimination with partial pivoting runs for all
     shifts at once: below the working row only row k + 1 has an entry
     in column k, so those two rows alone compete for the k-th pivot and
-    each shift costs O(n^2).  WindingIllDefinedError is raised when any
-    |det| drops below DET_FLOOR.
+    each shift costs O(n^2).  The working row of every shift is held as
+    one C-ordered (columns, shifts) block and updated in place, with row
+    k + 1's share written into one preallocated spare block: each
+    column's update then runs over contiguous memory without a fresh
+    temporary.  WindingIllDefinedError is raised when any |det| drops
+    below DET_FLOOR.
     """
     hess, shifts = np.asarray(hess), np.asarray(shifts, dtype=complex)
     if hess.ndim != 2 or hess.shape[0] != hess.shape[1] or hess.size == 0 or shifts.ndim != 1:
@@ -127,21 +133,24 @@ def log_det_phase(hess: np.ndarray, shifts: np.ndarray) -> tuple:
     n = len(hess)
     pivots = np.empty((n, len(shifts)), dtype=complex)
     swaps = np.zeros(len(shifts), dtype=int)          # each row swap flips the determinant's sign
+    spare = np.empty((n - 1, len(shifts)), dtype=complex)   # row k + 1's share, per column
     # a zero pivot turns log|det| non-finite, which is checked below
     with np.errstate(all="ignore"):
-        row = np.multiply.outer(shifts, hess[0])      # the working row, from column k on
-        row[:, 0] += 1.0
+        row = np.multiply.outer(hess[0], shifts)      # the working row: columns k.. by shifts
+        row[0] += 1.0
         for k in range(n - 1):
             below = shifts * hess[k + 1, k]              # row k + 1 of I + s * hess at column k
-            swap = np.abs(below) > np.abs(row[:, 0])
-            pivots[k] = pivot = np.where(swap, below, row[:, 0])
+            swap = np.abs(below) > np.abs(row[0])
+            pivots[k] = pivot = np.where(swap, below, row[0])
             swaps += swap
-            m = np.where(swap, row[:, 0], below) / pivot
+            m = np.where(swap, row[0], below) / pivot
             # the row left over: a * (working row) + b * (row k + 1), past column k
             a, b = np.where(swap, 1.0, -m), np.where(swap, -m, 1.0)
-            row = a[:, None] * row[:, 1:] + np.multiply.outer(b * shifts, hess[k + 1, k + 1:])
-            row[:, 0] += b
-        pivots[n - 1] = row[:, 0]
+            row = row[1:]
+            row *= a
+            row += np.multiply.outer(hess[k + 1, k + 1:], b * shifts, out=spare[:n - k - 1])
+            row[0] += b
+        pivots[n - 1] = row[0]
         logabs = np.log(np.abs(pivots)).sum(axis=0)
     if not (np.isfinite(logabs).all() and logabs.min() >= np.log(DET_FLOOR)):
         raise WindingIllDefinedError("determinant underflow at a flux point")

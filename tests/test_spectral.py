@@ -115,6 +115,24 @@ def test_open_chain_route_refuses_entries_off_the_gauge(N):
                 solve(H)
 
 
+def test_hamiltonian_matrix_refuses_a_dim_off_its_sector():
+    # the open-chain route indexes site weights by H's indices: a 10-site chain
+    # under L=8 failed there with IndexError, and a 6-site one gave 6 eigenvalues
+    for L in (6, 10):
+        with pytest.raises(ValueError, match=r"dim=\d+ does not match the params' sector size L = 8"):
+            replace(build_single_particle(ModelParams(L=L, g=0.5)), params=ModelParams(L=8, g=0.5))
+    fock = build_many_body(ModelParams(L=8, N=3, g=0.5), build_fock_basis(8, 3))     # dim 56
+    with pytest.raises(ValueError, match=r"dim=56 does not match .* C\(L, N\) = C\(8, 4\)"):
+        replace(fock, params=ModelParams(L=8, N=4, g=0.5))
+
+
+def test_hamiltonian_matrix_refuses_entries_off_its_dim():
+    p = ModelParams(L=8, g=0.5)
+    for entries in (np.eye(6), np.ones((8, 7)), np.ones(8), sparse.identity(10, format="csr")):
+        with pytest.raises(ValueError, match=r"entries of shape .*, need \(8, 8\)"):
+            HamiltonianMatrix(dim=8, entries=entries, params=p)
+
+
 def _multiset_distance(a, b):
     """Largest |a_i - b_pi(i)| under the best one-to-one matching pi."""
     cost = np.abs(a[:, None] - b[None, :])

@@ -35,12 +35,13 @@ def dense_winding(builder, cfg=None):
     return winding_mod._from_phases(np.array(phases))
 
 
-def _assert_matches_slogdet(hess, shifts):
+def _assert_matches_slogdet(hess, shifts, tol=1e-12):
     mags, phases = log_det_phase(hess, shifts)
-    sign, logabs = np.linalg.slogdet(np.eye(len(hess)) + shifts[:, None, None] * hess)
+    # one shift at a time: 101 complex 504 x 504 matrices would take 410 MB at once
+    sign, logabs = map(np.array, zip(*(np.linalg.slogdet(np.eye(len(hess)) + s * hess) for s in shifts)))
     assert mags.shape == phases.shape == shifts.shape
-    assert np.abs(mags - logabs).max() <= 1e-12
-    assert np.abs(np.angle(np.exp(1j * phases) / sign)).max() <= 1e-12
+    assert np.abs(mags - logabs).max() <= tol
+    assert np.abs(np.angle(np.exp(1j * phases) / sign)).max() <= tol
     assert np.all((-np.pi < phases) & (phases <= np.pi))
 
 
@@ -69,6 +70,26 @@ def test_log_det_phase_matches_slogdet(n, dtype):
     # an exact zero on the leading pivot: only a row swap can proceed
     hess[0, 0] = -1.0
     _assert_matches_slogdet(hess, np.array([1.0, 1.0 + 1e-9j]))
+
+
+@pytest.mark.parametrize("n, dtype", [(200, float), (504, float), (200, complex)])
+def test_log_det_phase_matches_slogdet_at_winding_size(n, dtype):
+    # n = 504 is the X of the dim-924 ring (L=12, N=6), where the block's layout
+    # and allocations decide the loop's time.  The shifts are the 201-point flux
+    # loop's e^{i phi} - 1: its half loop for a real X, every point for a complex
+    # one (a complex E0).
+    rng = np.random.default_rng(n)
+    hess = rng.normal(size=(n, n)).astype(dtype)
+    if dtype is complex:
+        hess += 1j * rng.normal(size=(n, n))
+    hess = scipy.linalg.hessenberg(hess)
+    phi = 2 * np.pi * np.arange(202 if dtype is complex else 101) / 201
+    _assert_matches_slogdet(hess, np.exp(1j * phi) - 1.0, tol=1e-10)
+    # rows are swapped, as in the small test; at s = 1 the leading pivot is an exact zero
+    hess[np.diag_indices(n)] *= 1e-3
+    hess[0, 0] = -1.0
+    _assert_matches_slogdet(hess, np.concatenate([[1.0], 10.0 * np.exp(2j * np.pi * rng.random(20))]),
+                            tol=1e-10)
 
 
 def test_log_det_phase_matches_eigenvalue_product():
