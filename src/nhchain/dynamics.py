@@ -35,14 +35,13 @@ already precede right-block ones, so the sign is +1 for every word
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb, isfinite
 from typing import Iterable, Optional
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .model import FockBasis, HamiltonianMatrix, ModelParams, build_fock_basis, build_many_body, build_single_particle
+from .model import FockBasis, ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import SpectralDecomposition, decompose, density_profile, ipr
 
 BREAKDOWN_TOL = 1e-14
@@ -285,9 +284,9 @@ def arnoldi_step(
 ) -> np.ndarray:
     """Evolve psi over dt in Krylov sub-steps; the normalized state.
 
-    H may be a HamiltonianMatrix, dense array, or sparse matrix; only
-    mat-vec products are taken, in H's own storage (nothing is converted
-    here: `run` hands it CSR entries for every chain).  Each sub-step
+    H is the operator itself: anything with `H @ v`, such as a dense
+    array or a sparse matrix.  Only mat-vec products are taken, in H's
+    own storage (`run` hands it `HamiltonianMatrix.csr()`).  Each sub-step
     (`_krylov_substep`) builds and uses one basis of adaptive dimension
     m <= M.  The first tries all of dt; each next one is longer by
     `_step_factor` at the m used (1- to MAX_STEP_GROWTH-fold), and the
@@ -301,7 +300,6 @@ def arnoldi_step(
         raise ValueError("dt must be >= 0")
     if M < 2:
         raise ValueError("M must be >= 2: at m = 1 the error estimate does not shrink with the step")
-    op = H.entries if isinstance(H, HamiltonianMatrix) else H
     psi = np.array(psi, dtype=complex, copy=True)
     if dt == 0:
         return psi
@@ -310,7 +308,7 @@ def arnoldi_step(
     left, tau = dt, dt
     with np.errstate(over="ignore", invalid="ignore"):   # `_krylov_substep` handles both
         while left > 0:
-            psi, tau, err, m = _krylov_substep(op, psi, M, min(tau, left), dt)
+            psi, tau, err, m = _krylov_substep(H, psi, M, min(tau, left), dt)
             left -= tau
             tau *= min(max(_step_factor(err, m), 1.0), MAX_STEP_GROWTH)
     return psi
@@ -353,10 +351,9 @@ def run(
 ) -> ObservableSeries:
     """Evolve `initial` to t_max, recording observables at the times of
     `config.record_grid()`.  The Krylov method takes one `arnoldi_step`
-    per record interval on the Hamiltonian's entries as CSR (made once per
-    run; single-particle entries are stored dense for the dense solvers),
-    and the exact method evaluates each record time from `initial`;
-    either way the state is normalized at every record.
+    per record interval on `H.csr()`, taken once per run, and the exact
+    method evaluates each record time from `initial`; either way the
+    state is normalized at every record.
     """
     measure = {   # basis is bound below, before the first record
         "density": lambda psi: density_profile(psi, basis),
@@ -384,9 +381,7 @@ def run(
     if config.method == "exact":
         decomp = decompose(H)
     else:
-        # the Krylov steps take only mat-vecs: CSR for both chains, converted
-        # once per run (a Fock chain's CSR is shared, not copied)
-        H = replace(H, entries=sparse.csr_matrix(H.entries))
+        H = H.csr()   # the mat-vec operator; a one-particle chain's dense entries are freed
 
     times, intervals = config.record_grid()
     blocks = {name: np.empty((len(times), params.L if name == "density" else 1))

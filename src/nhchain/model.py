@@ -123,26 +123,25 @@ class FockBasis:
 class HamiltonianMatrix:
     """A built Hamiltonian together with the parameters that produced it.
 
-    `dim` must be the size of the params' sector (L, or C(L, N)) and
-    `entries` dim x dim: the solvers index site weights by H's indices.
+    Only this module knows how `entries` are stored: other modules read
+    them through `dense()` or `csr()`.  They must be square in the params'
+    sector (L, or C(L, N)): the solvers index site weights by H's indices.
     """
 
-    dim: int
     entries: object             # ndarray (single-particle) or scipy CSR (many-body)
     params: ModelParams
 
     def __post_init__(self) -> None:
         p = self.params
         size = comb(p.L, p.N) if p.many_body else p.L
-        if self.dim != size:
-            sector = f"C(L, N) = C({p.L}, {p.N})" if p.many_body else f"L = {p.L}"
-            raise ValueError(f"dim={self.dim} does not match the params' sector size {sector}")
         if self.entries.shape != (size, size):
-            raise ValueError(f"entries of shape {self.entries.shape}, need ({size}, {size})")
+            sector = f"C(L, N) = C({p.L}, {p.N})" if p.many_body else f"L = {p.L}"
+            raise ValueError(f"entries of shape {self.entries.shape}, need ({size}, {size}): "
+                             f"the params' sector size is {sector}")
 
     @property
-    def is_sparse(self) -> bool:
-        return sparse.issparse(self.entries)
+    def dim(self) -> int:
+        return self.entries.shape[0]
 
     def dense(self) -> np.ndarray:
         """The entries as a new C-ordered ndarray, for the dense solvers.
@@ -151,9 +150,14 @@ class HamiltonianMatrix:
         nonzeros of CSR entries), so a real matrix reaches the solvers in
         real arithmetic without a complex dim x dim intermediate.
         """
-        real = not np.any((self.entries.data if self.is_sparse else self.entries).imag)
+        stored = sparse.issparse(self.entries)
+        real = not np.any((self.entries.data if stored else self.entries).imag)
         entries = self.entries.real if real else self.entries
-        return entries.toarray() if self.is_sparse else np.array(entries, order="C")
+        return entries.toarray() if stored else np.array(entries, order="C")
+
+    def csr(self) -> sparse.csr_matrix:
+        """The entries as CSR, for mat-vecs; CSR entries are shared, not copied."""
+        return sparse.csr_matrix(self.entries)
 
 
 def potential(params: ModelParams) -> np.ndarray:
@@ -179,7 +183,7 @@ def build_single_particle(params: ModelParams) -> HamiltonianMatrix:
     if params.bc == "pbc":
         for rows, cols, amp in wrap_hops(params):
             H[rows, cols] += amp
-    return HamiltonianMatrix(dim=L, entries=H, params=params)
+    return HamiltonianMatrix(entries=H, params=params)
 
 
 def _check_sector(L: int, N: int) -> None:
@@ -288,4 +292,4 @@ def build_many_body(params: ModelParams, basis: FockBasis) -> HamiltonianMatrix:
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     H = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    return HamiltonianMatrix(dim=dim, entries=H, params=params)
+    return HamiltonianMatrix(entries=H, params=params)

@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .model import FockBasis, HamiltonianMatrix, build_fock_basis
+from .model import LOG_FLOAT_MAX, FockBasis, HamiltonianMatrix, build_fock_basis
 
 # Eigenvalue pairs closer than this cannot be reliably biorthogonalized
 # (proximity to an exceptional point).
@@ -83,6 +83,11 @@ def _decompose_hermitian(H: np.ndarray) -> SpectralDecomposition:
 
 def _decompose_similarity(H0: np.ndarray, S: np.ndarray, g: float) -> SpectralDecomposition:
     # H0 = D^{-1} H D with D = diag(e^{-g S}): the real symmetric g = 0 chain.
+    span = abs(g) * (S.max() - S.min())
+    if span > LOG_FLOAT_MAX:
+        raise BiorthogonalizationError(
+            f"|g| * (max S - min S) = {span:.6g} exceeds ln(float max) = {LOG_FLOAT_MAX:.2f}: "
+            "the open chain's similarity e^(-g S) overflows")
     w, v = scipy.linalg.eigh(H0)
     d = np.exp(-g * (S - S.min()))       # offset only rescales columns
     right = d[:, None] * v

@@ -158,12 +158,15 @@ def log_det_phase(hess: np.ndarray, shifts: np.ndarray) -> tuple:
 
 
 def _from_phases(phases: np.ndarray) -> WindingResult:
-    """The winding from the unwrapped flux steps; a step above pi/2 makes it ill-defined."""
+    """The winding from the unwrapped flux steps; a step above pi/2 makes it ill-defined.
+
+    So n steps carry at most |nu| = n/4: a larger winding needs more points."""
     steps = _principal(np.diff(phases))
     jump = np.abs(steps).max()
     if jump > np.pi / 2:
-        raise WindingIllDefinedError(f"flux step phase jump {jump:.3f} exceeds pi/2: E0 lies on "
-                                     "the spectral curve or the flux grid is too coarse")
+        raise WindingIllDefinedError(
+            f"flux step phase jump {jump:.3f} exceeds pi/2: E0 lies on the spectral curve or the "
+            f"{len(steps)}-point flux grid is too coarse (it carries at most |nu| = {len(steps) / 4:g})")
     raw = float(steps.sum() / (2.0 * np.pi))
     return WindingResult(nu=int(np.rint(raw)), raw=raw, steps=steps)
 

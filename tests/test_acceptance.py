@@ -154,7 +154,7 @@ def test_04_krylov_matches_exact(acceptance):
         psi = psi0.astype(complex)
         dev = 0.0
         for k in range(1, 201):
-            psi = arnoldi_step(H, psi, 25, 0.05)
+            psi = arnoldi_step(H.entries, psi, 25, 0.05)
             if k % 10 == 0:
                 dev = max(dev, float(np.abs(psi - evolve_exact(d, psi0, 0.05 * k)).max()))
         worst[label] = dev

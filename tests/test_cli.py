@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import nhchain.cli as cli
-import nhchain.dynamics as dynamics_mod
 import nhchain.sweep as sweep_mod
 from nhchain import (
     EvolverConfig,
@@ -76,6 +75,25 @@ def test_winding_of_a_closed_gap_is_a_numerical_failure(capsys):
     out, err = capsys.readouterr()
     assert "nu =" not in out
     assert err.startswith("numerical failure: ") and "phase jump 3.142" in err
+
+
+def test_an_open_chain_whose_similarity_overflows_is_refused(tmp_path, capsys):
+    # |g| (L - 1) = 880 exceeds ln(float max): e^(-g S) held inf and nan, and
+    # ground-state printed o_dw=nan, with RuntimeWarnings on stderr
+    out = tmp_path / "gs.csv"
+    assert cli.main(["ground-state", "--L", "89", "--g", "10", "--W", "1", "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert stderr == ("numerical failure: |g| * (max S - min S) = 880 exceeds ln(float max) = 709.78: "
+                      "the open chain's similarity e^(-g S) overflows\n")
+    sweep = tmp_path / "pd.csv"
+    assert cli.main(["phase-diagram", "--L", "89", "--g", "10", "--W", "1", "--quantities", "ipr_obc",
+                     "--out", str(sweep)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(str(sweep))
+    assert [(r["sample"], r["value"]) for r in rows] == [("0", "nan"), ("avg", "nan")]
+    assert all(r["warnings"] == "BiorthogonalizationError: " + stderr[len("numerical failure: "):-1]
+               for r in rows)
 
 
 def test_winding_at_an_eigenvalue_of_h0_is_a_numerical_failure(capsys):
@@ -527,14 +545,14 @@ def test_preset_fig4_resumes_to_the_bytes_of_an_uninterrupted_run(tmp_path, monk
 
 def test_preset_fig4_keeps_going_past_a_failed_sample(tmp_path, monkeypatch):
     failing = sweep_mod._theta0(0.0, 1, 2)
-    step = dynamics_mod.arnoldi_step
+    evolve = sweep_mod.run
 
-    def step_fails_for_sample_1(H, psi, M, dt):
-        if H.params.theta0 == failing:
+    def run_fails_for_sample_1(params, *args):
+        if params.theta0 == failing:
             raise FloatingPointError(f"forced failure at theta0={failing:.6f}")
-        return step(H, psi, M, dt)
+        return evolve(params, *args)
 
-    monkeypatch.setattr(dynamics_mod, "arnoldi_step", step_fails_for_sample_1)
+    monkeypatch.setattr(sweep_mod, "run", run_fails_for_sample_1)
     assert cli.main(["preset", "fig4", "--L", "8", "--samples", "2", "--tmax", "1",
                      "--out-dir", str(tmp_path)]) == 0
     reason = f"FloatingPointError: forced failure at theta0={failing:.6f}"

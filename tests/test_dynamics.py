@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sparse
 
 from nhchain import (
     EvolverConfig,
-    HamiltonianMatrix,
     ModelParams,
     ObservableSeries,
+    SpectralDecomposition,
     arnoldi_step,
     build_fock_basis,
     build_many_body,
@@ -100,13 +101,13 @@ def test_arnoldi_full_subspace_matches_exact():
     H = build_single_particle(p)
     d = decompose(H)
     psi0 = initial_localized(8, 3)
-    stepped = arnoldi_step(H, psi0, 8, 0.2)
+    stepped = arnoldi_step(H.entries, psi0, 8, 0.2)
     exact = evolve_exact(d, psi0, 0.2)
     assert np.abs(stepped - exact).max() < 1e-10
 
 
 def test_arnoldi_step_edge_cases():
-    H = build_single_particle(ModelParams(L=6, g=0.3, bc="pbc"))
+    H = build_single_particle(ModelParams(L=6, g=0.3, bc="pbc")).entries
     psi = initial_localized(6, 2)
     same = arnoldi_step(H, psi, 4, 0.0)
     assert np.array_equal(same, psi) and same is not psi
@@ -119,13 +120,27 @@ def test_arnoldi_step_edge_cases():
     assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
+def test_evolve_exact_refuses_a_state_that_vanishes():
+    # hand-built modes on which psi0's expansion cancels: both right vectors coincide
+    d = SpectralDecomposition(eigenvalues=np.zeros(2, dtype=complex), right=np.full((2, 2), 0.5**0.5),
+                              left=np.eye(2))
+    with pytest.raises(FloatingPointError, match="left the representable range"):
+        evolve_exact(d, np.array([1.0, -1.0]), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_arnoldi_step_refuses_a_non_finite_operator(bad):
+    with pytest.raises(FloatingPointError, match="non-finite entries in Krylov step"):
+        arnoldi_step(np.full((6, 6), bad), initial_localized(6, 2), 4, 0.1)
+
+
 def test_arnoldi_happy_breakdown():
     # start in an exact eigenvector: Krylov space is 1-dimensional
     p = ModelParams(L=6, g=0.0, W=2.0, bc="obc")
     H = build_single_particle(p)
     d = decompose(H)
     v = d.right[:, 2].astype(complex)
-    out = arnoldi_step(H, v, 6, 0.3)
+    out = arnoldi_step(H.entries, v, 6, 0.3)
     expect = np.exp(-1j * d.eigenvalues[2] * 0.3) * v
     expect = expect / np.linalg.norm(expect)
     assert min(np.abs(out - expect).max(), np.abs(out + expect).max()) < 1e-10
@@ -135,9 +150,8 @@ def test_arnoldi_step_same_for_every_storage():
     basis = build_fock_basis(12, 6)          # dim 924
     H = build_many_body(ModelParams(L=12, N=6, g=0.5, V=2.0, W=1.0, bc="pbc"), basis)
     psi = initial_domain_wall(basis)
-    ref = arnoldi_step(H, psi, 25, 0.05)
-    for op in (H.entries, H.dense()):
-        assert np.abs(arnoldi_step(op, psi, 25, 0.05) - ref).max() <= 1e-12
+    ref = arnoldi_step(H.csr(), psi, 25, 0.05)
+    assert np.abs(arnoldi_step(H.dense(), psi, 25, 0.05) - ref).max() <= 1e-12
 
 
 def fixed_krylov(A, psi, m):
@@ -238,7 +252,7 @@ def test_a_step_that_reaches_the_cap_is_split_to_the_tolerance():
     modes = decompose(H)
     for dt in (1.0, 2.0):
         exact = evolve_exact(modes, psi, dt)
-        assert np.abs(arnoldi_step(H, psi, 25, dt) - exact).max() <= 1e-12, dt
+        assert np.abs(arnoldi_step(H.entries, psi, 25, dt) - exact).max() <= 1e-12, dt
 
 
 def test_every_cap_terminates():
@@ -249,13 +263,13 @@ def test_every_cap_terminates():
     exact /= np.linalg.norm(exact)
     for M in (-1, 0, 1):        # at m = 1 the estimate is h_21 at every step length
         with pytest.raises(ValueError, match="M must be >= 2"):
-            arnoldi_step(H, psi, M, 0.05)
+            arnoldi_step(H.entries, psi, M, 0.05)
         with pytest.raises(ValueError, match="M must be >= 2"):
             EvolverConfig(M=M)
     returned, raised = [], []
     for M in range(2, basis.dim + 3):
         try:
-            out = arnoldi_step(H, psi, M, 0.05)
+            out = arnoldi_step(H.entries, psi, M, 0.05)
         except FloatingPointError as exc:
             assert "sub-steps below" in str(exc)
             raised.append(M)
@@ -268,7 +282,7 @@ def test_every_cap_terminates():
     # the small exponential's cost grows with log tau, not tau
     for M in (min(returned), 25):
         with pytest.raises(FloatingPointError, match="sub-steps below"):
-            arnoldi_step(H, psi, M, 1e5)
+            arnoldi_step(H.entries, psi, M, 1e5)
 
 
 def test_a_sub_step_whose_exponential_overflows_is_halved():
@@ -279,7 +293,7 @@ def test_a_sub_step_whose_exponential_overflows_is_halved():
     psi = initial_domain_wall(basis)
     exact = evolve_exact(decompose(H), psi, 1000.0)
     for M in (25, basis.dim):
-        assert np.abs(arnoldi_step(H, psi, M, 1000.0) - exact).max() <= 1e-11, M
+        assert np.abs(arnoldi_step(H.entries, psi, M, 1000.0) - exact).max() <= 1e-11, M
 
 
 def test_hermitian_krylov_matches_expm_over_500_steps():
@@ -287,7 +301,7 @@ def test_hermitian_krylov_matches_expm_over_500_steps():
     psi0 = initial_localized(40, 20)
     psi = psi0
     for _ in range(500):
-        psi = arnoldi_step(H, psi, 15, 0.2)
+        psi = arnoldi_step(H.entries, psi, 15, 0.2)
     assert np.abs(psi - scipy.linalg.expm(-100.0j * H.dense()) @ psi0).max() < 1e-9
 
 
@@ -309,8 +323,8 @@ def test_default_cap_takes_a_delta_start_step_to_the_tolerance(monkeypatch):
 
 
 def test_run_takes_every_krylov_step_on_one_csr_operator(monkeypatch):
-    # both chains reach arnoldi_step as CSR, converted once per run; a Fock
-    # chain's CSR is the builder's own arrays, not a copy
+    # both chains reach arnoldi_step as one CSR operator, H.csr() taken once
+    # per run; a Fock chain's CSR is the builder's own arrays, not a copy
     built, seen = [], []
     build, step = dynamics.build_many_body, dynamics.arnoldi_step
 
@@ -332,9 +346,9 @@ def test_run_takes_every_krylov_step_on_one_csr_operator(monkeypatch):
     one, fock = seen[:3], seen[3:]
     assert len(fock) == 3 and all(H is one[0] for H in one) and all(H is fock[0] for H in fock)
     for H in (one[0], fock[0]):
-        assert isinstance(H, HamiltonianMatrix) and H.is_sparse and H.entries.format == "csr"
-    assert one[0].params == p and one[0].entries.nnz == 3 * 8
-    assert all(np.shares_memory(getattr(fock[0].entries, a), getattr(built[0].entries, a))
+        assert sparse.issparse(H) and H.format == "csr"
+    assert one[0].nnz == 3 * 8 and np.array_equal(one[0].toarray(), build_single_particle(p).entries)
+    assert all(np.shares_memory(getattr(fock[0], a), getattr(built[0].entries, a))
                for a in ("data", "indices", "indptr"))
 
 
@@ -362,7 +376,7 @@ def test_krylov_tracks_exact_over_window():
     psi = psi0.copy()
     worst = 0.0
     for k in range(1, 201):
-        psi = arnoldi_step(H, psi, 25, 0.05)
+        psi = arnoldi_step(H.entries, psi, 25, 0.05)
         if k % 10 == 0:
             exact = evolve_exact(d, psi0, 0.05 * k)
             worst = max(worst, np.abs(psi - exact).max())

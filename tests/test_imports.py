@@ -1,6 +1,7 @@
-"""Every module of the package uses what it imports, every private
-module-level helper is used somewhere in the package, and every public
-name and every optional parameter is used by code outside the tests."""
+"""Every module of the package uses what it imports, only `model` imports
+scipy.sparse, every private module-level helper is used somewhere in the
+package, and every public name and every optional parameter is used by
+code outside the tests."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,40 @@ def test_no_unused_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert len(modules) >= 6
     assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def sparse_users(path: Path) -> list:
+    """The lines of a module that import scipy.sparse, a name from it, or
+    reach it as the attribute scipy.sparse."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(f"{name}.".startswith("scipy.sparse.") for name in names):
+            lines.add(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_only_model_knows_the_sparse_storage():
+    # model decides how a Hamiltonian is stored; every other module reads
+    # the entries through HamiltonianMatrix.dense() or .csr()
+    others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "model.py"]
+    assert len(others) >= 6 and sparse_users(PACKAGE / "model.py")
+    assert [u for p in others for u in sparse_users(p)] == []
+
+
+def test_sparse_user_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import scipy\nimport scipy.sparse.linalg\nfrom scipy import sparse, linalg\n"
+                      "from scipy.sparse import csr_matrix\nfrom scipy import sparsetools\n"
+                      "from . import sparse_like\n\nx = scipy.sparse.eye(2)\n")
+    assert sparse_users(module) == ["m.py:2", "m.py:3", "m.py:4", "m.py:8"]
 
 
 def unused_private_definitions(paths: list) -> list:

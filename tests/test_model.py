@@ -6,6 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from nhchain import (
     BASIS_SIZE_CAP,
@@ -207,7 +208,7 @@ def test_interaction_diagonal():
 def test_many_body_storage_is_csr_single_particle_dense():
     for L, N in ((12, 6), (16, 8)):          # dim 924 and 12870
         H = build_many_body(ModelParams(L=L, N=N, g=0.5, W=1.0, bc="pbc"), build_fock_basis(L, N))
-        assert H.is_sparse and H.entries.format == "csr"
+        assert sparse.issparse(H.entries) and H.entries.format == "csr"
         assert H.entries.nnz <= H.dim * (L + 1)
         psi = np.zeros(H.dim, dtype=complex)
         psi[0] = 1.0
@@ -215,7 +216,7 @@ def test_many_body_storage_is_csr_single_particle_dense():
         if L == 12:                          # densified at dim 12870 it would take 2.6 GB
             assert np.array_equal(H.dense(), H.entries.toarray())
     single = build_single_particle(ModelParams(L=12, g=0.5, bc="pbc"))
-    assert not single.is_sparse and isinstance(single.entries, np.ndarray)
+    assert not sparse.issparse(single.entries) and isinstance(single.entries, np.ndarray)
 
 
 def test_params_validation():

@@ -119,10 +119,12 @@ def test_hamiltonian_matrix_refuses_a_dim_off_its_sector():
     # the open-chain route indexes site weights by H's indices: a 10-site chain
     # under L=8 failed there with IndexError, and a 6-site one gave 6 eigenvalues
     for L in (6, 10):
-        with pytest.raises(ValueError, match=r"dim=\d+ does not match the params' sector size L = 8"):
+        with pytest.raises(ValueError, match=r"entries of shape \((\d+), \1\), need \(8, 8\): "
+                                             r"the params' sector size is L = 8"):
             replace(build_single_particle(ModelParams(L=L, g=0.5)), params=ModelParams(L=8, g=0.5))
     fock = build_many_body(ModelParams(L=8, N=3, g=0.5), build_fock_basis(8, 3))     # dim 56
-    with pytest.raises(ValueError, match=r"dim=56 does not match .* C\(L, N\) = C\(8, 4\)"):
+    with pytest.raises(ValueError, match=r"entries of shape \(56, 56\), need \(70, 70\): "
+                                         r"the params' sector size is C\(L, N\) = C\(8, 4\)"):
         replace(fock, params=ModelParams(L=8, N=4, g=0.5))
 
 
@@ -130,7 +132,7 @@ def test_hamiltonian_matrix_refuses_entries_off_its_dim():
     p = ModelParams(L=8, g=0.5)
     for entries in (np.eye(6), np.ones((8, 7)), np.ones(8), sparse.identity(10, format="csr")):
         with pytest.raises(ValueError, match=r"entries of shape .*, need \(8, 8\)"):
-            HamiltonianMatrix(dim=8, entries=entries, params=p)
+            HamiltonianMatrix(entries=entries, params=p)
 
 
 def _multiset_distance(a, b):
@@ -175,10 +177,39 @@ def test_general_route_residuals_random_points(seed):
     assert worst_c < 1e-11
 
 
+@pytest.mark.parametrize("L, N, g, passes", [
+    (89, None, 8.0, True), (89, None, 10.0, False), (89, None, -10.0, False),
+    (12, 6, 19.7, True), (12, 6, 20.0, False),
+])
+def test_open_chain_refuses_a_similarity_that_overflows(L, N, g, passes):
+    # |g| (max S - min S) against ln(float max) = 709.78: 704 and 880 at L = 89
+    # (S = 0 .. 88), 709.2 and 720 in the Fock sector (12, 6) (S = 15 .. 51).
+    # Past it e^(-g S) held inf and nan: a density of nan, and RuntimeWarnings
+    p = ModelParams(L=L, N=N, g=g, V=1.0 if N else 0.0, W=1.0, bc="obc")
+    H = build_many_body(p, build_fock_basis(L, N)) if N else build_single_particle(p)
+    if passes:
+        d = decompose(H)
+        assert np.isfinite(d.left).all() and np.isfinite(d.right).all()
+    else:
+        with pytest.raises(BiorthogonalizationError, match=r"exceeds ln\(float max\) = 709\.78"):
+            decompose(H)
+    assert np.isfinite(eigenvalues(H)).all()       # forms no similarity
+
+
+def test_vanishing_left_right_overlap_raises():
+    # a 4-cycle with 1e-30 on its wrap: eigenvalues 1e-7.5 i^k, far apart, but
+    # next to a Jordan block, so each left/right overlap is of order 1e-22
+    A = np.eye(4, k=1)
+    A[3, 0] = 1e-30
+    H = HamiltonianMatrix(entries=A, params=ModelParams(L=4, g=0.5, bc="pbc"))
+    with pytest.raises(BiorthogonalizationError, match="overlap underflow"):
+        decompose(H)
+
+
 def test_eigenvalue_collision_raises():
     # hand-built defective-adjacent spectrum pushed through the general route
     p = ModelParams(L=2, g=0.5, bc="pbc")
-    H = HamiltonianMatrix(dim=2, entries=np.diag([1.0, 1.0 + 1e-13]).astype(complex), params=p)
+    H = HamiltonianMatrix(entries=np.diag([1.0, 1.0 + 1e-13]).astype(complex), params=p)
     with pytest.raises(BiorthogonalizationError):
         decompose(H)
 
@@ -187,7 +218,7 @@ def test_eigenvalue_collision_found_in_any_order():
     # 0+1j and 1e-13+1j collide, but 6e-14-5j sits between them in (Re, Im) order
     p = ModelParams(L=4, g=0.5, bc="pbc")
     w = np.array([0.0 + 1.0j, 1e-13 + 1.0j, 6e-14 - 5.0j, 2.0])
-    H = HamiltonianMatrix(dim=4, entries=np.diag(w), params=p)
+    H = HamiltonianMatrix(entries=np.diag(w), params=p)
     for solve in (decompose, eigenvalues):
         with pytest.raises(BiorthogonalizationError, match="gap 1.000e-13"):
             solve(H)
@@ -199,7 +230,7 @@ def test_a_real_solve_refuses_a_pair_barely_off_the_real_axis(eps):
     # gap is 2*eps: below COLLISION_GAP / 2 the solve refuses it, and a pair that
     # passes is far above IM_THRESHOLD, which therefore decides nothing here
     p = ModelParams(L=2, g=0.5, bc="pbc")
-    H = HamiltonianMatrix(dim=2, entries=np.array([[0.0, 1.0], [-eps**2, 0.0]]), params=p)
+    H = HamiltonianMatrix(entries=np.array([[0.0, 1.0], [-eps**2, 0.0]]), params=p)
     if 2 * eps < spectral.COLLISION_GAP:
         for solve in (decompose, eigenvalues):
             with pytest.raises(BiorthogonalizationError, match="eigenvalue gap"):
@@ -370,7 +401,7 @@ def test_real_matrices_reach_the_solvers_real(monkeypatch):
 
 def test_dense_of_real_csr_builds_no_complex_array():
     H, _ = _pbc_matrix(12, 6)
-    assert H.is_sparse and H.entries.dtype == np.complex128
+    assert sparse.issparse(H.entries) and H.entries.dtype == np.complex128
     tracemalloc.start()
     try:
         A = H.dense()

@@ -112,6 +112,17 @@ def test_run_sweep_to_file_takes_one_thread_only(tmp_path):
     assert not (tmp_path / "new.csv").exists()
 
 
+def test_run_sweep_to_file_needs_a_file_with_the_sweep_header(tmp_path):
+    spec = SweepSpec(base=ModelParams(L=13, g=0.5, bc="pbc"), quantities=("f_im",))
+    with pytest.raises(ValueError, match="spec.out must be set"):
+        run_sweep_to_file(spec)
+    out = tmp_path / "spectrum.csv"
+    out.write_bytes(b"index,re,im\r\n0,-2.5,0.0\r\n")
+    with pytest.raises(ValueError, match=r"header \['index', 're', 'im'\] is not \['L', 'N', "):
+        run_sweep_to_file(replace(spec, out=str(out)))
+    assert out.read_bytes() == b"index,re,im\r\n0,-2.5,0.0\r\n"
+
+
 @pytest.mark.parametrize("quantities, decompositions, eigenvalue_calls", [
     (("f_im", "ipr_obc", "winding"), 1, 1),      # no vectors at the base bc: eigenvalues only
     (("f_im", "ipr_pbc"), 1, 0),                 # reuses the pbc decomposition

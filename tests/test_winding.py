@@ -278,6 +278,16 @@ def test_hermitian_closed_gap_is_ill_defined():
         winding_result(ModelParams(L=21, g=0.0, W=0.0, bc="pbc"))
 
 
+def test_a_winding_above_the_grid_bound_is_refused_with_it():
+    # no step may exceed pi/2, so n flux points carry at most |nu| = n/4;
+    # this ring winds 16 times around E0 = -4
+    p = ModelParams(L=12, N=6, g=0.5, V=0.5, W=0.0, bc="pbc")
+    with pytest.raises(WindingIllDefinedError, match=r"phase jump 2\.656 exceeds pi/2: .* the 41-point "
+                                                     r"flux grid is too coarse \(it carries at most \|nu\| = 10\.25\)"):
+        winding_result(p, WindingConfig(n_points=41, e0=-4.0))
+    assert winding_result(p, WindingConfig(e0=-4.0)).nu == 16
+
+
 def test_persistent_singularity_raises():
     with pytest.raises(WindingIllDefinedError):
         dense_winding(lambda phi: np.zeros((2, 2), dtype=complex))
