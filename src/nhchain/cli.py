@@ -36,7 +36,7 @@ import numpy as np
 from .dynamics import EvolverConfig, initial_domain_wall, initial_localized, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import BiorthogonalizationError, cdw_order, decompose, eigenvalues, ground_state, ipr
-from .sweep import QUANTITIES, SweepSpec, _effective_bc, _theta0, inclusive_range, run_sweep_to_file
+from .sweep import QUANTITIES, SweepSpec, _theta0, inclusive_range, run_sweep_to_file
 from .winding import WindingConfig, WindingIllDefinedError, winding_result
 
 
@@ -238,18 +238,14 @@ def cmd_ground_state(args) -> int:
 def _sweep(spec: SweepSpec) -> tuple:
     """Job: run the sweep into the file.  Metadata: each quantity with
     the bc it is computed under, the grids, the disorder sampling, and
-    the Krylov settings of a time grid."""
+    the settings the quantities' values depend on (`Quantity.settings`)."""
     base = spec.base
-    meta = {"quantities": {q: _effective_bc(q, base.bc) for q in spec.quantities},
+    meta = {"quantities": {q: QUANTITIES[q].bc or base.bc for q in spec.quantities},
             "L": base.L, "N": base.N, "g_grid": list(spec.g_grid), "v_grid": list(spec.v_grid),
             "w_grid": list(spec.w_grid), "theta0": base.theta0,
             "theta0_samples": spec.theta0_samples}
-    if "winding" in spec.quantities:
-        cfg = WindingConfig()      # the sweep's winding runs with the defaults
-        meta.update(e0=cfg.e0, flux_points=cfg.n_points)
-    if spec.evolver is not None:
-        meta.update(M=spec.evolver.M, dt=spec.evolver.dt, t_max=spec.evolver.t_max,
-                    record_stride=spec.evolver.record_stride)
+    for q in spec.quantities:
+        meta.update(QUANTITIES[q].settings(spec))
     return (lambda path: run_sweep_to_file(replace(spec, out=path))), meta
 
 
@@ -260,24 +256,6 @@ def _wave_packet(params: ModelParams, config: EvolverConfig, j0: int) -> tuple:
 
     meta = {"L": params.L, "g": params.g, "W": params.W, "bc": params.bc, "j0": j0,
             "M": config.M, "dt": config.dt, "t_max": config.t_max}
-    return write, meta
-
-
-def _winding_inset(L: int, N: int) -> tuple:
-    """Job: the winding at base energy -4 on both sides of the CDW onset."""
-    cfg = WindingConfig(e0=-4.0)
-    V_inset = (0.5, 5.0)
-
-    def write(path):
-        rows = []
-        for V in V_inset:
-            res = winding_result(ModelParams(L=L, N=N, g=0.5, V=V, W=0.0, bc="pbc"), cfg=cfg)
-            rows.append((V, cfg.e0, res.nu, res.raw))
-        _write_rows(path, ["V", "e0", "nu", "raw"], rows)
-
-    meta = {"V": list(V_inset), "e0": cfg.e0, "flux_points": cfg.n_points,
-            "note": "base energy -4 sits inside the weak-coupling point-gap "
-                    "loops and below the V=5 spectrum, so nu drops 16 -> 0"}
     return write, meta
 
 
@@ -309,10 +287,13 @@ def _preset_fig2(args) -> tuple:
                                       w_grid=w_grid, quantities=("winding",))),
         ("d", "fig2_d.csv", SweepSpec(base=ModelParams(L=L, N=N, g=0.5, W=0.0, bc="obc"),
                                       v_grid=inclusive_range(0.0, 5.0, 0.25), quantities=("o_dw",))),
+        ("d", "fig2_d_inset.csv", SweepSpec(base=ModelParams(L=L, N=N, g=0.5, W=0.0, bc="pbc"),
+                                            v_grid=(0.5, 5.0), quantities=("winding",), e0=-4.0)),
     ]
-    panels = [(p, name, _sweep(spec)) for p, name, spec in specs]
-    panels.append(("d", "fig2_d_inset.csv", _winding_inset(L, N)))
-    return panels, [f"desk-scale run at L={L}, N={N}; steep CDW rise expected near V=2"]
+    return [(p, name, _sweep(spec)) for p, name, spec in specs], [
+        f"desk-scale run at L={L}, N={N}; steep CDW rise expected near V=2",
+        "the d inset's base energy -4 sits inside the weak-coupling point-gap loops "
+        "and below the V=5 spectrum, so nu drops to 0 (from 16 at L=12)"]
 
 
 def _preset_fig3(args) -> tuple:
@@ -398,9 +379,9 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=_sample_count, default=1)
     # sweeps run in the calling thread; kept for bench/workloads.py, which passes 1
     p.add_argument("--threads", type=int, choices=(1,), default=1)
-    # a phase diagram has no time grid, which s_ee needs
-    p.add_argument("--quantities", default="f_im",
-                   help="comma list of " + ",".join(q for q in QUANTITIES if q != "s_ee"))
+    # a phase diagram has no time grid, so it takes only the quantities that need none
+    p.add_argument("--quantities", default=",".join(SweepSpec.quantities),
+                   help="comma list of " + ",".join(q for q, d in QUANTITIES.items() if not d.needs_time))
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("evolve", help="time evolution with observable recording")

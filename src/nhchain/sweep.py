@@ -10,12 +10,14 @@ just before its rows are written.  Individual point failures
 with the error in the warnings column, and the sweep moves on; nothing
 else goes into that column, and nothing goes to stderr.
 
-Quantities: `QUANTITIES` maps each name to the boundary condition it is
-forced to (`ipr_obc`, `ipr_pbc`, `winding`), or to None where it takes
-the spec's; each row's bc column holds the one it was computed under.
-`density` gives one row per site, named `density:j`, and `s_ee` (the
-half-chain entanglement entropy after a domain-wall quench) one per
-record time t of the spec's `evolver`, named `s_ee:t`.
+Quantities: `QUANTITIES` declares each quantity once: the bc it is forced
+to (None: the spec's, and a row's bc column holds the one used), whether
+it needs N, a time grid or the decomposition, its row names, the spec
+settings its values depend on, and its evaluator; all else reads it.
+`density` has a row `density:j` per site, `s_ee` (the half-chain
+entanglement entropy after a domain-wall quench) a row `s_ee:t` per
+record time t of the spec's `evolver`, and a winding at a nonzero base
+energy e0 the row `winding:e0`.
 
 Rows: `_rows` alone lays out a grid point's rows (each sample's, then
 one `avg` row per name), both those a run writes and, over failed
@@ -26,9 +28,9 @@ Output: `run_sweep_to_file` appends each grid point's rows to the CSV
 as soon as that point finishes, so an interrupted sweep keeps every
 finished point.  Resume skips grid points whose keys are all in the
 file and refuses a file holding a row that this run would not write
-(another L, N, boundary condition, base theta0, sample count or record
-time), rather than mix it with the new rows.  A last row cut off before its line end
-is dropped and its point recomputed.
+(another L, N, bc, base theta0, sample count, record time or winding
+base energy), rather than mix it with the new rows.  A last row cut off
+before its line end is dropped and its point recomputed.
 """
 
 from __future__ import annotations
@@ -42,18 +44,69 @@ from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .dynamics import EvolverConfig, initial_domain_wall, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import cdw_order, decompose, eigenvalues, imag_fraction, ipr_per_state, static_observables
-from .winding import winding_result
+from .winding import WindingConfig, winding_result
 
-# Each quantity and the boundary condition it is computed under (None: the spec's).
-QUANTITIES = {"ipr_obc": "obc", "ipr_pbc": "pbc", "f_im": None, "winding": "pbc",
-              "fock_ipr": None, "o_dw": None, "density": None, "s_ee": None}
+
+@dataclass(frozen=True)
+class Quantity:
+    """A sweep quantity: what it needs, and `evaluate(sample, bc)`, its value at one `_Sample`
+    under that bc.  Evaluators look their solvers up here when called, as wrappers put here
+    (a test's, the benchmark's tracer) must see every call."""
+    bc: Optional[str]                          # the bc it is forced to; None: the spec's
+    evaluate: Callable                         # a value, or a profile with one value per row
+    needs_n: bool = False                      # a particle number N
+    needs_time: bool = False                   # a time grid (the spec's evolver)
+    decomposes: bool = False                   # reads the decomposition at its bc
+    suffixes: Callable = lambda spec: ("",)    # spec -> its row names' endings after its name
+    settings: Callable = lambda spec: {}       # spec -> the settings its values depend on
+
+
+class _Sample:
+    """One (grid point, theta0): its params, the spec and the Fock basis, with the matrix,
+    decomposition and density per bc, the last two made once each."""
+
+    def __init__(self, params: ModelParams, spec: "SweepSpec", basis) -> None:
+        self.params, self.spec, self.basis = params, spec, basis
+        self.decomposed = {QUANTITIES[q].bc or params.bc for q in spec.quantities if QUANTITIES[q].decomposes}
+        # closures over locals, not over self, so that a sample's decompositions go with it
+        build = partial(build_many_body, basis=basis) if params.many_body else build_single_particle
+        matrix = self.matrix = lambda bc: build(replace(params, bc=bc))
+        decomp = self.decomp = cache(lambda bc: decompose(matrix(bc)))
+        self.density = cache(lambda bc: static_observables(decomp(bc), basis))
+
+
+def _mean_ipr(sample: _Sample, bc: str) -> float:   # over the right eigenvectors
+    return float(np.mean(ipr_per_state(sample.decomp(bc))))
+
+
+QUANTITIES = {
+    "ipr_obc": Quantity("obc", _mean_ipr, decomposes=True),
+    "ipr_pbc": Quantity("pbc", _mean_ipr, decomposes=True),
+    # f_im takes its eigenvalues from a decomposition made anyway at its bc
+    "f_im": Quantity(None, lambda s, bc: imag_fraction(s.decomp(bc) if bc in s.decomposed
+                                                         else eigenvalues(s.matrix(bc)))),
+    "winding": Quantity(
+        "pbc", lambda s, bc: float(winding_result(replace(s.params, bc=bc), WindingConfig(e0=s.spec.e0)).nu),
+        suffixes=lambda spec: (f":{_num(spec.e0)}" if spec.e0 else "",),
+        settings=lambda spec: {"e0": spec.e0, "flux_points": WindingConfig.n_points}),
+    "fock_ipr": Quantity(None, _mean_ipr, needs_n=True, decomposes=True),
+    "o_dw": Quantity(None, lambda s, bc: cdw_order(s.density(bc)), needs_n=True, decomposes=True),
+    "density": Quantity(None, lambda s, bc: s.density(bc), decomposes=True,
+                        suffixes=lambda spec: [f":{j}" for j in range(spec.base.L)]),
+    # a run without a time grid lays out no s_ee row, so it refuses a file holding some
+    "s_ee": Quantity(
+        None, lambda s, bc: run(s.params, s.spec.evolver, initial_domain_wall(s.basis), ("s_ee",),
+                                s.basis).blocks["s_ee"][:, 0], needs_n=True, needs_time=True,
+        suffixes=lambda spec: [f":{_num(t)}" for t in spec.evolver.record_grid()[0]] if spec.evolver else [],
+        settings=lambda spec: {k: getattr(spec.evolver, k) for k in ("M", "dt", "t_max", "record_stride")}),
+}
 
 CSV_COLUMNS = ("L", "N", "g", "V", "W", "theta0", "bc", "sample", "quantity", "value", "warnings")
 
@@ -80,6 +133,7 @@ class SweepSpec:
     quantities: Sequence[str] = ("f_im",)
     out: Optional[str] = None
     evolver: Optional[EvolverConfig] = None   # the time grid of s_ee; None for a static sweep
+    e0: float = 0.0                           # the winding's base energy
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "g_grid", tuple(self.g_grid) or (self.base.g,))
@@ -93,11 +147,15 @@ class SweepSpec:
         unknown = set(self.quantities) - set(QUANTITIES)
         if unknown:
             raise ValueError(f"unknown quantities: {sorted(unknown)}")
-        needs_filling = {"fock_ipr", "o_dw", "s_ee"} & set(self.quantities)
-        if needs_filling and not self.base.many_body:
-            raise ValueError(f"{sorted(needs_filling)} require a particle number N")
-        if ("s_ee" in self.quantities) != (self.evolver is not None):
-            raise ValueError("s_ee needs a time grid (evolver), and no other quantity reads one")
+        needs_n = sorted(q for q in self.quantities if QUANTITIES[q].needs_n)
+        if needs_n and not self.base.many_body:
+            raise ValueError(f"{needs_n} require a particle number N")
+        if any(QUANTITIES[q].needs_time for q in self.quantities) != (self.evolver is not None):
+            timed = "/".join(q for q, d in QUANTITIES.items() if d.needs_time)
+            raise ValueError(f"{timed} needs a time grid (evolver), and no other quantity reads one")
+        WindingConfig(e0=self.e0)   # refuses a non-finite e0
+        if self.e0 and "winding" not in self.quantities:
+            raise ValueError(f"e0={self.e0} is the winding's base energy, and no winding is asked for")
         if any(self.v_grid) and not self.base.many_body:
             raise ValueError("a nonzero V in v_grid needs a particle number N: "
                              "one particle has no interaction")
@@ -144,54 +202,13 @@ def _evaluate_sample(params: ModelParams, spec: SweepSpec, basis) -> dict:
     failed value with NaN (one NaN for a whole profile).
     """
     out = {}
-    # f_im takes its eigenvalues from a decomposition made anyway at its bc
-    vector_bcs = {_effective_bc(q, params.bc) for q in spec.quantities if q not in ("f_im", "winding", "s_ee")}
-
-    def matrix(bc):
-        p = replace(params, bc=bc)
-        return build_many_body(p, basis) if p.many_body else build_single_particle(p)
-
-    @cache   # one decomposition and one density per boundary condition
-    def get_decomp(bc):
-        return decompose(matrix(bc))
-
-    @cache
-    def get_density(bc):
-        return static_observables(get_decomp(bc), basis)
-
+    sample = _Sample(params, spec, basis)
     for q in spec.quantities:
-        note = ""
-        bc = _effective_bc(q, params.bc)
         try:
-            if q == "f_im":
-                value = imag_fraction(get_decomp(bc) if bc in vector_bcs else eigenvalues(matrix(bc)))
-            elif q == "winding":
-                value = float(winding_result(replace(params, bc="pbc")).nu)
-            elif q in ("o_dw", "density"):
-                value = cdw_order(get_density(bc)) if q == "o_dw" else get_density(bc)
-            elif q == "s_ee":
-                value = run(params, spec.evolver, initial_domain_wall(basis), (q,), basis).blocks[q][:, 0]
-            else:   # ipr_obc, ipr_pbc, fock_ipr: the mean over the right eigenvectors
-                value = float(np.mean(ipr_per_state(get_decomp(bc))))
+            out[q] = (QUANTITIES[q].evaluate(sample, QUANTITIES[q].bc or params.bc), "")
         except Exception as exc:   # keep sweeping; the row carries the reason
-            note = f"{type(exc).__name__}: {exc}"
-            value = float("nan")
-        out[q] = (value, note)
+            out[q] = (float("nan"), f"{type(exc).__name__}: {exc}")
     return out
-
-
-def _effective_bc(quantity: str, base_bc: str) -> str:
-    """Boundary condition a quantity is actually computed under."""
-    return QUANTITIES.get(quantity) or base_bc
-
-
-def _names(quantity: str, spec: SweepSpec) -> list:
-    """The row names of a quantity: density has one row per site, s_ee one per record time."""
-    if quantity == "s_ee":
-        if spec.evolver is None:   # s_ee rows of a resumed file, in a run without a time grid
-            raise ValueError("s_ee rows need a time grid, and this run has none")
-        return [f"s_ee:{_num(t)}" for t in spec.evolver.record_grid()[0]]
-    return [f"density:{j}" for j in range(spec.base.L)] if quantity == "density" else [quantity]
 
 
 def _rows(spec: SweepSpec, g: float, V: float, W: float, quantities: Sequence[str],
@@ -204,7 +221,8 @@ def _rows(spec: SweepSpec, g: float, V: float, W: float, quantities: Sequence[st
     distinct notes.
     """
     base, S = spec.base, spec.theta0_samples
-    layout = [(q, _effective_bc(q, base.bc), _names(q, spec)) for q in quantities]
+    layout = [(q, QUANTITIES[q].bc or base.bc, [q + end for end in QUANTITIES[q].suffixes(spec)])
+              for q in quantities]
     table = {q: np.empty((S, len(names))) for q, _, names in layout}   # [s, j]: sample s, name j
     for q, s in product(quantities, range(S)):
         table[q][s] = results[s][q][0]   # a failed profile's one NaN fills its row
@@ -241,6 +259,7 @@ def _check_compatible(spec: SweepSpec, rows: Sequence[list], keys_at) -> None:
 
     grid = "" if spec.evolver is None else (f", dt={spec.evolver.dt}, record_stride="
                                             f"{spec.evolver.record_stride}, t_max={spec.evolver.t_max}")
+    grid += f", e0={spec.e0}" if "winding" in spec.quantities else ""
 
     def refuse(row, why):
         fields = ", ".join(f"{c}={v}" for c, v in zip(CSV_COLUMNS, row[:9]))
@@ -255,7 +274,7 @@ def _check_compatible(spec: SweepSpec, rows: Sequence[list], keys_at) -> None:
         quantities = spec.quantities if q in spec.quantities else (q,) if q in QUANTITIES else ()
         try:   # like an unknown quantity, a g, V or W that is no number matches no key
             known = tuple(row[:9]) in keys_at(*row[2:5], quantities)
-        except ValueError:   # so do s_ee rows in a run without a time grid
+        except ValueError:
             known = False
         if not known:
             refuse(row, "is not a row this run writes")

@@ -14,6 +14,7 @@ from nhchain import (
     EvolverConfig,
     ModelParams,
     SweepSpec,
+    WindingConfig,
     WindingIllDefinedError,
     build_fock_basis,
     build_many_body,
@@ -156,6 +157,23 @@ def test_phase_diagram_help_lists_the_quantities_it_accepts(tmp_path, capsys):
     assert cli.main(["phase-diagram", "--L", "8", "--N", "4", "--quantities", "s_ee",
                      "--out", str(out)]) == 1
     assert "s_ee needs a time grid" in capsys.readouterr().err and not out.exists()
+
+
+def test_one_table_entry_is_enough_for_a_new_quantity(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(sweep_mod.QUANTITIES, "toy", sweep_mod.Quantity(None, lambda s, bc: s.params.W ** 2))
+    out = tmp_path / "pd.csv"
+    argv = ["phase-diagram", "--L", "5", "--g", "0.5", "--W", "0:2:1", "--samples", "2",
+            "--quantities", "toy,f_im", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = [r for r in read_csv(str(out)) if r["quantity"] == "toy"]
+    assert [(r["W"], r["sample"], r["bc"], r["value"]) for r in rows] == [
+        (W, s, "obc", v) for W, v in (("0", "0"), ("1", "1"), ("2", "4")) for s in ("0", "1", "avg")]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert "(0 rows written, 18 reused)" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        cli.main(["phase-diagram", "--help"])
+    assert "toy" in re.search(r"comma list of\s+(\S+)", capsys.readouterr().out).group(1).split(",")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -605,9 +623,55 @@ def test_preset_metadata_is_read_off_the_sweeps(tmp_path):
         assert a["quantities"] == {"density": bc}
         assert (a["L"], a["N"], a["g_grid"], a["w_grid"]) == (6, 3, [0.5], [0.5])
     assert files["fig2_d.csv"]["quantities"] == {"o_dw": "obc"}
-    inset = files["fig2_d_inset.csv"]
-    assert set(inset) == {"V", "e0", "flux_points", "note"}
-    assert (inset["V"], inset["e0"], inset["flux_points"]) == ([0.5, 5.0], -4.0, 201)
+    # the inset is a sweep too, of the winding at base energy -4
+    assert files["fig2_d_inset.csv"] == {
+        "quantities": {"winding": "pbc"}, "L": 6, "N": 3, "g_grid": [0.5], "v_grid": [0.5, 5.0],
+        "w_grid": [0.0], "theta0": 0.0, "theta0_samples": 1, "e0": -4.0, "flux_points": 201}
+    assert "the d inset's base energy -4" in meta["notes"][1]
+
+
+def test_preset_fig2_inset_is_a_sweep_that_resumes(tmp_path, monkeypatch, capsys):
+    argv = ["preset", "fig2", "--which", "d", "--L", "6", "--samples", "1", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    inset = tmp_path / "fig2_d_inset.csv"
+    data = inset.read_bytes()
+    rows = read_csv(str(inset))
+    assert [(r["V"], r["sample"], r["quantity"]) for r in rows] == [
+        (V, s, "winding:-4") for V in ("0.5", "5") for s in ("0", "avg")]
+    p = ModelParams(L=6, N=3, g=0.5, V=0.5, W=0.0, bc="pbc")
+    assert rows[0]["value"] == str(winding_result(p, WindingConfig(e0=-4.0)).nu) != "0"
+    assert rows[2]["value"] == "0" and not any(r["warnings"] for r in rows)
+
+    def evaluate(*args):
+        raise AssertionError("a finished inset was evaluated again")
+
+    monkeypatch.setattr(sweep_mod, "_evaluate_sample", evaluate)
+    assert cli.main(argv) == 0
+    assert inset.read_bytes() == data
+    monkeypatch.undo()
+
+    # an inset of the former layout (V, e0, nu, raw) is refused on its header, and kept
+    old = b"V,e0,nu,raw\r\n0.5,-4,1,1\r\n5,-4,0,0\r\n"
+    inset.write_bytes(old)
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "header ['V', 'e0', 'nu', 'raw'] is not ['L', 'N'," in capsys.readouterr().err
+    assert inset.read_bytes() == old
+
+
+def test_preset_fig2_keeps_going_past_an_ill_defined_inset_winding(tmp_path, monkeypatch):
+    def ill_defined(params, cfg=None):
+        raise WindingIllDefinedError(f"E0={cfg.e0} at V={params.V}")
+
+    monkeypatch.setattr(sweep_mod, "winding_result", ill_defined)
+    assert cli.main(["preset", "fig2", "--which", "d", "--L", "6", "--samples", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+    rows = read_csv(str(tmp_path / "fig2_d_inset.csv"))
+    assert [(r["V"], r["value"], r["warnings"]) for r in rows] == [
+        (V, "nan", f"WindingIllDefinedError: E0=-4.0 at V={float(V)}") for V in ("0.5", "0.5", "5", "5")]
+    assert all(r["value"] != "nan" for r in read_csv(str(tmp_path / "fig2_d.csv")))
+    meta = json.loads((tmp_path / "fig2_metadata.json").read_text())
+    assert list(meta["files"]) == ["fig2_d.csv", "fig2_d_inset.csv"]
 
 
 def test_removed_flags_are_rejected(tmp_path):

@@ -1,6 +1,7 @@
 """Parameter sweeps: determinism, resume, and record plumbing."""
 
 import csv
+import re
 import threading
 
 import numpy as np
@@ -11,6 +12,7 @@ from nhchain import (
     EvolverConfig,
     ModelParams,
     SweepSpec,
+    WindingConfig,
     WindingIllDefinedError,
     build_single_particle,
     decompose,
@@ -287,7 +289,7 @@ def test_failed_point_becomes_nan_row_with_warning(tmp_path, monkeypatch):
 
 
 def test_warnings_column_holds_each_samples_own_error(monkeypatch):
-    def ill_defined(params):
+    def ill_defined(params, cfg=None):
         raise WindingIllDefinedError(f"jump at theta0={params.theta0:.6f}")
 
     monkeypatch.setattr(sweep_mod, "winding_result", ill_defined)
@@ -309,10 +311,10 @@ def test_a_run_writes_exactly_the_expected_keys(monkeypatch, quantities):
     # entropy trace, which decomposes nothing, do not
     failing = sweep_mod._theta0(0.0, 1, 2)
 
-    def winding_fails_for_sample_1(params):
+    def winding_fails_for_sample_1(params, cfg=None):
         if params.theta0 == failing:
             raise WindingIllDefinedError("forced failure for test")
-        return winding_result(params)
+        return winding_result(params, cfg)
 
     def pbc_decompose_fails_for_sample_1(H):
         if H.params.theta0 == failing and H.params.bc == "pbc":
@@ -324,6 +326,8 @@ def test_a_run_writes_exactly_the_expected_keys(monkeypatch, quantities):
     spec = SweepSpec(base=ModelParams(L=6, N=3, g=0.5, V=1.0, bc="pbc"), w_grid=(0.5, 1.5),
                      theta0_samples=2, quantities=quantities, evolver=EvolverConfig(dt=0.1, t_max=0.2))
     rows = collect(spec)
+    # sample 0 fails nowhere, so a stub's own error cannot pass for an expected failure
+    assert all(np.isfinite(r.value) and not r.warnings for r in rows if r.sample == "0")
     failed = {r.quantity for r in rows if r.sample == "1" and np.isnan(r.value)}
     assert failed == ({*spec.quantities, *(f"density:{j}" for j in range(6))}
                       - {"density", "ipr_obc", "s_ee"})
@@ -332,6 +336,84 @@ def test_a_run_writes_exactly_the_expected_keys(monkeypatch, quantities):
         keys = [r.key for r in rows if r.W == W]
         assert len(keys) == len(set(keys))
         assert set(keys) == sweep_mod.expected_keys(spec, 0.5, 1.0, W, quantities)
+
+
+# The names the benchmark's tracer wraps in this module's namespace (bench/layers.py),
+# and `run`, which s_ee calls
+TRACED = ("run_sweep_to_file", "write_records_csv", "decompose", "winding_result", "imag_fraction",
+          "ipr_per_state", "static_observables", "build_fock_basis", "build_many_body",
+          "build_single_particle", "run")
+
+# What a sweep of each quantity alone reaches of them, besides the two writers: one
+# particle where the quantity allows, else the Fock sector (whose basis every such sweep builds)
+REACHES = {
+    "ipr_obc": {"build_single_particle", "decompose", "ipr_per_state"},
+    "ipr_pbc": {"build_single_particle", "decompose", "ipr_per_state"},
+    "f_im": {"build_single_particle", "imag_fraction"},
+    "winding": {"winding_result"},
+    "density": {"build_single_particle", "decompose", "static_observables"},
+    "fock_ipr": {"build_fock_basis", "build_many_body", "decompose", "ipr_per_state"},
+    "o_dw": {"build_fock_basis", "build_many_body", "decompose", "static_observables"},
+    "s_ee": {"build_fock_basis", "run"},
+}
+
+
+def test_every_quantity_calls_its_solvers_through_the_module(tmp_path, monkeypatch):
+    # an evaluator that bound a solver at import would bypass a wrapper put here later,
+    # and the benchmark's per-layer metrics would read zero for it
+    called = set()
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED:
+        monkeypatch.setattr(sweep_mod, name, counting(name, getattr(sweep_mod, name)))
+    reached = {}
+    for q, declared in sweep_mod.QUANTITIES.items():
+        called.clear()
+        spec = SweepSpec(base=ModelParams(L=6, N=3 if declared.needs_n else None, g=0.5, W=1.0, bc="pbc"),
+                         quantities=(q,), out=str(tmp_path / f"{q}.csv"),
+                         evolver=EvolverConfig(dt=0.1, t_max=0.2) if declared.needs_time else None)
+        sweep_mod.run_sweep_to_file(spec)
+        assert all(np.isfinite(float(row[9])) for row in read_rows(spec.out))
+        reached[q] = called - {"run_sweep_to_file", "write_records_csv"}
+        assert called >= {"run_sweep_to_file", "write_records_csv"}
+    assert reached == REACHES
+    assert set().union(*REACHES.values()) | {"run_sweep_to_file", "write_records_csv"} == set(TRACED)
+
+
+def test_a_winding_at_another_base_energy_is_named_by_it(tmp_path):
+    out = tmp_path / "sweep.csv"
+    base = ModelParams(L=13, g=0.5, W=1.0, bc="pbc")
+    spec = SweepSpec(base=base, theta0_samples=2, quantities=("winding", "f_im"), out=str(out))
+    inset = replace(spec, e0=-2.5)
+    rows = {(r.sample, r.quantity): r.value for r in collect(inset)}
+    assert {q for _, q in rows} == {"winding:-2.5", "f_im"}
+    nus = [winding_result(replace(base, theta0=sweep_mod._theta0(0.0, s, 2)), WindingConfig(e0=-2.5)).nu
+           for s in range(2)]
+    assert [rows[str(s), "winding:-2.5"] for s in range(2)] == nus
+    assert nus != [winding_result(replace(base, theta0=sweep_mod._theta0(0.0, s, 2))).nu for s in range(2)]
+    # a file of the winding at e0 = 0 holds no row of this run's: refused, and named
+    run_sweep_to_file(spec)
+    before = out.read_bytes()
+    with pytest.raises(ValueError, match=r"quantity=winding\) is not a row this run writes; "
+                                         r".*2 samples, e0=-2\.5$"):
+        run_sweep_to_file(inset)
+    assert out.read_bytes() == before
+    assert run_sweep_to_file(spec) == (0, 6)
+
+
+@pytest.mark.parametrize("quantities, e0, message", [
+    (("f_im",), -4.0, "e0=-4.0 is the winding's base energy, and no winding is asked for"),
+    (("winding",), float("nan"), "e0 must be finite, got nan"),
+    (("winding",), float("-inf"), "e0 must be finite, got -inf"),
+])
+def test_spec_refuses_an_e0_the_sweep_would_not_use(quantities, e0, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepSpec(base=ModelParams(L=13, g=0.5, bc="pbc"), quantities=quantities, e0=e0)
 
 
 @pytest.mark.parametrize("w_grid", [
