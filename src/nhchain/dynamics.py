@@ -219,9 +219,11 @@ def _krylov_substep(op, psi: np.ndarray, M: int, tau: float, dt: float) -> tuple
     The recursion stops at the first m whose estimate at tau is at or
     below KRYLOV_TOL, at the cap M, or at an Arnoldi residual below
     BREAKDOWN_TOL (an invariant subspace, where the propagator is exact).
-    The estimate is taken only once the a-priori proxy prod_k h_{k+1,k}
-    tau / k (the first Taylor term that the m vectors leave out) has
-    fallen to the tolerance, and goes on from any estimate above it.
+    The estimate, which costs one small exponential, is taken only once
+    its leading term has fallen to the tolerance: with T_m = prod_k
+    h_{k+1,k} tau / k (the first Taylor term that the m vectors leave
+    out), that term is T_m m / tau.  After an estimate above the
+    tolerance, T_m is continued from estimate * tau / m.
 
     A basis that reaches M above the tolerance is kept: t shrinks on it
     by `_step_factor`, or halves while the exponential's norm overflows,
@@ -235,7 +237,7 @@ def _krylov_substep(op, psi: np.ndarray, M: int, tau: float, dt: float) -> tuple
     h = np.zeros((M, M), dtype=complex)
     V[:, 0] = psi / np.linalg.norm(psi)
     scratch = np.empty(n, dtype=complex)   # conj(w), then Vj @ coef: only op @ V[:, j] allocates in the loop
-    err = 1.0      # prod_k h_{k+1,k} tau / k, continued from the last estimate taken
+    taylor = 1.0      # T_m of the docstring, continued from the last estimate taken
     for j in range(M):
         w = op @ V[:, j]
         Vj = V[:, :j + 1]
@@ -246,13 +248,14 @@ def _krylov_substep(op, psi: np.ndarray, M: int, tau: float, dt: float) -> tuple
             h[:j + 1, j] += coef
         beta = np.linalg.norm(w)
         m = j + 1
-        err *= beta * tau / m
+        taylor *= beta * tau / m
         last = m == M or beta < BREAKDOWN_TOL
-        if last or err <= KRYLOV_TOL:
+        if last or taylor * m / tau <= KRYLOV_TOL:
             y = _expm_e1(h[:m, :m], tau)
             err = _krylov_error(y, beta)
             if last or err <= KRYLOV_TOL:
                 break
+            taylor = err * tau / m
         h[m, j] = beta
         np.divide(w, beta, out=V[:, m])
     if not np.isfinite(beta):

@@ -24,9 +24,12 @@ matrix M = V^T A^{-1} U, and pulling diag(1, 1/z) out of D(z) gives
     det(I + D(z) M) = z^{-r} * det(I + (z - 1) X),
     X = diag(0, I_r) + diag(a_+ I_r, -a_- I_r) M.
 
-X is reduced once per flux loop to upper Hessenberg form by an
-orthogonal similarity, which leaves every det(I + s X) unchanged and is
-backward stable.  `log_det_phase` then takes all the flux points'
+M is solved for RHS_BLOCK columns of U at a time into X's own
+Fortran-ordered memory, so the LU of A never sits beside the whole
+dim x 2r right-hand side, and the LU is freed before the flux points.
+X is reduced once per flux loop, in place, to upper Hessenberg form by
+an orthogonal similarity, which leaves every det(I + s X) unchanged and
+is backward stable.  `log_det_phase` then takes all the flux points'
 determinants at once by Gaussian elimination with partial pivoting,
 O(r^2) per point, in log form so that no dimension overflows.  Its
 working row is one C-ordered (columns left, shifts) block updated in
@@ -53,6 +56,12 @@ from .model import (FockBasis, ModelParams, build_fock_basis, build_many_body, b
                     wrap_hops)
 
 DET_FLOOR = 1e-300
+
+# Columns of U per solve, so that no dim x 2r right-hand side sits beside
+# the LU.  OpenBLAS takes a solve's columns in groups (12 at dim 924, with
+# 1 thread), and blocks on those group boundaries give the bits of one
+# whole solve; a multiple of 12 and 24 keeps them.
+RHS_BLOCK = 48
 
 
 class WindingIllDefinedError(RuntimeError):
@@ -176,22 +185,24 @@ def _low_rank_phases(params: ModelParams, basis: Optional[FockBasis], e0: comple
     """Phases of det[H(phi) - E0] / det[H(0) - E0] at the fluxes 0 <= phi <= 2*pi."""
     ref = replace(params, phi=0.0)
     H = build_single_particle(ref) if basis is None else build_many_body(ref, basis)
-    A = _shifted(H.dense(), e0)              # real LU and real M when H and E0 are real
-    # A.T is Fortran-ordered, so it is factored in place; trans=1 below
-    # then solves with A itself.
-    lu_piv = _checked_lu(A.T, e0)
+    # A = H(0) - E0 is real when H and E0 are; A.T is Fortran-ordered, so it
+    # is factored in its own memory, and trans=1 below then solves with A itself.
+    lu_piv = _checked_lu(_shifted(H.dense(), e0).T, e0)
 
     # at phi = 0 the amplitudes are the coefficients of z and 1/z
     (rows_p, cols_p, amp_p), (rows_m, cols_m, amp_m) = wrap_hops(ref, basis)
     rows, cols = np.concatenate([rows_p, rows_m]), np.concatenate([cols_p, cols_m])
     k = np.arange(len(rows))
-    U = np.zeros((H.dim, len(rows)), dtype=A.dtype, order="F")
-    U[rows, k] = 1.0
-    M = lu_solve(lu_piv, U, trans=1, overwrite_b=True)[cols]     # V^T A^{-1} U
-    del A, H, lu_piv, U          # free the full-dimension arrays before the flux points
+    # X starts as M = V^T A^{-1} U, solved for RHS_BLOCK columns of U at a time
+    X = np.empty((len(rows), len(rows)), dtype=lu_piv[0].dtype, order="F")
+    for block in np.split(k, range(RHS_BLOCK, len(k), RHS_BLOCK)):
+        U = np.zeros((H.dim, len(block)), dtype=X.dtype, order="F")
+        U[rows[block], block - block[0]] = 1.0
+        X[:, block] = lu_solve(lu_piv, U, trans=1, overwrite_b=True)[cols]
+    del H, lu_piv, U          # free the full-dimension arrays before the flux points
 
     r = len(rows_p)
-    X = np.repeat(np.real([amp_p, -amp_m]), r)[:, None] * M
+    X *= np.repeat(np.real([amp_p, -amp_m]), r)[:, None]      # in M's memory
     X[k[r:], k[r:]] += 1.0
     z = np.exp(1j * np.remainder(phi, 2.0 * np.pi))   # the flux as ModelParams reduces it
     return log_det_phase(scipy.linalg.hessenberg(X, overwrite_a=True), z - 1.0)[1] - r * phi

@@ -234,6 +234,20 @@ def test_arnoldi_step_stops_below_the_cap_with_the_full_step_answer():
     assert np.abs(out - full).max() <= 1e-11
 
 
+def test_a_sub_step_below_the_cap_takes_one_small_exponential(monkeypatch):
+    # the estimate is taken once its leading term prod_k h_{k+1,k} tau/k * m/tau
+    # reaches the tolerance; gated on the Taylor term alone, ~70x smaller,
+    # every step here took a second, failed estimate
+    calls = []
+    monkeypatch.setattr(dynamics, "_expm_e1", lambda *args: calls.append(1) or _expm_e1(*args))
+    for system, dt in ((quench_924, 0.05), (quench_924, 0.25), (open_chain_60, 0.25), (open_chain_60, 0.5)):
+        H, psi = system()
+        op = CountingOperator(H.entries)
+        calls.clear()
+        arnoldi_step(op, psi, 25, dt)
+        assert op.matvecs < 25 and len(calls) == 1, (system.__name__, dt, op.matvecs, len(calls))
+
+
 def test_a_step_that_reaches_the_cap_shortens_on_its_basis():
     # cap 15 is too small for a step of 1.0 on the open g = 1 chain: each
     # basis built is used, its sub-step shortened until the estimate passes

@@ -1,5 +1,5 @@
 """Every module of the package uses what it imports, only `model` imports
-scipy.sparse, every private module-level helper is used somewhere in the
+scipy.sparse, `dynamics` imports no scipy, every private module-level helper is used somewhere in the
 package, and every public name and every optional parameter is used by
 code outside the tests."""
 
@@ -34,20 +34,20 @@ def test_no_unused_imports():
     assert [u for p in modules for u in unused_imports(p)] == []
 
 
-def sparse_users(path: Path) -> list:
-    """The lines of a module that import scipy.sparse, a name from it, or
-    reach it as the attribute scipy.sparse."""
+def module_users(path: Path, module: str) -> list:
+    """The lines of a module that import `module` (or one of its submodules),
+    a name from it, or reach it as an attribute such as scipy.sparse."""
     lines = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:     # not the package's own
             names = [f"{node.module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             names = [f"{node.value.id}.{node.attr}"]
         else:
             continue
-        if any(f"{name}.".startswith("scipy.sparse.") for name in names):
+        if any(f"{name}.".startswith(f"{module}.") for name in names):
             lines.add(node.lineno)
     return [f"{path.name}:{line}" for line in sorted(lines)]
 
@@ -56,8 +56,8 @@ def test_only_model_knows_the_sparse_storage():
     # model decides how a Hamiltonian is stored; every other module reads
     # the entries through HamiltonianMatrix.dense() or .csr()
     others = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "model.py"]
-    assert len(others) >= 6 and sparse_users(PACKAGE / "model.py")
-    assert [u for p in others for u in sparse_users(p)] == []
+    assert len(others) >= 6 and module_users(PACKAGE / "model.py", "scipy.sparse")
+    assert [u for p in others for u in module_users(p, "scipy.sparse")] == []
 
 
 def test_sparse_user_is_caught(tmp_path):
@@ -65,7 +65,21 @@ def test_sparse_user_is_caught(tmp_path):
     module.write_text("import scipy\nimport scipy.sparse.linalg\nfrom scipy import sparse, linalg\n"
                       "from scipy.sparse import csr_matrix\nfrom scipy import sparsetools\n"
                       "from . import sparse_like\n\nx = scipy.sparse.eye(2)\n")
-    assert sparse_users(module) == ["m.py:2", "m.py:3", "m.py:4", "m.py:8"]
+    assert module_users(module, "scipy.sparse") == ["m.py:2", "m.py:3", "m.py:4", "m.py:8"]
+
+
+def test_the_krylov_step_imports_no_scipy():
+    # a BLAS call through scipy's own OpenBLAS pool made a Krylov step 5-18x
+    # slower at default threads (ROADMAP, Parked): dynamics uses numpy alone
+    assert module_users(PACKAGE / "spectral.py", "scipy")
+    assert module_users(PACKAGE / "dynamics.py", "scipy") == []
+
+
+def test_scipy_user_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import scipy_like\nimport scipy.linalg as sl\nfrom scipy import linalg\n"
+                      "from .scipy import x\nimport numpy\n\ny = scipy.linalg.expm(1)\n")
+    assert module_users(module, "scipy") == ["m.py:2", "m.py:3", "m.py:7"]
 
 
 def unused_private_definitions(paths: list) -> list:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 from scipy.optimize import linear_sum_assignment
 
@@ -421,3 +422,60 @@ def test_dense_is_a_new_array():
     C = B.dense()
     assert C.dtype == np.complex128 and not np.shares_memory(C, B.entries)
     assert np.array_equal(C, B.entries)
+
+
+# ------------------------------------------------ one working copy per solve
+
+def whole_array_decompose(H):
+    """(eigenvalues, right, left) of decompose(H) from scipy's whole-array
+    expressions, each of which leaves an n x n copy behind: the reference for
+    the bits and memory layouts of the routes, which build their results from
+    LAPACK's own arrays."""
+    p = H.params
+    if p.g == 0.0:
+        w, v = scipy.linalg.eigh(H.dense())
+        return w.astype(complex), v, v.conj().T
+    if p.bc == "obc":
+        A, S = spectral._gauge_free(H)
+        w, v = scipy.linalg.eigh(A)
+        d = np.exp(-p.g * (S - S.min()))
+        right = d[:, None] * v
+        norms = np.linalg.norm(right, axis=0)
+        return w.astype(complex), right / norms, (v / d[:, None]).T * norms[:, None]
+    w, vl, vr = scipy.linalg.eig(H.dense(), left=True, right=True)
+    order = np.lexsort((w.imag, w.real))
+    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    overlap = np.sum(vl.conj() * vr, axis=0)
+    return w, vr, vl.conj().T / overlap[:, None]
+
+
+@pytest.mark.parametrize("g, bc, phi", [(0.5, "pbc", 0.0), (0.5, "pbc", 0.7), (0.5, "obc", 0.0),
+                                        (0.0, "pbc", 0.0)])
+def test_decompose_keeps_the_bits_and_layouts_of_the_whole_array_solve(g, bc, phi):
+    # the real ring has conjugate pairs; a flux makes the ring complex
+    p = ModelParams(L=8, N=4, g=g, V=2.0, W=0.5, theta0=0.3, bc=bc, phi=phi)
+    H = build_many_body(p, build_fock_basis(8, 4))
+    d = decompose(H)
+    assert (g, bc, phi) != (0.5, "pbc", 0.0) or np.any(d.eigenvalues.imag != 0.0)
+    for got, want in zip((d.eigenvalues, d.right, d.left), whole_array_decompose(H)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
+@pytest.mark.parametrize("bc, spare", [("pbc", np.complex128), ("obc", np.float64)])
+def test_decompose_holds_one_spare_matrix_beside_its_result(bc, spare):
+    # beside its result the general route holds at most one n x n complex
+    # array, the similarity route one real one; the whole-array solve held
+    # 2.6 and 3.1 of them (dim 252)
+    p = ModelParams(L=10, N=5, g=0.5, V=2.0, W=0.5, theta0=0.3, bc=bc)
+    H = build_many_body(p, build_fock_basis(10, 5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = decompose(H)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    result = d.eigenvalues.nbytes + d.right.nbytes + d.left.nbytes
+    assert peak <= result + H.dim**2 * np.dtype(spare).itemsize
