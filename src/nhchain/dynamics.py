@@ -236,7 +236,7 @@ def _krylov_substep(op, psi: np.ndarray, M: int, tau: float, dt: float) -> tuple
     V = np.zeros((n, M), dtype=complex, order="F")   # contiguous Krylov vectors
     h = np.zeros((M, M), dtype=complex)
     V[:, 0] = psi / np.linalg.norm(psi)
-    scratch = np.empty(n, dtype=complex)   # conj(w), then Vj @ coef: only op @ V[:, j] allocates in the loop
+    scratch = np.empty(n, dtype=complex)   # conj(w), then Vj @ coef, then the result: only op @ V[:, j] allocates
     taylor = 1.0      # T_m of the docstring, continued from the last estimate taken
     for j in range(M):
         w = op @ V[:, j]
@@ -269,8 +269,9 @@ def _krylov_substep(op, psi: np.ndarray, M: int, tau: float, dt: float) -> tuple
                 f"(estimate {err:.2e} above KRYLOV_TOL): more than {MAX_SUBSTEPS} of them")
         y = _expm_e1(h[:m, :m], tau)
         err = _krylov_error(y, beta)
-    out = V[:, :m] @ y
-    return out / np.linalg.norm(out), tau, err, m
+    out = np.matmul(V[:, :m], y, out=scratch)
+    out /= np.linalg.norm(out)
+    return out, tau, err, m
 
 
 def _step_factor(err: float, m: int) -> float:
@@ -303,9 +304,9 @@ def arnoldi_step(
         raise ValueError("dt must be >= 0")
     if M < 2:
         raise ValueError("M must be >= 2: at m = 1 the error estimate does not shrink with the step")
-    psi = np.array(psi, dtype=complex, copy=True)
+    psi = np.asarray(psi, dtype=complex)
     if dt == 0:
-        return psi
+        return psi.copy()
     if np.linalg.norm(psi) < 1e-300:
         raise ValueError("zero state")
     left, tau = dt, dt

@@ -24,6 +24,10 @@ Conventions, fixed once here and relied on everywhere else:
   in ascending integer order.  With this ascending Jordan-Wigner
   ordering, bulk nearest-neighbor hops carry no fermionic sign; only the
   periodic wrap hop picks up (-1)^(N-1).
+* A many-body Hamiltonian is written straight into CSR, row by row.  The
+  ascending order is the combinatorial number system (colex order), so a
+  bulk hop shifts a state's index by a binomial coefficient and needs no
+  search (`FockBasis`).
 """
 
 from __future__ import annotations
@@ -98,7 +102,11 @@ class FockBasis:
     """Ordered fixed-N occupation basis.
 
     The index of a word is its position in `states`, found with
-    np.searchsorted(basis.states, word).
+    np.searchsorted(basis.states, word).  Ascending words list the
+    occupied-site sets c_1 < ... < c_N in colex order, so the index is
+    also sum_i C(c_i, i), i = 1 .. N (the combinatorial number system:
+    Knuth, TAOCP 4A, 7.2.1.3).  Hence moving the particle on site j+1 to
+    an empty site j, with k particles below j, lowers the index by C(j, k).
     """
 
     L: int
@@ -111,8 +119,9 @@ class FockBasis:
 
     def occupations(self) -> np.ndarray:
         """(dim, L) 0/1 matrix: row s, column j = occupation of site j."""
-        j = np.arange(self.L)
-        return ((self.states[:, None] >> j[None, :]) & 1).astype(float)
+        # each word's 8 little-endian bytes, unpacked to one bit per site
+        octets = self.states.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)
+        return np.unpackbits(octets, axis=1, count=self.L, bitorder="little").astype(float)
 
     def site_weight(self) -> np.ndarray:
         """Sum of occupied site indices per state (the skin-gauge weight)."""
@@ -215,16 +224,6 @@ def build_fock_basis(L: int, N: int) -> FockBasis:
     return FockBasis(L=L, N=N, states=words[N])
 
 
-def _bond_hops(states: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of source states with site b occupied / site a empty, and
-    the integer words after moving the particle b -> a."""
-    occ_b = (states >> b) & 1
-    occ_a = (states >> a) & 1
-    src = np.nonzero((occ_b == 1) & (occ_a == 0))[0]
-    targets = states[src] - (1 << b) + (1 << a)
-    return src, targets
-
-
 def wrap_hops(params: ModelParams, basis: Optional[FockBasis] = None) -> tuple:
     """The flux-carrying wrap-bond hops (L-1 <-> 0) of the periodic chain.
 
@@ -233,9 +232,9 @@ def wrap_hops(params: ModelParams, basis: Optional[FockBasis] = None) -> tuple:
     the reverse hops L-1 -> 0 with amp = -e^{-g} e^{-i phi}.  Rows and
     cols are basis indices; with `basis` None they are the sites of the
     single-particle chain.  In the Fock basis each direction is a
-    one-to-one map between C(L-2, N-1) states, and amp carries the
-    fermionic sign (-1)^(N-1).  Every other matrix entry is independent
-    of phi.
+    one-to-one map between C(L-2, N-1) states, both index arrays ascend,
+    and amp carries the fermionic sign (-1)^(N-1).  Every other matrix
+    entry is independent of phi.
     """
     L = params.L
     up = -np.exp(params.g) * np.exp(1j * params.phi)
@@ -245,8 +244,8 @@ def wrap_hops(params: ModelParams, basis: Optional[FockBasis] = None) -> tuple:
     else:
         up, down = up * (-1.0) ** (basis.N - 1), down * (-1.0) ** (basis.N - 1)
         # states with a particle on site 0 and none on L-1, and their images
-        first, moved = _bond_hops(basis.states, L - 1, 0)
-        last = np.searchsorted(basis.states, moved)
+        first = np.nonzero((basis.states & (1 | 1 << (L - 1))) == 1)[0]
+        last = np.searchsorted(basis.states, basis.states[first] + ((1 << (L - 1)) - 1))
     return (last, first, up), (first, last, down)
 
 
@@ -258,38 +257,73 @@ def build_many_body(params: ModelParams, basis: FockBasis) -> HamiltonianMatrix:
     across a bond with the single-particle amplitudes.  Bulk hops are
     sign-free in the ascending Jordan-Wigner ordering; the periodic wrap
     hop is multiplied by (-1)^(N-1).  The entries are CSR at every
-    dimension.
+    dimension, written row by row with no intermediate triplets.
+
+    Row t holds its entries in column order:
+      * the wrap hop from below (source t - 2^(L-1) + 1 as words);
+      * the bulk hops from below, bond j = L-2 ... 0, from source t - 2^j
+        (the damped amplitude; t has site j+1 occupied and j empty);
+      * the diagonal, stored even where it is zero;
+      * the bulk hops from above, bond j = 0 ... L-2, from source t + 2^j
+        (the amplified amplitude; t has site j occupied and j+1 empty);
+      * the wrap hop from above.
+    A bulk source's index is t's index -/+ C(j, k), with k the number of
+    t's particles below site j (see `FockBasis`).  On the two-site ring
+    the bulk and wrap bonds join the same two states, and their
+    amplitudes are summed into one entry.
     """
     if params.N != basis.N or params.L != basis.L:
         raise ValueError("basis does not match params (L, N)")
-    L = params.L
-    states = basis.states
+    L, N = params.L, basis.N
     dim = basis.dim
     occ = basis.occupations()
 
     diag = occ @ potential(params)
     for j in range(L - 1):
-        diag = diag + params.V * occ[:, j] * occ[:, j + 1]
+        diag += params.V * occ[:, j] * occ[:, j + 1]
     if params.bc == "pbc":
-        diag = diag + params.V * occ[:, L - 1] * occ[:, 0]
+        diag += params.V * occ[:, L - 1] * occ[:, 0]
+    sites = occ.T.astype(bool, order="C")   # sites[j, t]: is site j of state t occupied
+    del occ
+    below = np.cumsum(sites, axis=0, dtype=np.uint8) - sites     # particles below each site
 
-    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag.astype(complex)]
+    # a row holds its diagonal and one entry per bond whose two sites differ
+    own_wrap = params.bc == "pbc" and L > 2   # the two-site ring's wrap bond is its bulk bond
+    hops = np.count_nonzero(sites[1:] != sites[:-1], axis=0)
+    if own_wrap:
+        hops += sites[0] != sites[L - 1]
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(hops + 1, dtype=np.int32, out=indptr[1:])
+    del hops
+
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=complex)
+    cursor = indptr[:-1].copy()               # each row's next free entry
+    binom = np.array([[comb(j, k) for k in range(N + 1)] for j in range(L)])
+
+    def bulk(j, rows, amp, sign):
+        # the rows' source moves one particle across bond j: index -/+ C(j, particles below j)
+        at = cursor[rows]
+        indices[at] = rows + sign * binom[j, below[j, rows]]
+        data[at] = amp
+        cursor[rows] = at + 1
+
+    if params.bc == "pbc":
+        (rows_p, cols_p, amp_p), (rows_m, cols_m, amp_m) = wrap_hops(params, basis)
+        cursor[rows_p] += own_wrap            # the wrap hop from below comes first
     up, down = -np.exp(params.g), -np.exp(-params.g)
+    for j in range(L - 2, -1, -1):
+        bulk(j, np.flatnonzero(sites[j + 1] > sites[j]), down, -1)
+    indices[cursor] = np.arange(dim)
+    data[cursor] = diag
+    cursor += 1
     for j in range(L - 1):
-        for (a, b), amp in (((j, j + 1), up), ((j + 1, j), down)):
-            # b -> a; the amplified hop `up` moves toward the lower index
-            src, tgt = _bond_hops(states, a, b)
-            rows.append(np.searchsorted(states, tgt))
-            cols.append(src)
-            vals.append(np.full(len(src), amp, dtype=complex))
+        bulk(j, np.flatnonzero(sites[j] > sites[j + 1]), up, 1)
     if params.bc == "pbc":
-        for r, c, amp in wrap_hops(params, basis):
-            rows.append(r)
-            cols.append(c)
-            vals.append(np.full(len(r), amp, dtype=complex))
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    H = sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        # the first entry of each rows_p row and the last of each rows_m row; on
+        # the two-site ring these hold the bulk hops, which the wrap hops add to
+        for at, cols, amp in ((indptr[rows_p], cols_p, amp_p), (indptr[rows_m + 1] - 1, cols_m, amp_m)):
+            indices[at] = cols
+            data[at] = amp if own_wrap else data[at] + amp
+    H = sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
     return HamiltonianMatrix(entries=H, params=params)

@@ -1,7 +1,8 @@
 """Hamiltonian construction: conventions, enumeration, validation."""
 
+import tracemalloc
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -50,6 +51,81 @@ def loop_built_many_body(params, basis):
     return H
 
 
+def coo_built_many_body(params, basis):
+    """The triplet builder the CSR build replaced, kept as its exact
+    reference: the diagonal, then per bond the hops found by masking the
+    words and locating their targets with searchsorted, then the wrap
+    hops, summed into CSR by scipy (which adds the two-site ring's bulk
+    and wrap hops)."""
+    L, states, dim = params.L, basis.states, basis.dim
+    occ = basis.occupations()
+    diag = occ @ potential(params)
+    for j in range(L - 1):
+        diag = diag + params.V * occ[:, j] * occ[:, j + 1]
+    if params.bc == "pbc":
+        diag = diag + params.V * occ[:, L - 1] * occ[:, 0]
+
+    def bond_hops(a, b):       # the source states of the hops b -> a, and their words after it
+        src = np.nonzero((((states >> b) & 1) == 1) & (((states >> a) & 1) == 0))[0]
+        return src, states[src] - (1 << b) + (1 << a)
+
+    rows, cols, vals = [np.arange(dim)], [np.arange(dim)], [diag.astype(complex)]
+    bonds = []
+    for j in range(L - 1):         # b -> a; the amplified hop moves toward the lower index
+        bonds += [((j, j + 1), -np.exp(params.g)), ((j + 1, j), -np.exp(-params.g))]
+    if params.bc == "pbc":
+        sign = (-1.0) ** (basis.N - 1)
+        bonds += [((L - 1, 0), -np.exp(params.g) * np.exp(1j * params.phi) * sign),
+                  ((0, L - 1), -np.exp(-params.g) * np.exp(-1j * params.phi) * sign)]
+    for (a, b), amp in bonds:
+        src, tgt = bond_hops(a, b)
+        rows.append(np.searchsorted(states, tgt))
+        cols.append(src)
+        vals.append(np.full(len(src), amp, dtype=complex))
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+@pytest.mark.parametrize("L, N", [(L, N) for L in range(2, 11) for N in range(1, L)])
+def test_many_body_csr_matches_the_coo_reference(L, N):
+    # the same arrays bit for bit (signed zeros and stored zero diagonals included)
+    basis = build_fock_basis(L, N)
+    settings = [dict(bc="obc")] + [dict(bc="pbc", phi=phi) for phi in (0.0, 1.1)]
+    for setting, V, W in product(settings, (2.0, 0.0, -1.5), (0.7, 0.0)):
+        p = ModelParams(L=L, N=N, g=0.5, V=V, W=W, theta0=0.3, **setting)
+        got, want = build_many_body(p, basis).entries, coo_built_many_body(p, basis)
+        assert got.indptr.dtype == got.indices.dtype == np.int32 and got.data.dtype == np.complex128
+        assert got.has_canonical_format
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data.view(float), want.data.view(float))
+        assert np.array_equal(np.signbit(got.data.view(float)), np.signbit(want.data.view(float)))
+
+
+@pytest.mark.parametrize("L, N, bc", [(3, 1, "obc"), (3, 2, "pbc"), (9, 4, "pbc"), (18, 9, "pbc"),
+                                      (18, 8, "obc"), (40, 3, "pbc"), (63, 62, "obc")])
+def test_many_body_stores_the_diagonal_and_each_hop_once(L, N, bc):
+    # every state, plus both directions of each of the L-1 (+1 wrap) bonds over
+    # the C(L-2, N-1) ways to fill the other sites
+    H = build_many_body(ModelParams(L=L, N=N, g=0.5, W=0.5, bc=bc), build_fock_basis(L, N)).entries
+    assert H.nnz == comb(L, N) + 2 * (L - 1 + (bc == "pbc")) * comb(L - 2, N - 1)
+    if (L, N, bc) == (18, 9, "pbc"):
+        assert H.nnz == 511940
+
+
+@pytest.mark.parametrize("L, N, bc", [(14, 7, "obc"), (16, 8, "pbc")])
+def test_many_body_build_peak_memory(L, N, bc):
+    # the triplet build peaked at 3.7 times the CSR it returned
+    basis = build_fock_basis(L, N)
+    p = ModelParams(L=L, N=N, g=0.5, V=2.0, W=0.5, bc=bc)
+    tracemalloc.start()
+    try:
+        H = build_many_body(p, basis).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
+
+
 def test_fock_enumeration_ascending():
     basis = build_fock_basis(4, 2)
     assert basis.dim == 6
@@ -70,6 +146,8 @@ def test_fock_basis_matches_the_combinations_enumeration(L, N):
     assert states.dtype == np.int64
     assert np.array_equal(states, combinations_basis(L, N))
     assert np.all(np.diff(states) > 0)
+    occupations = build_fock_basis(L, N).occupations()
+    assert np.array_equal(occupations, (states[:, None] >> np.arange(L)) & 1) and occupations.dtype == float
 
 
 def test_potential_profile():
