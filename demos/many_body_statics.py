@@ -22,7 +22,6 @@ import numpy as np
 
 from nhchain import (
     ModelParams,
-    WindingConfig,
     build_fock_basis,
     build_many_body,
     cdw_order,
@@ -71,10 +70,9 @@ def main():
         print(f"  V={V:3.1f}  {row}  {limit}")
 
     print("\nwinding at base energy -4 (inside the weak-coupling loops):")
-    cfg = WindingConfig(e0=-4.0)
     for V in (0.5, 5.0):
         pv = ModelParams(L=L, N=N, g=0.5, V=V, W=0.0, bc="pbc")
-        print(f"  V={V:3.1f}  nu = {winding_result(pv, cfg=cfg).nu}")
+        print(f"  V={V:3.1f}  nu = {winding_result(pv, e0=-4.0).nu}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .spectral import (
     static_observables,
 )
 from .winding import (
-    WindingConfig,
     WindingIllDefinedError,
     WindingResult,
     log_det_phase,

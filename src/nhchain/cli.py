@@ -37,7 +37,7 @@ from .dynamics import EvolverConfig, initial_domain_wall, initial_localized, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import BiorthogonalizationError, cdw_order, decompose, eigenvalues, ground_state, ipr
 from .sweep import QUANTITIES, SweepSpec, _theta0, inclusive_range, run_sweep_to_file
-from .winding import WindingConfig, WindingIllDefinedError, winding_result
+from .winding import WindingIllDefinedError, winding_result
 
 
 class _Parser(argparse.ArgumentParser):
@@ -163,12 +163,11 @@ def cmd_spectrum(args) -> int:
 
 def cmd_winding(args) -> int:
     params = _model_params(args)
-    cfg = WindingConfig(n_points=args.points, e0=args.e0)
     S = args.samples
     rows = []
     for s in range(S):
         p = replace(params, theta0=_theta0(args.theta0, s, S))
-        res = winding_result(p, cfg=cfg)
+        res = winding_result(p, args.e0)
         rows.append((s, p.theta0, res.nu, res.raw))
         if S > 1:
             print(f"sample {s}: theta0={p.theta0:.6f} nu={res.nu} raw={res.raw:.6f}")
@@ -370,7 +369,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("winding", help="spectral winding number")
     _add_model_flags(p, flux=False)
     p.add_argument("--e0", type=complex, default=0.0, help="base energy")
-    p.add_argument("--points", type=int, default=WindingConfig.n_points, help="flux grid points")
     p.add_argument("--samples", type=_sample_count, default=1, help="theta0 samples")
     p.set_defaults(func=cmd_winding, bc="pbc")
 

@@ -34,7 +34,10 @@ off the real axis (|Im| < COLLISION_GAP / 2) is refused.  At dim 924
 
 Each solve works in one copy of its matrix, the one dense() has just
 made.  The symmetric solves hand LAPACK its transpose, which is the
-same matrix in Fortran order, to overwrite.  The general route calls
+same matrix in Fortran order, to overwrite; for a complex Hermitian
+matrix that is its conjugate, with the same eigenvalues and conjugate
+eigenvectors, and the Hermitian route writes right, their conjugate,
+into the overwritten matrix's memory.  The general route calls
 geev with the optimal workspace from geev_lwork, as scipy.linalg.eig
 does (the workspace size sets LAPACK's blocking); scipy copies the
 C-ordered matrix to Fortran order for it, and the route frees its copy
@@ -95,16 +98,12 @@ class SpectralDecomposition:
 
 
 def _decompose_hermitian(H: np.ndarray) -> SpectralDecomposition:
-    w, v = scipy.linalg.eigh(_fortran(H), overwrite_a=True)
-    return SpectralDecomposition(
-        eigenvalues=w.astype(complex), right=v, left=v.conj().T
-    )
-
-
-def _fortran(H: np.ndarray) -> np.ndarray:
-    """A C-ordered Hermitian H for LAPACK to overwrite: a real H is its own
-    transpose, which is Fortran-ordered; a complex one scipy copies."""
-    return H.T if np.isrealobj(H) else H
+    # H.T is conj(H) (H itself when real), with H's eigenvalues and conjugate
+    # vectors v: so left is v.T, and right = conj(v) goes into H's memory,
+    # which eigh has overwritten
+    w, v = scipy.linalg.eigh(H.T, overwrite_a=True)
+    right = np.conjugate(v, out=H.T)
+    return SpectralDecomposition(eigenvalues=w.astype(complex), right=right, left=v.T)
 
 
 def _decompose_similarity(H: HamiltonianMatrix) -> SpectralDecomposition:
@@ -260,7 +259,7 @@ def eigenvalues(H: HamiltonianMatrix) -> np.ndarray:
     """
     p = H.params
     if p.g == 0.0:
-        return scipy.linalg.eigvalsh(_fortran(H.dense()), overwrite_a=True).astype(complex)
+        return scipy.linalg.eigvalsh(H.dense().T, overwrite_a=True).astype(complex)
     if p.bc == "obc":
         return scipy.linalg.eigvalsh(_gauge_free(H)[0].T, overwrite_a=True).astype(complex)
     w = scipy.linalg.eigvals(H.dense(), overwrite_a=True)

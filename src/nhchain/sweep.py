@@ -51,7 +51,7 @@ import numpy as np
 from .dynamics import EvolverConfig, initial_domain_wall, run
 from .model import ModelParams, build_fock_basis, build_many_body, build_single_particle
 from .spectral import cdw_order, decompose, eigenvalues, imag_fraction, ipr_per_state, static_observables
-from .winding import WindingConfig, winding_result
+from .winding import FLUX_POINTS, winding_result
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,9 @@ QUANTITIES = {
     "f_im": Quantity(None, lambda s, bc: imag_fraction(s.decomp(bc) if bc in s.decomposed
                                                          else eigenvalues(s.matrix(bc)))),
     "winding": Quantity(
-        "pbc", lambda s, bc: float(winding_result(replace(s.params, bc=bc), WindingConfig(e0=s.spec.e0)).nu),
+        "pbc", lambda s, bc: float(winding_result(replace(s.params, bc=bc), s.spec.e0).nu),
         suffixes=lambda spec: (f":{_num(spec.e0)}" if spec.e0 else "",),
-        settings=lambda spec: {"e0": spec.e0, "flux_points": WindingConfig.n_points}),
+        settings=lambda spec: {"e0": spec.e0, "flux_points": FLUX_POINTS}),
     "fock_ipr": Quantity(None, _mean_ipr, needs_n=True, decomposes=True),
     "o_dw": Quantity(None, lambda s, bc: cdw_order(s.density(bc)), needs_n=True, decomposes=True),
     "density": Quantity(None, lambda s, bc: s.density(bc), decomposes=True,
@@ -153,7 +153,10 @@ class SweepSpec:
         if any(QUANTITIES[q].needs_time for q in self.quantities) != (self.evolver is not None):
             timed = "/".join(q for q, d in QUANTITIES.items() if d.needs_time)
             raise ValueError(f"{timed} needs a time grid (evolver), and no other quantity reads one")
-        WindingConfig(e0=self.e0)   # refuses a non-finite e0
+        if np.iscomplexobj(self.e0):
+            raise ValueError(f"e0 must be real (a row names it as a real number), got {self.e0}")
+        if not np.isfinite(self.e0):
+            raise ValueError(f"e0 must be finite, got {self.e0}")
         if self.e0 and "winding" not in self.quantities:
             raise ValueError(f"e0={self.e0} is the winding's base energy, and no winding is asked for")
         if any(self.v_grid) and not self.base.many_body:

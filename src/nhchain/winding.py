@@ -1,12 +1,16 @@
-"""Spectral winding number over a discretized flux loop.
+"""Spectral winding number over a flux loop that follows the phase.
 
 The winding number counts how often det[H(phi) - E0] encircles zero as
 the boundary twist runs through 2*pi; it exists only when E0 lies in a
-point gap.  The phase differences between consecutive points of the
-grid phi_k = 2*pi*k/n are unwrapped into (-pi, pi].
-WindingIllDefinedError reports a step above pi/2 (an eigenvalue crossed
-E0, or the grid is too coarse to follow the phase) and a determinant
-that underflows, at phi = 0 or at any other flux point.
+point gap.  The loop starts as the grid phi_k = 2*pi*k/FLUX_POINTS, and
+the phase differences between consecutive points are unwrapped into
+(-pi, pi].  Every step above pi/2 is bisected, up to REFINE_LEVELS
+times, so the grid is as fine as the phase needs and a winding accepted
+on the base grid keeps its points.  WindingIllDefinedError reports a
+step still above pi/2 after that (an eigenvalue crosses E0: on a
+Hermitian ring det is real and each sign change is a pi step at any
+spacing) and a determinant that underflows, at phi = 0 or at any other
+flux point.
 
 `winding_result` factors one matrix per flux loop by LU.  Only the wrap
 bond carries the flux (`model.wrap_hops`), so with z = e^{i phi},
@@ -30,7 +34,8 @@ dim x 2r right-hand side, and the LU is freed before the flux points.
 X is reduced once per flux loop, in place, to upper Hessenberg form by
 an orthogonal similarity, which leaves every det(I + s X) unchanged and
 is backward stable.  `log_det_phase` then takes all the flux points'
-determinants at once by Gaussian elimination with partial pivoting,
+determinants at once (and each bisection level's midpoints, on the same
+X) by Gaussian elimination with partial pivoting,
 O(r^2) per point, in log form so that no dimension overflows.  Its
 working row is one C-ordered (columns left, shifts) block updated in
 place, because strided slices and a fresh temporary per column cost
@@ -39,14 +44,15 @@ phase exactly, and the phase of det A cancels in the step differences.
 With real E0, A is real: it is factored in real arithmetic and M and X
 are real.  H(-phi) is then the conjugate of H(phi), so det at
 2*pi - phi is the conjugate of det at phi and only the half loop
-0 <= phi <= pi is evaluated; grid point n - k takes the negated phase
-of point k.  A complex E0 evaluates every point.
+0 <= phi <= pi is evaluated and refined; the point at 2*pi - phi takes
+the negated phase, and the step across pi is bisected at pi itself, its
+own mirror.  A complex E0 evaluates and refines the whole loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -63,21 +69,15 @@ DET_FLOOR = 1e-300
 # whole solve; a multiple of 12 and 24 keeps them.
 RHS_BLOCK = 48
 
+# The base flux grid phi_k = 2*pi*k/FLUX_POINTS (odd: its half loop stops short
+# of pi), and how often a step above pi/2 is bisected before it is refused.
+FLUX_POINTS = 201
+REFINE_LEVELS = 10
+
 
 class WindingIllDefinedError(RuntimeError):
-    """E0 lies on the spectral curve: a phase jump, or det[H(phi) - E0] underflowed."""
-
-
-@dataclass(frozen=True)
-class WindingConfig:
-    n_points: int = 201
-    e0: complex = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n_points < 3:
-            raise ValueError(f"n_points must be >= 3, got {self.n_points}")
-        if not np.isfinite(self.e0):
-            raise ValueError(f"e0 must be finite, got {self.e0}")
+    """E0 lies on the spectral curve: a phase jump that bisection does not shrink, or
+    det[H(phi) - E0] underflowed."""
 
 
 @dataclass
@@ -167,22 +167,19 @@ def log_det_phase(hess: np.ndarray, shifts: np.ndarray) -> tuple:
 
 
 def _from_phases(phases: np.ndarray) -> WindingResult:
-    """The winding from the unwrapped flux steps; a step above pi/2 makes it ill-defined.
-
-    So n steps carry at most |nu| = n/4: a larger winding needs more points."""
+    """The winding from the unwrapped flux steps; a step above pi/2 makes it ill-defined."""
     steps = _principal(np.diff(phases))
     jump = np.abs(steps).max()
     if jump > np.pi / 2:
         raise WindingIllDefinedError(
-            f"flux step phase jump {jump:.3f} exceeds pi/2: E0 lies on the spectral curve or the "
-            f"{len(steps)}-point flux grid is too coarse (it carries at most |nu| = {len(steps) / 4:g})")
+            f"flux step phase jump {jump:.3f} exceeds pi/2 on a {len(steps)}-step loop: "
+            "an eigenvalue crosses E0, so E0 lies on the spectral curve")
     raw = float(steps.sum() / (2.0 * np.pi))
     return WindingResult(nu=int(np.rint(raw)), raw=raw, steps=steps)
 
 
-def _low_rank_phases(params: ModelParams, basis: Optional[FockBasis], e0: complex,
-                     phi: np.ndarray) -> np.ndarray:
-    """Phases of det[H(phi) - E0] / det[H(0) - E0] at the fluxes 0 <= phi <= 2*pi."""
+def _flux_phases(params: ModelParams, basis: Optional[FockBasis], e0: complex) -> Callable:
+    """Reduces X once; returns phi -> phases of det[H(phi) - E0] / det[H(0) - E0], 0 <= phi <= 2*pi."""
     ref = replace(params, phi=0.0)
     H = build_single_particle(ref) if basis is None else build_many_body(ref, basis)
     # A = H(0) - E0 is real when H and E0 are; A.T is Fortran-ordered, so it
@@ -204,29 +201,46 @@ def _low_rank_phases(params: ModelParams, basis: Optional[FockBasis], e0: comple
     r = len(rows_p)
     X *= np.repeat(np.real([amp_p, -amp_m]), r)[:, None]      # in M's memory
     X[k[r:], k[r:]] += 1.0
-    z = np.exp(1j * np.remainder(phi, 2.0 * np.pi))   # the flux as ModelParams reduces it
-    return log_det_phase(scipy.linalg.hessenberg(X, overwrite_a=True), z - 1.0)[1] - r * phi
+    hess = scipy.linalg.hessenberg(X, overwrite_a=True)
+
+    def phases(phi: np.ndarray) -> np.ndarray:
+        z = np.exp(1j * np.remainder(phi, 2.0 * np.pi))   # the flux as ModelParams reduces it
+        return log_det_phase(hess, z - 1.0)[1] - r * phi
+
+    return phases
 
 
-def winding_result(params: ModelParams, cfg: Optional[WindingConfig] = None) -> WindingResult:
-    """Integer winding number of the model at base energy cfg.e0, with diagnostics.
+def _refined(phases_at: Callable, phi: np.ndarray, mirrored: bool) -> np.ndarray:
+    """The phases around the loop through phi, each step above pi/2 bisected up to REFINE_LEVELS times.
+
+    A mirrored loop is evaluated on its half 0 <= phi <= pi only, and the far half
+    takes the phase -p at 2*pi - phi; the step across pi is bisected at pi, its own mirror."""
+    phases = phases_at(phi)
+    for level in range(REFINE_LEVELS + 1):
+        crossing = bool(mirrored and phi[-1] != np.pi)     # the half's last step runs to its mirror
+        loop = np.concatenate([phases, -phases[::-1][1 - crossing:]]) if mirrored else phases
+        big = np.flatnonzero(np.abs(_principal(np.diff(loop[:len(phi) + crossing]))) > np.pi / 2)
+        if not big.size or level == REFINE_LEVELS:
+            return loop
+        mid = np.array([(phi[k] + phi[k + 1]) / 2 if k + 1 < len(phi) else np.pi for k in big])
+        phi, phases = np.insert(phi, big + 1, mid), np.insert(phases, big + 1, phases_at(mid))
+
+
+def winding_result(params: ModelParams, e0: complex = 0.0) -> WindingResult:
+    """Integer winding number of the model at base energy e0, with diagnostics.
 
     The sector follows params.N: one particle when it is None, the
-    N-particle Fock space otherwise.  Factors H(0) - E0 once and takes
-    every flux point's determinant phase from the low-rank wrap-bond
-    update (module docstring); `_from_phases` checks the phase jumps.
+    N-particle Fock space otherwise.  Factors H(0) - E0 once, takes the
+    phases on the base grid from the low-rank wrap-bond update (module
+    docstring) and bisects every step above pi/2 (`_refined`);
+    `_from_phases` refuses a step still above it.
     """
     if params.bc != "pbc":
         raise ValueError("winding requires periodic boundaries")
+    if not np.isfinite(e0):
+        raise ValueError(f"e0 must be finite, got {e0}")
     basis = build_fock_basis(params.L, params.N) if params.many_body else None
-    cfg = cfg or WindingConfig()
-    n = cfg.n_points
-    phi = 2.0 * np.pi * np.arange(n + 1) / n
-    if np.imag(cfg.e0) != 0.0:
-        return _from_phases(_low_rank_phases(params, basis, cfg.e0, phi))
-    # H(0) - E0 is real, so the phase at 2*pi - phi is minus that at phi
-    half = _low_rank_phases(params, basis, cfg.e0, phi[:n // 2 + 1])
-    phases = np.empty(n + 1)
-    phases[:n // 2 + 1] = half
-    phases[n - np.arange(n // 2 + 1)] = -half
-    return _from_phases(phases)
+    # with a real E0, H(0) - E0 is real: the phase at 2*pi - phi is minus that at phi
+    mirrored = bool(np.imag(e0) == 0.0)
+    phi = 2.0 * np.pi * np.arange((FLUX_POINTS // 2 if mirrored else FLUX_POINTS) + 1) / FLUX_POINTS
+    return _from_phases(_refined(_flux_phases(params, basis, e0), phi, mirrored))

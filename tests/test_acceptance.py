@@ -24,7 +24,6 @@ import numpy as np
 from nhchain import (
     EvolverConfig,
     ModelParams,
-    WindingConfig,
     arnoldi_step,
     build_fock_basis,
     build_many_body,
@@ -241,11 +240,11 @@ def test_08_cdw_onset_and_winding_drop(acceptance):
     ordered = bool(np.all(o4 > o_inf))
     gapless = bool(np.all(np.diff(o1) < 0.0)) and abs(decay - k) < k / 3.0
 
-    cfg = WindingConfig(e0=-4.0)   # inside the weak-coupling point-gap loops
+    e0 = -4.0   # inside the weak-coupling point-gap loops
     nus = {}
     for V in (0.5, 5.0):
         p = ModelParams(L=12, N=6, g=0.5, V=V, W=0.0, bc="pbc")
-        nus[V] = winding_result(p, cfg=cfg).nu
+        nus[V] = winding_result(p, e0).nu
     ok = ordered and gapless and nus[0.5] != 0 and nus[5.0] == 0
 
     def fmt(o):

@@ -14,7 +14,6 @@ from nhchain import (
     EvolverConfig,
     ModelParams,
     SweepSpec,
-    WindingConfig,
     WindingIllDefinedError,
     build_fock_basis,
     build_many_body,
@@ -71,11 +70,13 @@ def test_winding_prints_integer(capsys):
 
 
 def test_winding_of_a_closed_gap_is_a_numerical_failure(capsys):
-    # g = 0: the real spectrum crosses E0 = 0 as the flux runs round, so no winding exists
+    # g = 0: the real spectrum crosses E0 = 0 as the flux runs round, so no winding
+    # exists; bisecting the crossing steps does not shrink them
     assert cli.main(["winding", "--L", "21", "--g", "0", "--W", "0"]) == 2
     out, err = capsys.readouterr()
     assert "nu =" not in out
-    assert err.startswith("numerical failure: ") and "phase jump 3.142" in err
+    assert err.startswith("numerical failure: flux step phase jump ")
+    assert "exceeds pi/2 on a 221-step loop" in err and "E0 lies on the spectral curve" in err
 
 
 def test_an_open_chain_whose_similarity_overflows_is_refused(tmp_path, capsys):
@@ -194,6 +195,16 @@ def test_non_finite_numbers_are_an_error_line(tmp_path, capsys, argv, message):
     assert cli.main(argv + ["--out", str(out)]) == 1
     stdout, stderr = capsys.readouterr()
     assert stderr.startswith("error: ") and message in stderr and stdout == ""
+    assert not out.exists()
+
+
+def test_winding_takes_no_grid_size(tmp_path, capsys):
+    # the flux grid follows the phase (the winding bisects its own steps): no --points
+    out = tmp_path / "out.csv"
+    assert cli.main(["winding", "--L", "13", "--g", "0.5", "--W", "1", "--points", "401",
+                     "--out", str(out)]) == 1
+    stdout, stderr = capsys.readouterr()
+    assert "unrecognized arguments: --points 401" in stderr and stdout == ""
     assert not out.exists()
 
 
@@ -639,7 +650,7 @@ def test_preset_fig2_inset_is_a_sweep_that_resumes(tmp_path, monkeypatch, capsys
     assert [(r["V"], r["sample"], r["quantity"]) for r in rows] == [
         (V, s, "winding:-4") for V in ("0.5", "5") for s in ("0", "avg")]
     p = ModelParams(L=6, N=3, g=0.5, V=0.5, W=0.0, bc="pbc")
-    assert rows[0]["value"] == str(winding_result(p, WindingConfig(e0=-4.0)).nu) != "0"
+    assert rows[0]["value"] == str(winding_result(p, e0=-4.0).nu) != "0"
     assert rows[2]["value"] == "0" and not any(r["warnings"] for r in rows)
 
     def evaluate(*args):
@@ -660,8 +671,8 @@ def test_preset_fig2_inset_is_a_sweep_that_resumes(tmp_path, monkeypatch, capsys
 
 
 def test_preset_fig2_keeps_going_past_an_ill_defined_inset_winding(tmp_path, monkeypatch):
-    def ill_defined(params, cfg=None):
-        raise WindingIllDefinedError(f"E0={cfg.e0} at V={params.V}")
+    def ill_defined(params, e0=0.0):
+        raise WindingIllDefinedError(f"E0={e0} at V={params.V}")
 
     monkeypatch.setattr(sweep_mod, "winding_result", ill_defined)
     assert cli.main(["preset", "fig2", "--which", "d", "--L", "6", "--samples", "1",

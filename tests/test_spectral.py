@@ -479,3 +479,34 @@ def test_decompose_holds_one_spare_matrix_beside_its_result(bc, spare):
         tracemalloc.stop()
     result = d.eigenvalues.nbytes + d.right.nbytes + d.left.nbytes
     assert peak <= result + H.dim**2 * np.dtype(spare).itemsize
+
+
+@pytest.mark.parametrize("L, N", [(13, None), (8, 4), (10, 5)])
+@pytest.mark.parametrize("phi", [0.0, 0.3, -2.2])
+def test_hermitian_route_is_eigh_of_the_matrix_bit_for_bit(L, N, phi):
+    # the route solves H.T, which is conj(H) for a complex H, and conjugates
+    # the vectors back: the bits of scipy's eigh and eigvalsh of H itself
+    p = ModelParams(L=L, N=N, g=0.0, V=1.5 if N else 0.0, W=0.7, theta0=0.4, bc="pbc", phi=phi)
+    H = build_many_body(p, build_fock_basis(L, N)) if N else build_single_particle(p)
+    w, v = scipy.linalg.eigh(H.dense())
+    d = decompose(H)
+    assert np.array_equal(d.eigenvalues, w.astype(complex))
+    assert np.array_equal(d.right, v) and np.array_equal(d.left, v.conj().T)
+    assert d.right.flags.f_contiguous and d.left.flags.c_contiguous
+    assert np.array_equal(eigenvalues(H), scipy.linalg.eigvalsh(H.dense()).astype(complex))
+
+
+def test_hermitian_route_holds_no_spare_matrix_beside_its_result():
+    # right takes the memory of the matrix eigh overwrote, and left is a view
+    # of LAPACK's vectors; handing eigh the complex H held one more n x n copy
+    p = ModelParams(L=10, N=5, g=0.0, V=2.0, W=0.5, theta0=0.3, bc="pbc", phi=0.3)
+    H = build_many_body(p, build_fock_basis(10, 5))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = decompose(H)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert d.right.dtype == np.complex128
+    assert peak <= d.eigenvalues.nbytes + 2 * d.right.nbytes + H.dim**2 * 16 / 4

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import nhchain.sweep as sweep_mod
+import nhchain.winding as winding_mod
 from nhchain import (
     EvolverConfig,
     ModelParams,
     SweepSpec,
-    WindingConfig,
     WindingIllDefinedError,
     build_single_particle,
     decompose,
@@ -289,7 +289,7 @@ def test_failed_point_becomes_nan_row_with_warning(tmp_path, monkeypatch):
 
 
 def test_warnings_column_holds_each_samples_own_error(monkeypatch):
-    def ill_defined(params, cfg=None):
+    def ill_defined(params, e0=0.0):
         raise WindingIllDefinedError(f"jump at theta0={params.theta0:.6f}")
 
     monkeypatch.setattr(sweep_mod, "winding_result", ill_defined)
@@ -392,7 +392,7 @@ def test_a_winding_at_another_base_energy_is_named_by_it(tmp_path):
     inset = replace(spec, e0=-2.5)
     rows = {(r.sample, r.quantity): r.value for r in collect(inset)}
     assert {q for _, q in rows} == {"winding:-2.5", "f_im"}
-    nus = [winding_result(replace(base, theta0=sweep_mod._theta0(0.0, s, 2)), WindingConfig(e0=-2.5)).nu
+    nus = [winding_result(replace(base, theta0=sweep_mod._theta0(0.0, s, 2)), e0=-2.5).nu
            for s in range(2)]
     assert [rows[str(s), "winding:-2.5"] for s in range(2)] == nus
     assert nus != [winding_result(replace(base, theta0=sweep_mod._theta0(0.0, s, 2))).nu for s in range(2)]
@@ -406,10 +406,22 @@ def test_a_winding_at_another_base_energy_is_named_by_it(tmp_path):
     assert run_sweep_to_file(spec) == (0, 6)
 
 
+def test_a_sweep_winding_beyond_the_base_grid_is_a_number(tmp_path, monkeypatch):
+    # this ring winds 16 times around E0 = -4, more than a 41-point base grid
+    # carries (41/4): the winding bisects its steps, and the row holds 16
+    monkeypatch.setattr(winding_mod, "FLUX_POINTS", 41)
+    base = ModelParams(L=12, N=6, g=0.5, V=0.5, W=0.0, bc="pbc")
+    out = tmp_path / "inset.csv"
+    run_sweep_to_file(SweepSpec(base=base, quantities=("winding",), e0=-4.0, out=str(out)))
+    assert [row[8:] for row in read_rows(out)] == [["winding:-4", "16", ""], ["winding:-4", "16", ""]]
+
+
 @pytest.mark.parametrize("quantities, e0, message", [
     (("f_im",), -4.0, "e0=-4.0 is the winding's base energy, and no winding is asked for"),
     (("winding",), float("nan"), "e0 must be finite, got nan"),
     (("winding",), float("-inf"), "e0 must be finite, got -inf"),
+    (("winding",), 1j, "e0 must be real (a row names it as a real number), got 1j"),
+    (("winding",), np.complex128(-4.0), "e0 must be real (a row names it as a real number), got (-4+0j)"),
 ])
 def test_spec_refuses_an_e0_the_sweep_would_not_use(quantities, e0, message):
     with pytest.raises(ValueError, match=re.escape(message)):

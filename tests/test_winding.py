@@ -1,5 +1,6 @@
 """Point-gap winding numbers from flux-loop determinant phases."""
 
+import functools
 import tracemalloc
 from dataclasses import replace
 from math import comb
@@ -12,7 +13,6 @@ import nhchain.winding as winding_mod
 
 from nhchain import (
     ModelParams,
-    WindingConfig,
     WindingIllDefinedError,
     build_fock_basis,
     build_many_body,
@@ -22,15 +22,14 @@ from nhchain import (
 )
 
 
-def dense_winding(builder, cfg=None):
+def dense_winding(builder, e0=0.0, n=201):
     """Reference winding: one dense determinant of H(phi) - E0 per point
-    of the flux grid phi_k = 2*pi*k/n, for a map phi -> dense matrix,
+    of the fixed flux grid phi_k = 2*pi*k/n, for a map phi -> dense matrix,
     through the package's phase-jump check (`_from_phases`)."""
-    cfg = cfg or WindingConfig()
     phases = []
-    for phi in 2.0 * np.pi * np.arange(cfg.n_points + 1) / cfg.n_points:
+    for phi in 2.0 * np.pi * np.arange(n + 1) / n:
         H = builder(phi)
-        sign, logabs = np.linalg.slogdet(H - cfg.e0 * np.eye(len(H)))
+        sign, logabs = np.linalg.slogdet(H - e0 * np.eye(len(H)))
         if not logabs >= np.log(winding_mod.DET_FLOOR):
             raise WindingIllDefinedError(f"determinant underflow at phi={phi}")
         phases.append(np.angle(sign))
@@ -154,24 +153,66 @@ def _outcome(compute):
     return None, res.nu, res.raw
 
 
-def test_low_rank_winding_matches_flux_grid():
-    mismatches = []
+def _small_cases():
     for case in SMALL_CASES:
         case = dict(case)
         e0 = case.pop("e0")
-        p = ModelParams(theta0=0.4, bc="pbc", **case)
-        cfg = WindingConfig(e0=e0)
+        yield case, e0, ModelParams(theta0=0.4, bc="pbc", **case)
+
+
+@functools.cache
+def _dense_outcomes():
+    """dense_winding's outcome on the 201-point grid per SMALL_CASES entry, computed once."""
+    outcomes = []
+    for _, e0, p in _small_cases():
         if p.many_body:
             basis = build_fock_basis(p.L, p.N)
             builder = lambda phi: build_many_body(replace(p, phi=phi), basis).dense()
         else:
             builder = lambda phi: build_single_particle(replace(p, phi=phi)).dense()
-        fast = _outcome(lambda: winding_result(p, cfg))
-        grid = _outcome(lambda: dense_winding(builder, cfg))
-        same = fast[:2] == grid[:2] and (fast[2] is None or abs(fast[2] - grid[2]) <= 1e-9)
-        if not same:
-            mismatches.append((case, e0, fast, grid))
+        outcomes.append(_outcome(lambda: dense_winding(builder, e0)))
+    return outcomes
+
+
+def _small_case_outcomes():
+    """(case, e0, winding_result's outcome, dense_winding's) per SMALL_CASES entry."""
+    for (case, e0, p), grid in zip(_small_cases(), _dense_outcomes()):
+        yield case, e0, _outcome(lambda: winding_result(p, e0)), grid
+
+
+def _agree(fast, grid):
+    return fast[:2] == grid[:2] and (fast[2] is None or abs(fast[2] - grid[2]) <= 1e-9)
+
+
+def test_low_rank_winding_matches_flux_grid():
+    mismatches = [outcome for outcome in _small_case_outcomes() if not _agree(*outcome[2:])]
     assert mismatches == []
+
+
+def test_a_tiny_base_grid_refines_to_the_dense_winding(monkeypatch):
+    # 9 base points carry at most |nu| = 2.25 without bisection; these chains
+    # wind up to 6 times.  Bisection supplies the rest, on the half loop
+    # (through the midpoint pi) for a real E0, on the whole loop for a complex
+    # one, and refusals stay refusals.  It cannot see a base step whose phase
+    # turns by more than 3*pi/2, which wraps round to a small one: so the base
+    # must keep |nu| well below 3n/4 (at 5 points, three of these chains alias)
+    monkeypatch.setattr(winding_mod, "FLUX_POINTS", 9)
+    half_loop_shifts = []
+    original = winding_mod.log_det_phase
+
+    def recording(hess, shifts):
+        if np.isrealobj(hess):          # a real E0 gives a real X
+            half_loop_shifts.append(shifts)
+        return original(hess, shifts)
+
+    monkeypatch.setattr(winding_mod, "log_det_phase", recording)
+    mismatches, refined = [], {True: 0, False: 0}
+    for case, e0, fast, grid in _small_case_outcomes():
+        if not _agree(fast, grid):
+            mismatches.append((case, e0, fast, grid))
+        refined[bool(np.imag(e0) == 0)] += fast[1] is not None and abs(fast[1]) > 9 / 4
+    assert mismatches == [] and refined[True] > 0 and refined[False] > 0
+    assert any(np.any(s == np.exp(1j * np.pi) - 1.0) for s in half_loop_shifts)   # the midpoint pi
 
 
 def _counting_log_det_phase(monkeypatch):
@@ -200,18 +241,18 @@ def test_real_base_energy_evaluates_half_the_loop(monkeypatch, case):
 
     monkeypatch.setattr(winding_mod, "_from_phases", recording)
     p = ModelParams(g=0.5, W=1.0, theta0=0.4, bc="pbc", **case)
-    res = winding_result(p, WindingConfig(e0=-0.5))
+    res = winding_result(p, e0=-0.5)
     assert members[0] == 101 and len(res.steps) == 201
 
     basis = build_fock_basis(p.L, p.N) if p.many_body else None
     grid = 2.0 * np.pi * np.arange(202) / 201
-    full = winding_mod._low_rank_phases(p, basis, -0.5, grid)
+    full = winding_mod._flux_phases(p, basis, -0.5)(grid)
     assert np.abs(np.angle(np.exp(1j * (phases[0] - full)))).max() <= 1e-12
 
 
 def test_complex_base_energy_evaluates_every_point(monkeypatch):
     members = _counting_log_det_phase(monkeypatch)
-    winding_result(ModelParams(L=13, g=0.5, W=1.0, bc="pbc"), WindingConfig(e0=0.3 - 0.2j))
+    winding_result(ModelParams(L=13, g=0.5, W=1.0, bc="pbc"), e0=0.3 - 0.2j)
     assert members[0] == 202
 
 
@@ -237,12 +278,12 @@ def test_one_reference_build_and_one_lu_per_winding(monkeypatch, case, e0, singu
 
     counted("build_many_body" if "N" in case else "build_single_particle", "build")
     counted("_checked_lu", "lu")
-    p, cfg = ModelParams(bc="pbc", **case), WindingConfig(e0=e0)
+    p = ModelParams(bc="pbc", **case)
     if singular:
         with pytest.raises(WindingIllDefinedError, match="eigenvalue of H"):
-            winding_result(p, cfg)
+            winding_result(p, e0)
     else:
-        winding_result(p, cfg)
+        winding_result(p, e0)
     assert calls == {"build": 1, "lu": 1}
 
 
@@ -268,11 +309,13 @@ def test_winding_transition_single_particle():
     assert winding_result(ModelParams(L=34, g=0.5, W=5.0, bc="pbc")).nu == 0
 
 
-def test_winding_grid_refinement_stable():
+def test_winding_grid_refinement_stable(monkeypatch):
+    # no step of the base grid needs bisecting, and a base twice as fine agrees
     p = ModelParams(L=21, g=0.5, W=1.0, bc="pbc")
-    nu_201 = winding_result(p, WindingConfig(n_points=201)).nu
-    nu_402 = winding_result(p, WindingConfig(n_points=402)).nu
-    assert nu_201 == nu_402 == 1
+    res = winding_result(p)
+    monkeypatch.setattr(winding_mod, "FLUX_POINTS", 403)
+    fine = winding_result(p)
+    assert res.nu == fine.nu == 1 and len(res.steps) == 201 and len(fine.steps) == 403
 
 
 def test_winding_antisymmetric_in_g():
@@ -291,20 +334,25 @@ def test_e0_on_the_spectrum_of_h0_is_ill_defined():
         dense_winding(lambda phi: build_single_particle(replace(p, phi=phi)).dense())
 
 
-def test_hermitian_closed_gap_is_ill_defined():
-    # eigenvalues sweep across E0 = 0: a pi-sized phase jump, so no winding exists
-    with pytest.raises(WindingIllDefinedError, match="phase jump"):
+def test_hermitian_closed_gap_is_ill_defined(monkeypatch):
+    # eigenvalues sweep across E0 = 0: a pi-sized phase jump at any spacing, so
+    # no winding exists; bisection adds one point per jump per level, and gives up
+    members = _counting_log_det_phase(monkeypatch)
+    with pytest.raises(WindingIllDefinedError, match="phase jump .* exceeds pi/2 on a 221-step loop: "
+                                                     ".*E0 lies on the spectral curve"):
         winding_result(ModelParams(L=21, g=0.0, W=0.0, bc="pbc"))
+    assert members[0] == 101 + winding_mod.REFINE_LEVELS
 
 
-def test_a_winding_above_the_grid_bound_is_refused_with_it():
+def test_a_winding_above_the_base_grid_bound_is_refined(monkeypatch):
     # no step may exceed pi/2, so n flux points carry at most |nu| = n/4;
-    # this ring winds 16 times around E0 = -4
+    # this ring winds 16 times around E0 = -4, more than a 41-point base carries
     p = ModelParams(L=12, N=6, g=0.5, V=0.5, W=0.0, bc="pbc")
-    with pytest.raises(WindingIllDefinedError, match=r"phase jump 2\.656 exceeds pi/2: .* the 41-point "
-                                                     r"flux grid is too coarse \(it carries at most \|nu\| = 10\.25\)"):
-        winding_result(p, WindingConfig(n_points=41, e0=-4.0))
-    assert winding_result(p, WindingConfig(e0=-4.0)).nu == 16
+    assert len(winding_result(p, e0=-4.0).steps) == 201
+    monkeypatch.setattr(winding_mod, "FLUX_POINTS", 41)
+    res = winding_result(p, e0=-4.0)
+    assert res.nu == 16 and 41 < len(res.steps) < 201
+    assert np.abs(res.steps).max() <= np.pi / 2
 
 
 def test_persistent_singularity_raises():
@@ -326,11 +374,13 @@ def test_many_body_winding_half_filling():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        WindingConfig(n_points=2)
+    # the grid follows the phase, so it takes no size; e0 must be finite
+    p = ModelParams(L=8, g=0.5, bc="pbc")
+    with pytest.raises(TypeError):
+        winding_result(p, n_points=401)
     for e0 in (np.nan, np.inf, -np.inf, 1e400, complex(0.0, np.nan), complex(1.0, -np.inf)):
         with pytest.raises(ValueError, match="e0 must be finite"):
-            WindingConfig(e0=e0)
+            winding_result(p, e0=e0)
 
 
 def test_result_reports_raw_and_steps():
